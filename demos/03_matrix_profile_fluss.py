@@ -13,7 +13,7 @@ A threshold on that dip is the alert rule used by the streaming protocol.
 
 import numpy as np
 
-from maintseg.detectors import fluss_alert, fluss_cac, matrix_profile
+from maintseg.detectors import DetectorConfig, detect, fluss_cac, matrix_profile
 
 rng = np.random.default_rng(21)
 n, change = 240, 120
@@ -39,15 +39,22 @@ dip = int(np.argmin(cac))
 print(f"corrected arc curve: min {cac.min():.3f} at position {dip} "
       f"(true change {change})")
 
-pos = fluss_alert(series[:, None], m, threshold=0.45)
+
+# The threshold rule is `detect` with a FLUSS config, as the streaming
+# protocol calls it on every window.
+def rule(channel_rule="any"):
+    return DetectorConfig("FLUSS", threshold=0.45, m=m, channel_rule=channel_rule)
+
+
+pos = detect(series[:, None], rule())
 print(f"threshold rule at 0.45 -> alert at {pos}")
 
 # A flat window has no regime structure at all: the curve stays at 1.
 flat = np.full((240, 1), 2.0)
-print(f"flat window -> alert: {fluss_alert(flat, m, 0.45)}")
+print(f"flat window -> alert: {detect(flat, rule())}")
 
 # Multivariate handling: "any" alerts if one channel dips, "sum" demands
 # the averaged curve to dip, which a flat second channel prevents here.
 window = np.column_stack([series, np.full(n, 1.0)])
-print(f"two channels, rule=any -> {fluss_alert(window, m, 0.45, 'any')}")
-print(f"two channels, rule=sum -> {fluss_alert(window, m, 0.45, 'sum')}")
+print(f"two channels, rule=any -> {detect(window, rule('any'))}")
+print(f"two channels, rule=sum -> {detect(window, rule('sum'))}")

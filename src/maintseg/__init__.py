@@ -15,7 +15,6 @@ from .detectors import (
     binseg,
     bottomup,
     detect,
-    fluss_alert,
     fluss_cac,
     kcpd,
     matrix_profile,
@@ -41,7 +40,7 @@ __all__ = [
     "SegmentCost", "cost", "rbf_bandwidth_median",
     "DetectorConfig", "Segmentation",
     "pelt", "binseg", "bottomup", "kcpd",
-    "matrix_profile", "fluss_cac", "fluss_alert", "detect",
+    "matrix_profile", "fluss_cac", "detect",
     "Alert", "Verdict", "classify", "run_streaming",
     "EvaluationRecord", "Aggregate", "e_score", "aggregate",
     "best_average_config", "best_per_sample", "model_stability",

@@ -31,8 +31,8 @@ from .ingest import (
     parse_event_log,
     save_cycle,
 )
-from .metrics import EvaluationRecord, aggregate, best_per_sample, e_score, model_stability
-from .protocol import classify, run_streaming_trace
+from .metrics import aggregate, best_per_sample, model_stability
+from .protocol import run_streaming_trace
 from .sweep import (
     GridSpec,
     build_grid,
@@ -40,6 +40,7 @@ from .sweep import (
     load_results,
     rescore,
     run_sweep,
+    score_alert,
     sweep_summary,
 )
 from .synth import SynthSpec, generate_corpus
@@ -134,6 +135,15 @@ def _write_manifest(args, extra: dict | None = None) -> None:
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
+def _step_buckets(step_days: int, period_hours: float) -> int:
+    """The --step duration in days as a whole number of resampling buckets."""
+    buckets = step_days * 24.0 / period_hours
+    if step_days < 1 or abs(buckets - round(buckets)) > 1e-9:
+        raise ValueError(f"--step {step_days} days is not a whole number of "
+                         f"{period_hours:g}-hour buckets")
+    return round(buckets)
+
+
 def _pp_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
@@ -167,7 +177,7 @@ def cmd_evaluate(args) -> int:
     cycles = load_cycles(args.cycles)
     config = DetectorConfig.from_id(args.config)
     period = cycles[0].period
-    rd_s, pp_s = params.to_samples(period)
+    step = _step_buckets(args.step, period)
     _write_manifest(args)
 
     records = []
@@ -177,18 +187,14 @@ def cmd_evaluate(args) -> int:
         writer.writerow(["atm_id", "cycle_index", "window_end", "fired",
                          "change_point", "score"])
         for cycle in sorted(cycles, key=lambda c: c.key):
-            alert, trace = run_streaming_trace(cycle, config, args.step, args.alert_at)
+            alert, trace = run_streaming_trace(cycle, config, step, args.alert_at)
             for row in trace:
                 writer.writerow([cycle.atm_id, cycle.cycle_index, row.end_index,
                                  int(row.fired),
                                  "" if row.change_point is None else row.change_point,
                                  repr(row.score)])
-            verdict = classify(alert, cycle.n, pp_s, rd_s)
-            e = e_score(alert.a if alert else None, cycle.n, pp_s, rd_s, params.s)
-            records.append(EvaluationRecord(
-                atm_id=cycle.atm_id, cycle_index=cycle.cycle_index,
-                config_id=config.config_id, verdict=verdict, alert=alert,
-                e=e, n=cycle.n, params=params))
+            records.append(score_alert(cycle.atm_id, cycle.cycle_index, config.config_id,
+                                       alert, cycle.n, params, period))
     agg = aggregate(records)
     print(f"config: {config.config_id}")
     print(f"cycles: {agg.n_records}  TP={agg.tp} FP={agg.fp} FN={agg.fn}")
@@ -204,9 +210,10 @@ def cmd_sweep(args) -> int:
     cycles = load_cycles(args.cycles)
     spec = GridSpec.from_json(args.grid.read_text()) if args.grid else default_grid()
     configs = build_grid(spec)
+    step = _step_buckets(args.step, cycles[0].period)
     _write_manifest(args, {"n_configs": len(configs), "n_cycles": len(cycles)})
     results_path = args.out / "results.csv"
-    table = run_sweep(cycles, configs, params, step=args.step, workers=args.workers,
+    table = run_sweep(cycles, configs, params, step=step, workers=args.workers,
                       alert_at=args.alert_at, results_path=results_path)
     entries = sweep_summary(table.records, params, _pp_list(args.pp_list),
                             table.period_hours)

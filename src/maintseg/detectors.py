@@ -28,13 +28,11 @@ __all__ = [
     "kcpd",
     "matrix_profile",
     "fluss_cac",
-    "fluss_alert",
     "detect",
     "detect_with_score",
 ]
 
 METHODS = ("PELT", "BINSEG", "BOTTOMUP", "KCPD", "FLUSS")
-SEGMENTATION_METHODS = ("PELT", "BINSEG", "BOTTOMUP", "KCPD")
 CHANNEL_RULES = ("any", "sum")
 
 _UNSET = "-"
@@ -388,28 +386,6 @@ def _fluss_best(curves: list[np.ndarray]) -> tuple[int, float]:
     return best_pos, best_val
 
 
-def fluss_alert(window: np.ndarray, m: int, threshold: float,
-                channel_rule: str = "any") -> int | None:
-    """Threshold rule on the arc curve: position of the CAC minimum if below threshold.
-
-    Per channel of a multivariate window; under "any" the lowest channel
-    wins, under "sum" channels' curves are averaged first. Windows too
-    short for the matrix profile return no alert by design, as do flat
-    channels (a constant signal has no regime structure).
-    """
-    if channel_rule not in CHANNEL_RULES:
-        raise ValueError(f"channel_rule must be one of {CHANNEL_RULES}")
-    x = _as_signal(window)
-    n = x.shape[0]
-    excl = (m + 1) // 2
-    if n < m + excl + 1:
-        return None
-    pos, val = _fluss_best(_fluss_curves(x, m, channel_rule))
-    if val < threshold:
-        return pos
-    return None
-
-
 def _window_samples(window) -> np.ndarray:
     if isinstance(window, Window):
         return window.samples
@@ -432,6 +408,11 @@ def detect_with_score(window, config: DetectorConfig) -> tuple[int | None, float
 
     For FLUSS the score is the (combined) CAC minimum; for segmentation
     methods it is the number of breakpoints found.
+
+    FLUSS alerts at the CAC minimum when it lies below the threshold; under
+    channel rule "any" the lowest channel wins, under "sum" the channels'
+    curves are averaged first. Windows too short for the matrix profile and
+    flat channels (no regime structure) never alert.
     """
     x = _window_samples(window)
     if config.znorm:

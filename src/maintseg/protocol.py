@@ -46,13 +46,6 @@ class Verdict(enum.Enum):
     TN = "TN"  # reserved for cycles without failure; absent from this dataset
 
 
-def _make_alert(end: int, cp: int, alert_at: str) -> Alert:
-    if alert_at not in ALERT_TIMINGS:
-        raise ValueError(f"alert_at must be one of {ALERT_TIMINGS}")
-    a = end if alert_at == "window-end" else cp
-    return Alert(step_end_index=end, change_point_index=cp, a=a)
-
-
 def run_streaming(cycle: LifeCycle, config: DetectorConfig, step: int = 7,
                   alert_at: str = "window-end",
                   detector: Optional[Callable[[Window, DetectorConfig], Optional[int]]] = None,
@@ -66,7 +59,11 @@ def run_streaming(cycle: LifeCycle, config: DetectorConfig, step: int = 7,
     for window in prefix_windows(cycle, step):
         cp = run(window, config)
         if cp is not None:
-            return _make_alert(window.end_index, int(cp), alert_at)
+            if alert_at not in ALERT_TIMINGS:
+                raise ValueError(f"alert_at must be one of {ALERT_TIMINGS}")
+            end, cp = window.end_index, int(cp)
+            return Alert(step_end_index=end, change_point_index=cp,
+                         a=end if alert_at == "window-end" else cp)
     return None
 
 
@@ -83,15 +80,16 @@ class WindowTrace:
 def run_streaming_trace(cycle: LifeCycle, config: DetectorConfig, step: int = 7,
                         alert_at: str = "window-end",
                         ) -> tuple[Optional[Alert], list[WindowTrace]]:
-    """Same first-alert semantics as :func:`run_streaming`, recording one
-    trace row per evaluated window (so len(trace) = windows evaluated)."""
+    """:func:`run_streaming` with one trace row per evaluated window
+    (so len(trace) = windows evaluated)."""
     trace: list[WindowTrace] = []
-    for window in prefix_windows(cycle, step):
-        cp, score = detect_with_score(window, config)
+
+    def recording(window: Window, cfg: DetectorConfig) -> Optional[int]:
+        cp, score = detect_with_score(window, cfg)
         trace.append(WindowTrace(window.end_index, cp is not None, cp, score))
-        if cp is not None:
-            return _make_alert(window.end_index, int(cp), alert_at), trace
-    return None, trace
+        return cp
+
+    return run_streaming(cycle, config, step, alert_at, detector=recording), trace
 
 
 def classify(alert: Optional[Alert], n: float, pp: float, rd: float) -> Verdict:

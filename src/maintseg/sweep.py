@@ -37,6 +37,7 @@ __all__ = [
     "SweepFailure",
     "run_sweep",
     "rescore",
+    "score_alert",
     "sweep_summary",
     "corpus_fingerprint",
     "save_results",
@@ -176,14 +177,24 @@ def corpus_fingerprint(cycles: Sequence[LifeCycle]) -> str:
     return h.hexdigest()
 
 
-def _evaluate_pair(task) -> dict:
-    cycle, config, pp_s, rd_s, s, step, alert_at = task
-    alert = run_streaming(cycle, config, step, alert_at)
-    verdict = classify(alert, cycle.n, pp_s, rd_s)
-    e = e_score(alert.a if alert else None, cycle.n, pp_s, rd_s, s)
-    return {"atm_id": cycle.atm_id, "cycle_index": cycle.cycle_index,
-            "config_id": config.config_id, "verdict": verdict.value,
-            "alert": alert, "e": e, "n": cycle.n}
+def score_alert(atm_id: str, cycle_index: int, config_id: str, alert: Optional[Alert],
+                n: int, params: BusinessParams, period_hours: float) -> EvaluationRecord:
+    """Turn one cycle's first alert (or None) into its verdict, score and record."""
+    rd_s, pp_s = params.to_samples(period_hours)
+    verdict = classify(alert, n, pp_s, rd_s)
+    e = e_score(alert.a if alert else None, n, pp_s, rd_s, params.s)
+    return EvaluationRecord(atm_id=atm_id, cycle_index=cycle_index, config_id=config_id,
+                            verdict=verdict, alert=alert, e=e, n=n, params=params)
+
+
+def _evaluate_pair(task) -> EvaluationRecord | Exception:
+    cycle, config, params, step, alert_at = task
+    try:
+        alert = run_streaming(cycle, config, step, alert_at)
+        return score_alert(cycle.atm_id, cycle.cycle_index, config.config_id, alert,
+                           cycle.n, params, cycle.period)
+    except Exception as exc:  # recorded, not fatal for the run
+        return exc
 
 
 def run_sweep(cycles: Sequence[LifeCycle], configs: Sequence[DetectorConfig],
@@ -203,14 +214,15 @@ def run_sweep(cycles: Sequence[LifeCycle], configs: Sequence[DetectorConfig],
     period_hours = cycles[0].period
     if any(c.period != period_hours for c in cycles):
         raise ValueError("cycles must share one resampling period")
-    rd_s, pp_s = params.to_samples(period_hours)
-
     table = ResultsTable(records=[], config_ids=tuple(c.config_id for c in configs),
                          fingerprint=corpus_fingerprint(cycles), params=params,
                          step=step, alert_at=alert_at, period_hours=period_hours)
 
     done: dict[tuple[str, int, str], EvaluationRecord] = {}
-    if results_path is not None and Path(results_path).exists():
+    results_path = None if results_path is None else Path(results_path)
+    resuming = (results_path is not None and results_path.exists()
+                and _cut_torn_tail(results_path))
+    if resuming:
         prior = load_results(results_path, params=params)
         if (prior.params, prior.step, prior.alert_at) != (params, step, alert_at):
             raise ValueError("existing results were produced under different settings")
@@ -225,15 +237,16 @@ def run_sweep(cycles: Sequence[LifeCycle], configs: Sequence[DetectorConfig],
         for config in configs:
             if (cycle.atm_id, cycle.cycle_index, config.config_id) in done:
                 continue
-            tasks.append((cycle, config, pp_s, rd_s, params.s, step, alert_at))
+            tasks.append((cycle, config, params, step, alert_at))
 
     sink = None
     if results_path is not None:
-        results_path = Path(results_path)
         results_path.parent.mkdir(parents=True, exist_ok=True)
-        fresh = not results_path.exists()
-        sink = open(results_path, "a", encoding="utf-8", newline="")
-        if fresh:
+        # the sidecar goes first, so an interrupted file still names its
+        # corpus and settings when it is resumed
+        _write_meta(table, results_path)
+        sink = open(results_path, "a" if resuming else "w", encoding="utf-8", newline="")
+        if not resuming:
             sink.write(",".join(RESULT_COLUMNS) + "\n")
 
     records = list(done.values())
@@ -246,10 +259,9 @@ def run_sweep(cycles: Sequence[LifeCycle], configs: Sequence[DetectorConfig],
                 failures.append(SweepFailure(cycle.atm_id, cycle.cycle_index,
                                              config.config_id, repr(outcome)))
                 continue
-            record = _record_from_dict(outcome, params)
-            records.append(record)
+            records.append(outcome)
             if sink is not None:
-                sink.write(_csv_line(record))
+                sink.write(_csv_line(outcome))
                 sink.flush()
             if total >= 20 and (i + 1) % max(total // 10, 1) == 0:
                 log.info("sweep progress: %d/%d pairs", i + 1, total)
@@ -273,23 +285,10 @@ def run_sweep(cycles: Sequence[LifeCycle], configs: Sequence[DetectorConfig],
 def _run_tasks(tasks, workers: int) -> Iterable:
     if workers <= 1:
         for task in tasks:
-            yield _try_pair(task)
+            yield _evaluate_pair(task)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_try_pair, tasks, chunksize=8)
-
-
-def _try_pair(task):
-    try:
-        return _evaluate_pair(task)
-    except Exception as exc:  # recorded, not fatal for the run
-        return exc
-
-
-def _record_from_dict(d: dict, params: BusinessParams) -> EvaluationRecord:
-    return EvaluationRecord(atm_id=d["atm_id"], cycle_index=d["cycle_index"],
-                            config_id=d["config_id"], verdict=Verdict(d["verdict"]),
-                            alert=d["alert"], e=d["e"], n=d["n"], params=params)
+        yield from pool.map(_evaluate_pair, tasks, chunksize=8)
 
 
 def _csv_line(r: EvaluationRecord) -> str:
@@ -314,6 +313,10 @@ def save_results(table: ResultsTable, path) -> None:
         for r in table.records:
             fh.write(_csv_line(r))
     os.replace(tmp, path)
+    _write_meta(table, path)
+
+
+def _write_meta(table: ResultsTable, path: Path) -> None:
     meta = {
         "config_ids": list(table.config_ids),
         "fingerprint": table.fingerprint,
@@ -327,7 +330,19 @@ def save_results(table: ResultsTable, path) -> None:
                       "config_id": f.config_id, "reason": f.reason}
                      for f in table.failures],
     }
-    _meta_path(path).write_text(json.dumps(meta, indent=2))
+    meta_path = _meta_path(path)
+    tmp = meta_path.with_suffix(meta_path.suffix + ".tmp")
+    tmp.write_text(json.dumps(meta, indent=2))
+    os.replace(tmp, meta_path)
+
+
+def _cut_torn_tail(path: Path) -> bool:
+    """Truncate ``path`` after its last newline, dropping a last line that a
+    kill cut short. Returns whether any complete line is left."""
+    with open(path, "r+b") as fh:
+        keep = fh.read().rfind(b"\n") + 1
+        fh.truncate(keep)
+    return keep > 0
 
 
 def _meta_path(path: Path) -> Path:
@@ -384,13 +399,8 @@ def rescore(records: Sequence[EvaluationRecord], params: BusinessParams,
     The alert positions depend only on the detector and the protocol step,
     so metric parameters can be swept without re-running detectors.
     """
-    rd_s, pp_s = params.to_samples(period_hours)
-    out = []
-    for r in records:
-        verdict = classify(r.alert, r.n, pp_s, rd_s)
-        e = e_score(r.alert.a if r.alert else None, r.n, pp_s, rd_s, params.s)
-        out.append(replace(r, verdict=verdict, e=e, params=params))
-    return out
+    return [score_alert(r.atm_id, r.cycle_index, r.config_id, r.alert, r.n, params,
+                        period_hours) for r in records]
 
 
 def sweep_summary(records: Sequence[EvaluationRecord], params: BusinessParams,

@@ -21,6 +21,9 @@ __all__ = ["SynthSpec", "generate_corpus"]
 class SynthSpec:
     """Shape of the generated corpus.
 
+    n_days_min, n_days_max and change_offset_days count resampling buckets
+    of period_hours each, which are days only at the default 24-hour
+    period: a 10-day hourly cycle needs n_days_min=n_days_max=240.
     change_offset_days is the planted change position counted back from the
     cycle end; cycles shorter than twice the offset stay quiet throughout.
     A fraction of machines get several cycles so per-machine stability

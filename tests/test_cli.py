@@ -10,6 +10,7 @@ from maintseg.protocol import Verdict
 from maintseg.sweep import ResultsTable, save_results
 from maintseg.metrics import EvaluationRecord
 from maintseg.protocol import Alert
+from maintseg.synth import SynthSpec, generate_corpus
 
 TINY_GRID = {
     "PELT": {"costs": ["l2"], "penalties": [5.0, 1e12],
@@ -29,6 +30,16 @@ def corpus(tmp_path):
     out = tmp_path / "synth"
     assert main(["synth", "--seed", "3", "--n-cycles", "6", "--out", str(out)]) == 0
     return out / "cycles"
+
+
+def bucket_corpus(root: Path, period_hours: float, n: int) -> Path:
+    """One cycle of ``n`` buckets of ``period_hours`` each, saved under root."""
+    from maintseg.ingest import save_cycle
+    spec = SynthSpec(n_days_min=n, n_days_max=n, period_hours=period_hours,
+                     change_offset_days=n // 5)
+    (cycle,) = generate_corpus(5, 1, spec)
+    save_cycle(cycle, root / "cycles")
+    return root / "cycles"
 
 
 class TestSynth:
@@ -129,7 +140,34 @@ class TestEvaluate:
         assert "recall: 1.0000" in capsys.readouterr().out
 
 
+    def test_step_is_days_at_any_period(self, tmp_path):
+        # 240 hourly buckets at --step 7 (days): windows end at 168 and 240
+        cycles = bucket_corpus(tmp_path, 1.0, 240)
+        out = tmp_path / "eval"
+        assert main(["evaluate", str(cycles), "--config", "PELT/l2/1e+300/2/-/0/-",
+                     "--step", "7", "--out", str(out)]) == 0
+        rows = (out / "traces.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["168", "240"]
+
+    def test_step_not_whole_buckets_is_an_error(self, tmp_path, capsys):
+        # one day is 4.8 buckets of 5 hours
+        cycles = bucket_corpus(tmp_path, 5.0, 40)
+        assert main(["evaluate", str(cycles), "--config", "PELT/l2/1e+300/2/-/0/-",
+                     "--step", "1", "--out", str(tmp_path / "eval")]) == 1
+        assert "not a whole number of 5-hour buckets" in capsys.readouterr().err
+
+
 class TestSweepCommand:
+    def test_step_is_days_at_any_period(self, tmp_path):
+        cycles = bucket_corpus(tmp_path, 1.0, 240)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"PELT": TINY_GRID["PELT"]}))
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(cycles), "--grid", str(grid), "--step", "7",
+                     "--out", str(out)]) == 0
+        meta = json.loads((out / "results.csv.meta.json").read_text())
+        assert meta["step"] == 168
+
     def test_summary_and_results(self, corpus, tmp_path, capsys):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps(TINY_GRID))

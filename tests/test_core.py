@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from maintseg.core import BusinessParams, Window, prefix_windows, znormalize
+from maintseg.core import DEGENERATE_STD, BusinessParams, Window, prefix_windows, znormalize
 
 from conftest import make_cycle
 
@@ -46,7 +46,29 @@ class TestZnormalize:
            st.floats(0.1, 50.0), st.floats(-100.0, 100.0))
     def test_affine_invariance(self, values, a, b):
         x = np.asarray(values)
-        np.testing.assert_allclose(znormalize(a * x + b), znormalize(x), atol=1e-9)
+        y = a * x + b
+        # away from the degenerate cutoff, and with a spread large enough
+        # that rounding y (cancellation against b) stays below the tolerance
+        assume(_cutoff_side(x) != 0 and _cutoff_side(x) == _cutoff_side(y))
+        np.testing.assert_allclose(znormalize(y), znormalize(x), atol=1e-9)
+
+    def test_scaling_across_the_degenerate_cutoff(self):
+        # std 1.6e-9 is below the cutoff, 7 times that is above it: the
+        # documented cutoff maps the first to zeros and the second to +-1
+        x = np.array([0.0, 3.239e-09])
+        assert x.std() < DEGENERATE_STD <= (7.0 * x).std()
+        np.testing.assert_array_equal(znormalize(x), [0.0, 0.0])
+        np.testing.assert_allclose(znormalize(7.0 * x), [-1.0, 1.0], atol=1e-9)
+
+
+def _cutoff_side(v: np.ndarray) -> int:
+    """-1 clearly degenerate, 1 clearly normalizable, 0 too close to call."""
+    std = v.std()
+    if std < DEGENERATE_STD / 10:
+        return -1
+    if std > max(10 * DEGENERATE_STD, 1e-5 * np.abs(v).max()):
+        return 1
+    return 0
 
 
 class TestPrefixWindows:

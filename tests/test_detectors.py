@@ -9,7 +9,6 @@ from maintseg.detectors import (
     bottomup,
     detect,
     detect_with_score,
-    fluss_alert,
     fluss_cac,
     kcpd,
     matrix_profile,
@@ -280,33 +279,37 @@ class TestFlussCac:
         assert np.all(cac[-15:] == 1.0)
 
 
+def fluss(threshold, m, channel_rule="any"):
+    return DetectorConfig("FLUSS", threshold=threshold, m=m, channel_rule=channel_rule)
+
+
 class TestFlussAlert:
     def test_flat_window_never_alerts(self):
-        assert fluss_alert(np.full((120, 2), 3.0), 7, 0.6) is None
+        assert detect(np.full((120, 2), 3.0), fluss(0.6, 7)) is None
 
     def test_two_regime_alert_lands_near_change(self):
         m = 8
         for seed in range(3):
             x = two_regime_series(n=160, change=80, seed=seed)
-            pos = fluss_alert(x[:, None], m, 0.45)
+            pos = detect(x[:, None], fluss(0.45, m))
             assert pos is not None
             assert abs(pos - 80) <= m
 
     def test_zero_threshold_never_alerts(self):
         x = two_regime_series()
-        assert fluss_alert(x[:, None], 8, 0.0) is None
+        assert detect(x[:, None], fluss(0.0, 8)) is None
 
     def test_short_window_degrades_to_no_alert(self):
-        assert fluss_alert(np.random.default_rng(0).normal(size=(10, 1)), 7, 0.6) is None
+        assert detect(np.random.default_rng(0).normal(size=(10, 1)), fluss(0.6, 7)) is None
 
     def test_sum_rule_averages_channels(self):
         regime = two_regime_series(n=160, change=80, seed=1)
         flat = np.full(160, 1.0)
         window = np.column_stack([regime, flat])
-        any_pos = fluss_alert(window, 8, 0.45, "any")
+        any_pos = detect(window, fluss(0.45, 8, "any"))
         assert any_pos is not None
         # averaged with a flat channel the dip is halved: 0.45 threshold misses it
-        assert fluss_alert(window, 8, 0.45, "sum") is None
+        assert detect(window, fluss(0.45, 8, "sum")) is None
 
 
 class TestDetect:

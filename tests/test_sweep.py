@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import numpy as np
@@ -31,6 +32,22 @@ TUNED = DetectorConfig("PELT", penalty=5.0, min_size=2)
 
 def small_corpus(n_cycles=4, seed=0):
     return generate_corpus(seed, n_cycles, SynthSpec(n_days_min=30, n_days_max=45))
+
+
+def interrupted_sweep(monkeypatch, cycles, configs, path, pairs, **kwargs):
+    """A sweep killed (KeyboardInterrupt) as it starts pair number ``pairs``."""
+    real = sweep_mod.run_streaming
+    started = itertools.count()
+
+    def killed(*args):
+        if next(started) == pairs:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(sweep_mod, "run_streaming", killed)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(cycles, configs, PARAMS, results_path=path, **kwargs)
 
 
 class TestBuildGrid:
@@ -104,6 +121,36 @@ class TestRunSweep:
         resumed = run_sweep(cycles, configs, PARAMS, results_path=partial_path)
         assert resumed.records == full.records
         assert partial_path.read_text() == full_path.read_text()
+
+    def test_interrupted_run_resumes_with_its_settings(self, tmp_path, monkeypatch):
+        cycles = small_corpus()
+        configs = [NEVER, TUNED]
+        full = run_sweep(cycles, configs, PARAMS, step=14, results_path=tmp_path / "full.csv")
+        path = tmp_path / "results.csv"
+        interrupted_sweep(monkeypatch, cycles, configs, path, 3, step=14)
+        resumed = run_sweep(cycles, configs, PARAMS, step=14, results_path=path)
+        assert resumed.records == full.records
+        assert path.read_text() == (tmp_path / "full.csv").read_text()
+
+    def test_interrupted_run_refuses_another_corpus(self, tmp_path, monkeypatch):
+        path = tmp_path / "results.csv"
+        interrupted_sweep(monkeypatch, small_corpus(seed=0), [NEVER, TUNED], path, 3)
+        with pytest.raises(ValueError, match="different cycle corpus"):
+            run_sweep(small_corpus(seed=1), [NEVER, TUNED], PARAMS, results_path=path)
+
+    def test_torn_last_line_is_dropped_and_its_pair_rerun(self, tmp_path, monkeypatch):
+        cycles = small_corpus()
+        configs = [NEVER, TUNED]
+        full_path = tmp_path / "full.csv"
+        run_sweep(cycles, configs, PARAMS, results_path=full_path)
+        path = tmp_path / "results.csv"
+        interrupted_sweep(monkeypatch, cycles, configs, path, 3)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("synth0002,0,PELT/l2/5.")  # a record write cut short
+        run_sweep(cycles, configs, PARAMS, results_path=path)
+        assert path.read_bytes() == full_path.read_bytes()
+        assert (tmp_path / "results.csv.meta.json").read_bytes() == \
+            (tmp_path / "full.csv.meta.json").read_bytes()
 
     def test_resume_rejects_mismatched_settings(self, tmp_path):
         cycles = small_corpus()
