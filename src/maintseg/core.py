@@ -60,6 +60,10 @@ class LifeCycle:
     ``samples`` is an (n, d) float array, one row per resampling bucket of
     ``period`` hours; bucket k covers [start_time + k*period, start_time + (k+1)*period).
     Values are the pre-normalization features: finite and non-negative.
+
+    Every cycle is scored as ending in failure. ``ended_in_failure`` is not
+    read by the scoring; it is kept in the cycle files and the corpus
+    fingerprint.
     """
 
     atm_id: str

@@ -7,10 +7,12 @@ Costs are functions of a contiguous segment [a, b) of an (n, d) signal:
 * ``normal`` (b-a) * log det(empirical covariance + eps*I),
 * ``rbf``    (b-a) - (1/(b-a)) * sum of the segment's RBF Gram entries.
 
-For l2, rbf and normal a :class:`CostCache` answers each segment query in
-O(1)/O(d^2) after an O(n)/O(n^2) precompute, which is what keeps the
-dynamic programs tractable. All evaluators are invocation-local, never
-shared between detector calls.
+A :class:`CostCache` builds one signal's tables for its cost kind and then
+answers every query through ``values(starts, ends)``, one batch of segments
+per call. l2 and rbf cost O(1) per segment after an O(n)/O(n^2) precompute,
+normal O(d^3) per segment (one batched log-determinant) after an O(n d^2)
+precompute, and l1 O(b-a) per segment (a median each). All evaluators are
+invocation-local, never shared between detector calls.
 """
 
 from __future__ import annotations
@@ -59,6 +61,16 @@ def cost_from_label(label: str) -> SegmentCost:
     return SegmentCost(label)
 
 
+def as_signal(signal: np.ndarray) -> np.ndarray:
+    """The signal as an (n, d) float array; 1-D input is one channel."""
+    x = np.asarray(signal, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.ndim != 2 or x.shape[0] < 1:
+        raise ValueError(f"signal must be a non-empty 1-D or 2-D array, got shape {x.shape}")
+    return x
+
+
 def rbf_bandwidth_median(signal: np.ndarray) -> float:
     """Median-heuristic bandwidth: 1 / median pairwise squared distance.
 
@@ -66,7 +78,7 @@ def rbf_bandwidth_median(signal: np.ndarray) -> float:
     points so the heuristic stays cheap and deterministic. A zero median
     (all points identical) falls back to gamma = 1.
     """
-    x = _as_matrix(signal)
+    x = as_signal(signal)
     n = x.shape[0]
     if n < 2:
         raise ValueError("median heuristic needs at least 2 samples")
@@ -82,109 +94,90 @@ def rbf_bandwidth_median(signal: np.ndarray) -> float:
     return 1.0 / med
 
 
-def _as_matrix(signal: np.ndarray) -> np.ndarray:
-    x = np.asarray(signal, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2:
-        raise ValueError(f"signal must be 1-D or 2-D, got shape {x.shape}")
-    return x
-
-
 class CostCache:
-    """Per-signal cache answering segment cost queries.
+    """Per-signal tables answering segment cost queries.
 
-    ``value(a, b)`` returns the cost of segment [a, b); ``values(starts, b)``
-    evaluates several start indices against one end, vectorized for l2 and
-    rbf. Gram/prefix tables are built lazily on first use.
+    ``values(starts, ends)`` returns the cost of each segment
+    [starts[i], ends[i]); either argument may be a scalar shared by every
+    segment. ``value(a, b)`` is the cost of one segment as a float. The
+    prefix-sum and Gram tables of the cost kind are built in the
+    constructor.
     """
 
     def __init__(self, signal: np.ndarray, spec: SegmentCost | None = None):
-        self.signal = _as_matrix(signal)
+        self.signal = x = as_signal(signal)
         self.spec = spec or SegmentCost()
-        self.n = self.signal.shape[0]
-        self._d = self.signal.shape[1]
+        self.n, d = x.shape
         kind = self.spec.kind
+        if kind in ("l2", "normal"):
+            self._s1 = np.vstack([np.zeros((1, d)), np.cumsum(x, axis=0)])
         if kind == "l2":
-            x = self.signal
-            self._s1 = np.vstack([np.zeros((1, self._d)), np.cumsum(x, axis=0)])
             self._s2 = np.concatenate([[0.0], np.cumsum(np.sum(x * x, axis=1))])
+        elif kind == "normal":
+            outer = x[:, :, None] * x[:, None, :]
+            self._sxx = np.concatenate([np.zeros((1, d, d)), np.cumsum(outer, axis=0)])
         elif kind == "rbf":
             gamma = self.spec.gamma
             if gamma is None:
-                gamma = rbf_bandwidth_median(self.signal) if self.n >= 2 else 1.0
-            self.gamma = gamma
-            x = self.signal
+                gamma = rbf_bandwidth_median(x) if self.n >= 2 else 1.0
             sq = np.sum(x * x, axis=1)
             d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
             gram = np.exp(-gamma * d2)
             # 2-D prefix sums: _p[i, j] = sum of gram[:i, :j]
             self._p = np.zeros((self.n + 1, self.n + 1))
             self._p[1:, 1:] = gram.cumsum(axis=0).cumsum(axis=1)
-        elif kind == "normal":
-            x = self.signal
-            self._s1 = np.vstack([np.zeros((1, self._d)), np.cumsum(x, axis=0)])
-            outer = x[:, :, None] * x[:, None, :]
-            self._sxx = np.concatenate(
-                [np.zeros((1, self._d, self._d)), np.cumsum(outer, axis=0)]
-            )
-
-    def _check(self, a: int, b: int) -> None:
-        if not 0 <= a < b <= self.n:
-            raise ValueError(f"invalid segment [{a}, {b}) for signal of length {self.n}")
 
     def value(self, a: int, b: int) -> float:
-        self._check(a, b)
-        kind = self.spec.kind
-        if kind == "l2":
-            return float(self._l2(np.array([a]), b)[0])
-        if kind == "rbf":
-            return float(self._rbf(np.array([a]), b)[0])
-        if kind == "normal":
-            return self._normal(a, b)
-        return self._l1(a, b)
+        if not 0 <= a < b <= self.n:
+            raise ValueError(f"invalid segment [{a}, {b}) for signal of length {self.n}")
+        return float(self._COSTS[self.spec.kind](self, np.array([a]), np.array([b]))[0])
 
-    def values(self, starts: np.ndarray, b: int) -> np.ndarray:
+    def values(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         starts = np.asarray(starts, dtype=int)
-        if starts.size == 0:
+        ends = np.asarray(ends, dtype=int)
+        lengths = ends - starts
+        if lengths.size == 0:
             return np.empty(0)
-        if starts.min() < 0 or starts.max() >= b or b > self.n:
-            raise ValueError("invalid segment starts")
-        kind = self.spec.kind
-        if kind == "l2":
-            return self._l2(starts, b)
-        if kind == "rbf":
-            return self._rbf(starts, b)
-        return np.array([self.value(int(a), b) for a in starts])
+        if starts.min() < 0 or ends.max() > self.n or lengths.min() < 1:
+            raise ValueError(f"invalid segments for signal of length {self.n}")
+        return self._COSTS[self.spec.kind](self, starts, ends)
 
-    def _l2(self, starts: np.ndarray, b: int) -> np.ndarray:
-        length = (b - starts).astype(float)
-        seg_sum = self._s1[b] - self._s1[starts]
-        seg_sq = self._s2[b] - self._s2[starts]
-        out = seg_sq - np.sum(seg_sum * seg_sum, axis=1) / length
+    # Each cost below takes start and end index arrays of one length, or
+    # one of them a scalar that numpy broadcasts against the other.
+
+    def _l1(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        out = []
+        for a, b in np.broadcast(starts, ends):
+            seg = self.signal[a:b]
+            out.append(np.abs(seg - np.median(seg, axis=0)).sum())
+        return np.array(out)
+
+    def _l2(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        length = ends - starts
+        seg_sum = self._s1[ends] - self._s1[starts]
+        seg_sq = self._s2[ends] - self._s2[starts]
+        out = seg_sq - np.sum(seg_sum * seg_sum, axis=-1) / length
         return np.maximum(out, 0.0)
 
-    def _rbf(self, starts: np.ndarray, b: int) -> np.ndarray:
-        length = (b - starts).astype(float)
+    def _normal(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        length = ends - starts
+        d = self.signal.shape[1]
+        mean = (self._s1[ends] - self._s1[starts]) / length[:, None]
+        cov = ((self._sxx[ends] - self._sxx[starts]) / length[:, None, None]
+               - mean[:, :, None] * mean[:, None, :])
+        sign, logdet = np.linalg.slogdet(cov + self.spec.eps * np.eye(d))
+        # eps keeps sign <= 0 from happening except for severe cancellation
+        return length * np.where(sign > 0, logdet, np.log(self.spec.eps) * d)
+
+    def _rbf(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        length = ends - starts
         p = self._p
-        gram_sum = p[b, b] - p[starts, b] - p[b, starts] + p[starts, starts]
+        gram_sum = p[ends, ends] - p[starts, ends] - p[ends, starts] + p[starts, starts]
         return length - gram_sum / length
 
-    def _normal(self, a: int, b: int) -> float:
-        length = b - a
-        mean = (self._s1[b] - self._s1[a]) / length
-        cov = (self._sxx[b] - self._sxx[a]) / length - np.outer(mean, mean)
-        cov = cov + self.spec.eps * np.eye(self._d)
-        sign, logdet = np.linalg.slogdet(cov)
-        if sign <= 0:
-            # eps keeps this from happening except for severe cancellation
-            logdet = np.log(self.spec.eps) * self._d
-        return float(length * logdet)
-
-    def _l1(self, a: int, b: int) -> float:
-        seg = self.signal[a:b]
-        med = np.median(seg, axis=0)
-        return float(np.abs(seg - med).sum())
+    # looked up per query: an instance attribute holding a bound method
+    # would be a reference cycle, freed only by the cyclic collector
+    _COSTS = {"l1": _l1, "l2": _l2, "normal": _normal, "rbf": _rbf}
 
 
 def cost(signal: np.ndarray, a: int, b: int, spec: SegmentCost | None = None) -> float:

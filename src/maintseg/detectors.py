@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEGENERATE_STD, Window, znormalize
-from .costs import CostCache, SegmentCost, cost_from_label
+from .costs import CostCache, SegmentCost, as_signal, cost_from_label
 
 __all__ = [
     "METHODS",
@@ -127,13 +127,15 @@ class DetectorConfig:
                    penalty=float(value), min_size=int(min_size), znorm=znorm_flag)
 
 
-def _as_signal(signal: np.ndarray) -> np.ndarray:
-    x = np.asarray(signal, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError("signal must be a non-empty 1-D or 2-D array")
-    return x
+def _cost_cache(signal: np.ndarray, cost: SegmentCost | None, penalty: float,
+                min_size: int) -> CostCache:
+    """The penalized segmenters' shared preamble: check the penalty and
+    min_size, then build the signal's cost tables."""
+    if penalty < 0:
+        raise ValueError("penalty must be >= 0")
+    if min_size < 1:
+        raise ValueError("min_size must be >= 1")
+    return CostCache(signal, cost)
 
 
 def pelt(signal: np.ndarray, cost: SegmentCost | None = None, penalty: float = 1.0,
@@ -145,13 +147,8 @@ def pelt(signal: np.ndarray, cost: SegmentCost | None = None, penalty: float = 1
     discards an optimal candidate for segment costs that do not increase
     under splitting.
     """
-    if penalty < 0:
-        raise ValueError("penalty must be >= 0")
-    if min_size < 1:
-        raise ValueError("min_size must be >= 1")
-    x = _as_signal(signal)
-    n = x.shape[0]
-    cache = CostCache(x, cost)
+    cache = _cost_cache(signal, cost, penalty, min_size)
+    n = cache.n
     if n < 2 * min_size:
         return Segmentation((), cache.value(0, n))
 
@@ -186,13 +183,8 @@ def pelt(signal: np.ndarray, cost: SegmentCost | None = None, penalty: float = 1
 def binseg(signal: np.ndarray, cost: SegmentCost | None = None, penalty: float = 1.0,
            min_size: int = 1) -> Segmentation:
     """Greedy recursive splitting; a split is kept only if its gain exceeds the penalty."""
-    if penalty < 0:
-        raise ValueError("penalty must be >= 0")
-    if min_size < 1:
-        raise ValueError("min_size must be >= 1")
-    x = _as_signal(signal)
-    n = x.shape[0]
-    cache = CostCache(x, cost)
+    cache = _cost_cache(signal, cost, penalty, min_size)
+    n = cache.n
     breakpoints: list[int] = []
     pending = [(0, n)]
     while pending:
@@ -201,7 +193,7 @@ def binseg(signal: np.ndarray, cost: SegmentCost | None = None, penalty: float =
             continue
         whole = cache.value(a, b)
         cuts = np.arange(a + min_size, b - min_size + 1)
-        both = cache.values(cuts, b) + np.array([cache.value(a, int(c)) for c in cuts])
+        both = cache.values(cuts, b) + cache.values(np.full(cuts.size, a), cuts)
         best = int(np.argmin(both))  # smallest index on ties
         gain = whole - both[best]
         if gain > penalty:
@@ -222,24 +214,23 @@ def bottomup(signal: np.ndarray, cost: SegmentCost | None = None, penalty: float
     strictly more than the penalty, so a penalty of zero keeps any grid
     whose merges all cost something.
     """
-    if penalty < 0:
-        raise ValueError("penalty must be >= 0")
-    if min_size < 1:
-        raise ValueError("min_size must be >= 1")
-    x = _as_signal(signal)
-    n = x.shape[0]
-    cache = CostCache(x, cost)
+    cache = _cost_cache(signal, cost, penalty, min_size)
+    n = cache.n
     bps = list(range(min_size, n, min_size))
     if bps and n - bps[-1] < min_size:
         bps.pop()
 
-    def merge_delta(i: int) -> float:
-        left = bps[i - 1] if i > 0 else 0
-        right = bps[i + 1] if i + 1 < len(bps) else n
-        b = bps[i]
-        return cache.value(left, right) - cache.value(left, b) - cache.value(b, right)
+    def merge_deltas(idx: list[int]) -> list[float]:
+        """The cost change of removing breakpoint bps[i], for each i in idx."""
+        bounds = [0, *bps, n]
+        left = [bounds[i] for i in idx]
+        mid = [bounds[i + 1] for i in idx]
+        right = [bounds[i + 2] for i in idx]
+        costs = cache.values(np.array(left + left + mid), np.array(right + mid + right))
+        merged, lhs, rhs = costs.reshape(3, -1)
+        return (merged - lhs - rhs).tolist()
 
-    deltas = [merge_delta(i) for i in range(len(bps))]
+    deltas = merge_deltas(list(range(len(bps))))
     while bps:
         best = int(np.argmin(deltas))  # smallest breakpoint on ties
         if deltas[best] > penalty:
@@ -247,9 +238,9 @@ def bottomup(signal: np.ndarray, cost: SegmentCost | None = None, penalty: float
         bps.pop(best)
         deltas.pop(best)
         # removing a breakpoint only changes its neighbors' merge costs
-        for i in (best - 1, best):
-            if 0 <= i < len(bps):
-                deltas[i] = merge_delta(i)
+        idx = [i for i in (best - 1, best) if 0 <= i < len(bps)]
+        for i, delta in zip(idx, merge_deltas(idx)):
+            deltas[i] = delta
 
     total = _total_cost(cache, bps, n, penalty)
     return Segmentation(tuple(bps), total)
@@ -265,8 +256,8 @@ def kcpd(signal: np.ndarray, penalty: float = 1.0, min_size: int = 1,
 
 
 def _total_cost(cache: CostCache, breakpoints: list[int], n: int, penalty: float) -> float:
-    bounds = [0, *breakpoints, n]
-    total = sum(cache.value(a, b) for a, b in zip(bounds, bounds[1:]))
+    bounds = np.array([0, *breakpoints, n])
+    total = sum(cache.values(bounds[:-1], bounds[1:]).tolist())
     return float(total + penalty * len(breakpoints))
 
 
@@ -389,7 +380,7 @@ def _fluss_best(curves: list[np.ndarray]) -> tuple[int, float]:
 def _window_samples(window) -> np.ndarray:
     if isinstance(window, Window):
         return window.samples
-    return _as_signal(window)
+    return as_signal(window)
 
 
 def detect(window, config: DetectorConfig) -> int | None:

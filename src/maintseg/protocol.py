@@ -43,7 +43,6 @@ class Verdict(enum.Enum):
     TP = "TP"
     FP = "FP"
     FN = "FN"
-    TN = "TN"  # reserved for cycles without failure; absent from this dataset
 
 
 def run_streaming(cycle: LifeCycle, config: DetectorConfig, step: int = 7,
@@ -55,12 +54,12 @@ def run_streaming(cycle: LifeCycle, config: DetectorConfig, step: int = 7,
     Returns None when no window fires. ``detector`` replaces the default
     dispatch, for instrumentation.
     """
+    if alert_at not in ALERT_TIMINGS:
+        raise ValueError(f"alert_at must be one of {ALERT_TIMINGS}")
     run = detector or detect
     for window in prefix_windows(cycle, step):
         cp = run(window, config)
         if cp is not None:
-            if alert_at not in ALERT_TIMINGS:
-                raise ValueError(f"alert_at must be one of {ALERT_TIMINGS}")
             end, cp = window.end_index, int(cp)
             return Alert(step_end_index=end, change_point_index=cp,
                          a=end if alert_at == "window-end" else cp)

@@ -25,7 +25,7 @@ from .core import BusinessParams, LifeCycle
 from .costs import cost_from_label
 from .detectors import METHODS, DetectorConfig
 from .metrics import EvaluationRecord, best_average_config, best_per_sample, e_score
-from .protocol import Alert, Verdict, classify, run_streaming
+from .protocol import ALERT_TIMINGS, Alert, Verdict, classify, run_streaming
 
 __all__ = [
     "GridSpecError",
@@ -211,6 +211,10 @@ def run_sweep(cycles: Sequence[LifeCycle], configs: Sequence[DetectorConfig],
     """
     if not cycles:
         raise ValueError("no cycles to evaluate")
+    if step < 1:
+        raise ValueError("step must be >= 1")
+    if alert_at not in ALERT_TIMINGS:
+        raise ValueError(f"alert_at must be one of {ALERT_TIMINGS}")
     period_hours = cycles[0].period
     if any(c.period != period_hours for c in cycles):
         raise ValueError("cycles must share one resampling period")
@@ -365,6 +369,8 @@ def load_results(path, params: Optional[BusinessParams] = None) -> ResultsTable:
         if tuple(header) != RESULT_COLUMNS:
             raise ValueError(f"unexpected results header {header}")
         for line in fh:
+            if not line.endswith("\n"):
+                continue  # a last record that a kill cut short
             line = line.rstrip("\n")
             if not line:
                 continue

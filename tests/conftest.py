@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from maintseg.core import LifeCycle
-from maintseg.costs import CostCache, SegmentCost
+from maintseg.costs import SegmentCost
 
 EPOCH = datetime(2021, 6, 1, tzinfo=timezone.utc)
 
@@ -56,6 +56,30 @@ def mp_brute_force(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return profile, index
 
 
+def direct_cost(x: np.ndarray, a: int, b: int, spec: SegmentCost) -> float:
+    """Cost of segment [a, b) of the (n, d) signal x, straight from its definition.
+
+    With no fixed rbf bandwidth, gamma is the median heuristic over all of
+    x: 1 / median squared distance between distinct samples, 1 when that is 0.
+    """
+    seg = x[a:b]
+    if spec.kind == "l2":
+        return float(((seg - seg.mean(axis=0)) ** 2).sum())
+    if spec.kind == "l1":
+        return float(np.abs(seg - np.median(seg, axis=0)).sum())
+    if spec.kind == "normal":
+        cov = np.cov(seg.T, bias=True).reshape(seg.shape[1], seg.shape[1])
+        return float(len(seg) * np.log(np.linalg.det(cov + spec.eps * np.eye(seg.shape[1]))))
+    gamma = spec.gamma
+    if gamma is None:
+        all_d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        med = np.median(all_d2[np.triu_indices(len(x), k=1)]) if len(x) > 1 else 0.0
+        gamma = 1.0 / med if med > 0 else 1.0
+    d2 = ((seg[:, None, :] - seg[None, :, :]) ** 2).sum(axis=2)
+    gram = np.exp(-gamma * d2)
+    return float(len(seg) - gram.sum() / len(seg))
+
+
 def exhaustive_segmentation(x: np.ndarray, spec: SegmentCost, penalty: float,
                             min_size: int) -> tuple[float, list[tuple[int, ...]]]:
     """Enumerate every admissible breakpoint set; return (best cost, argmin sets).
@@ -66,7 +90,8 @@ def exhaustive_segmentation(x: np.ndarray, spec: SegmentCost, penalty: float,
     if x.ndim == 1:
         x = x[:, None]
     n = x.shape[0]
-    cache = CostCache(x, spec)
+    seg_cost = {(a, b): direct_cost(x, a, b, spec)
+                for a in range(n) for b in range(a + 1, n + 1)}
     positions = list(range(min_size, n - min_size + 1))
     best_cost = np.inf
     best_sets: list[tuple[int, ...]] = []
@@ -75,7 +100,7 @@ def exhaustive_segmentation(x: np.ndarray, spec: SegmentCost, penalty: float,
         nonlocal best_cost, best_sets
         bounds = [0, *prefix, n]
         if all(b - a >= min_size for a, b in zip(bounds, bounds[1:])) or not prefix:
-            total = sum(cache.value(a, b) for a, b in zip(bounds, bounds[1:]))
+            total = sum(seg_cost[a, b] for a, b in zip(bounds, bounds[1:]))
             total += penalty * len(prefix)
             if total < best_cost - 1e-9:
                 best_cost = total

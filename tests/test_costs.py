@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from maintseg.costs import CostCache, SegmentCost, cost, cost_from_label, rbf_bandwidth_median
 
+from conftest import direct_cost
+
 
 class TestCostValues:
     def test_l2_constant_segment_is_zero(self):
@@ -87,36 +89,33 @@ class TestCacheAgreesWithDirectEvaluation:
         for _ in range(50):
             a = int(rng.integers(0, 39))
             b = int(rng.integers(a + 1, 41))
-            direct = _direct_cost(x, a, b, spec)
+            direct = direct_cost(x, a, b, spec)
             assert cache.value(a, b) == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
-    @pytest.mark.parametrize("kind", ["l2", "rbf"])
+    @pytest.mark.parametrize("kind", ["l1", "l2", "normal", "rbf"])
     def test_vectorized_matches_scalar(self, kind, rng):
         x = rng.normal(size=(30, 3))
         cache = CostCache(x, SegmentCost(kind))
-        starts = np.arange(0, 25)
-        vals = cache.values(starts, 28)
-        for s, v in zip(starts, vals):
-            assert v == pytest.approx(cache.value(int(s), 28), rel=1e-12)
+        starts = rng.integers(0, 29, size=40)
+        ends = starts + rng.integers(1, 31 - starts)
+        vals = cache.values(starts, ends)
+        assert vals.shape == (40,)
+        for a, b, v in zip(starts, ends, vals):
+            assert v == cache.value(int(a), int(b))
+        # a scalar start or end is shared by every segment
+        assert list(cache.values(starts, 30)) == [cache.value(int(a), 30) for a in starts]
+        assert list(cache.values(0, ends)) == [cache.value(0, int(b)) for b in ends]
 
-
-def _direct_cost(x, a, b, spec):
-    seg = x[a:b]
-    if spec.kind == "l2":
-        return float(((seg - seg.mean(axis=0)) ** 2).sum())
-    if spec.kind == "l1":
-        return float(np.abs(seg - np.median(seg, axis=0)).sum())
-    if spec.kind == "normal":
-        cov = np.cov(seg.T, bias=True).reshape(seg.shape[1], seg.shape[1])
-        return float(len(seg) * np.log(np.linalg.det(cov + spec.eps * np.eye(seg.shape[1]))))
-    gamma = spec.gamma
-    d2 = ((seg[:, None, :] - seg[None, :, :]) ** 2).sum(axis=2)
-    gram = np.exp(-gamma * d2)
-    return float(len(seg) - gram.sum() / len(seg))
+    def test_invalid_batches_rejected(self):
+        cache = CostCache(np.zeros(5), SegmentCost("l2"))
+        for starts, ends in [([0, 2], [3, 2]), ([0, -1], [3, 2]), ([0, 1], [3, 6]), ([4], 3)]:
+            with pytest.raises(ValueError):
+                cache.values(np.array(starts), np.array(ends))
+        assert cache.values(np.array([], dtype=int), 5).shape == (0,)
 
 
 class TestCostProperties:
-    @pytest.mark.parametrize("kind", ["l2", "rbf"])
+    @pytest.mark.parametrize("kind", ["l1", "l2", "normal", "rbf"])
     def test_splitting_never_increases_cost(self, kind, rng):
         # the additivity bound that makes penalized segmentation meaningful
         spec = SegmentCost(kind)

@@ -108,6 +108,22 @@ class TestPelt:
             assert seg.total_cost == pytest.approx(oracle_cost, abs=1e-9)
             assert seg.breakpoints in oracle_sets
 
+    @pytest.mark.parametrize("kind", ["l1", "l2", "normal", "rbf"])
+    def test_matches_exhaustive_oracle_at_min_size_one(self, kind, rng):
+        spec = SegmentCost(kind)
+        for _ in range(150):
+            n = int(rng.integers(2, 13))
+            x = rng.normal(size=(n, int(rng.integers(1, 4))))
+            if rng.random() < 0.4:
+                x[int(rng.integers(0, n)):] += 4.0
+            beta = float(rng.uniform(0.01, 5.0))
+            seg = pelt(x, spec, beta, 1)
+            oracle_cost, oracle_sets = exhaustive_segmentation(x, spec, beta, 1)
+            # the cached normal cost takes covariances from prefix sums, whose
+            # cancellation is ~1e-14 against eps = 1e-6 on one-sample segments
+            assert seg.total_cost == pytest.approx(oracle_cost, rel=1e-9, abs=1e-9)
+            assert seg.breakpoints in oracle_sets
+
     def test_penalty_monotonicity(self, rng):
         # more penalty can never mean more breakpoints
         for _ in range(10):

@@ -50,9 +50,11 @@ class TestRunStreaming:
         assert alert.a == alert.change_point_index == 26
 
     def test_bad_timing_mode(self):
+        # rejected before the first window, also when no window would fire
         cycle = two_regime_cycle()
-        with pytest.raises(ValueError):
-            run_streaming(cycle, PELT_L2, 7, alert_at="nonsense")
+        for config in (PELT_L2, NEVER_FIRES):
+            with pytest.raises(ValueError):
+                run_streaming(cycle, config, 7, alert_at="nonsense")
 
     def test_window_budget(self):
         # at most ceil(n / T) windows are ever evaluated

@@ -152,6 +152,13 @@ class TestRunSweep:
         assert (tmp_path / "results.csv.meta.json").read_bytes() == \
             (tmp_path / "full.csv.meta.json").read_bytes()
 
+    @pytest.mark.parametrize("settings", [{"alert_at": "end"}, {"step": 0}])
+    def test_bad_settings_rejected_before_any_work(self, tmp_path, settings):
+        path = tmp_path / "results.csv"
+        with pytest.raises(ValueError):
+            run_sweep(small_corpus(2), [NEVER, TUNED], PARAMS, results_path=path, **settings)
+        assert list(tmp_path.iterdir()) == []
+
     def test_resume_rejects_mismatched_settings(self, tmp_path):
         cycles = small_corpus()
         path = tmp_path / "results.csv"
@@ -207,6 +214,17 @@ class TestResultsIO:
         assert loaded.config_ids == table.config_ids
         assert loaded.fingerprint == table.fingerprint
         assert loaded.params == table.params
+
+    @pytest.mark.parametrize("cut", [20, 6], ids=["fields-missing", "inside-e-score"])
+    def test_torn_last_line_is_not_a_record(self, tmp_path, cut):
+        path = tmp_path / "results.csv"
+        early = DetectorConfig("PELT", penalty=0.01, min_size=2)  # FP, e far from round
+        table = run_sweep(small_corpus(), [early], PARAMS, results_path=path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-cut])
+        if cut == 6:  # the torn line still has all nine fields
+            assert data[:-cut].rsplit(b"\n", 1)[1].count(b",") == 8
+        assert load_results(path).records == table.records[:-1]
 
     def test_header_validated(self, tmp_path):
         path = tmp_path / "bad.csv"
