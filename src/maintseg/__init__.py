@@ -7,7 +7,7 @@ protocol, and scores the alerts with a business-constraint metric.
 
 __version__ = "0.1.0"
 
-from .core import BusinessParams, EventRecord, LifeCycle, Window, prefix_windows, znormalize
+from .core import BusinessParams, LifeCycle, Window, prefix_windows, znormalize
 from .costs import SegmentCost, cost, rbf_bandwidth_median
 from .detectors import (
     DetectorConfig,
@@ -35,7 +35,7 @@ from .synth import SynthSpec, generate_corpus
 
 __all__ = [
     "__version__",
-    "BusinessParams", "EventRecord", "LifeCycle", "Window",
+    "BusinessParams", "LifeCycle", "Window",
     "prefix_windows", "znormalize",
     "SegmentCost", "cost", "rbf_bandwidth_median",
     "DetectorConfig", "Segmentation",

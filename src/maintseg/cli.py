@@ -25,6 +25,7 @@ from .ingest import (
     LogFormat,
     ParseQualityError,
     build_cycles,
+    cycle_basename,
     dataset_stats,
     default_grouping,
     load_cycles,
@@ -159,6 +160,13 @@ def cmd_ingest(args) -> int:
         return 1
     result = build_cycles(parsed.records, grouping, period_hours=args.period_hours,
                           ii_days=params.ii)
+    owners: dict[str, str] = {}
+    for cycle in result.cycles:
+        name = cycle_basename(cycle)
+        if owners.setdefault(name, cycle.atm_id) != cycle.atm_id:
+            print(f"error: machine ids {owners[name]!r} and {cycle.atm_id!r} both map to "
+                  f"cycle file {name}.csv", file=sys.stderr)
+            return 1
     _write_manifest(args)
     cycle_dir = args.out / "cycles"
     for cycle in result.cycles:

@@ -12,7 +12,6 @@ from datetime import datetime, timezone
 import numpy as np
 
 __all__ = [
-    "EventRecord",
     "LifeCycle",
     "BusinessParams",
     "Window",
@@ -37,20 +36,6 @@ def parse_timestamp(value: str) -> datetime:
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc)
-
-
-@dataclass(frozen=True, order=True)
-class EventRecord:
-    """One timestamped categorical event from one machine's log."""
-
-    atm_id: str
-    lifecycle_id: int
-    timestamp: datetime
-    event_code: str
-
-    def __post_init__(self) -> None:
-        if self.timestamp.tzinfo is None:
-            raise ValueError("EventRecord timestamp must be timezone-aware")
 
 
 @dataclass(frozen=True)

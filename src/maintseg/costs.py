@@ -4,7 +4,7 @@ Costs are functions of a contiguous segment [a, b) of an (n, d) signal:
 
 * ``l2``     sum of squared deviations from the segment mean,
 * ``l1``     sum of absolute deviations from the coordinate-wise median,
-* ``normal`` (b-a) * log det(empirical covariance + eps*I),
+* ``normal`` (b-a) * log det(empirical covariance + NORMAL_EPS*I),
 * ``rbf``    (b-a) - (1/(b-a)) * sum of the segment's RBF Gram entries.
 
 A :class:`CostCache` builds one signal's tables for its cost kind and then
@@ -25,27 +25,27 @@ __all__ = ["SegmentCost", "CostCache", "cost", "cost_from_label", "rbf_bandwidth
 
 COST_KINDS = ("l1", "l2", "normal", "rbf")
 
+# Regularizes the covariance diagonal of the normal cost (low-activity
+# segments are exactly singular without it).
+NORMAL_EPS = 1e-6
+
 
 @dataclass(frozen=True)
 class SegmentCost:
     """A fully specified cost function.
 
     gamma is the RBF bandwidth; None selects the median heuristic per
-    signal. eps regularizes the covariance diagonal of the normal cost
-    (low-activity segments are exactly singular without it).
+    signal.
     """
 
     kind: str = "l2"
     gamma: float | None = None
-    eps: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.kind not in COST_KINDS:
             raise ValueError(f"unknown cost kind {self.kind!r}, expected one of {COST_KINDS}")
         if self.gamma is not None and self.gamma <= 0:
             raise ValueError("rbf bandwidth gamma must be > 0 when fixed")
-        if self.eps <= 0:
-            raise ValueError("covariance regularization eps must be > 0")
 
     @property
     def label(self) -> str:
@@ -165,9 +165,9 @@ class CostCache:
         mean = (self._s1[ends] - self._s1[starts]) / length[:, None]
         cov = ((self._sxx[ends] - self._sxx[starts]) / length[:, None, None]
                - mean[:, :, None] * mean[:, None, :])
-        sign, logdet = np.linalg.slogdet(cov + self.spec.eps * np.eye(d))
-        # eps keeps sign <= 0 from happening except for severe cancellation
-        return length * np.where(sign > 0, logdet, np.log(self.spec.eps) * d)
+        sign, logdet = np.linalg.slogdet(cov + NORMAL_EPS * np.eye(d))
+        # NORMAL_EPS keeps sign <= 0 from happening except for severe cancellation
+        return length * np.where(sign > 0, logdet, np.log(NORMAL_EPS) * d)
 
     def _rbf(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         length = ends - starts

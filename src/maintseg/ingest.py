@@ -1,6 +1,11 @@
-"""Event-log ingestion: parse raw delimited logs, drop post-failure infected
-intervals, resample categorical events into per-bucket occurrence counts, and
-turn them into severity-ratio feature series.
+"""Event-log ingestion: from a raw delimited log to life cycles and cycle files.
+
+:func:`parse_event_log` reads the log into one :class:`EventTable`, numpy
+columns sorted once by (machine, life cycle, time). :func:`build_cycles`
+then works on slices of that table: :func:`remove_infected` drops the
+post-failure infected intervals, :func:`resample` counts each cycle's
+events per bucket, and :func:`build_features` turns the counts into
+severity-ratio feature series.
 
 The code grouping (which event codes belong to which machine module at which
 severity) is configuration-driven so a dataset's exact code mapping can be
@@ -10,11 +15,13 @@ module ships with the package.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
 import math
 import re
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -25,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import EventRecord, LifeCycle, parse_timestamp
+from .core import LifeCycle, parse_timestamp
 
 __all__ = [
     "SEVERITIES",
@@ -33,7 +40,7 @@ __all__ = [
     "ParseQualityError",
     "FeatureRecipe",
     "CodeGroupingConfig",
-    "FailureMark",
+    "EventTable",
     "LogFormat",
     "ParseResult",
     "parse_event_log",
@@ -52,6 +59,9 @@ __all__ = [
 ]
 
 SEVERITIES = ("OK", "Warning", "Error")
+
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
 
 
 class ConfigurationError(ValueError):
@@ -158,13 +168,6 @@ def default_grouping() -> CodeGroupingConfig:
 
 
 @dataclass(frozen=True)
-class FailureMark:
-    atm_id: str
-    failure_time: datetime
-    module: str = "distribution"
-
-
-@dataclass(frozen=True)
 class LogFormat:
     """Column mapping of a delimited event log; names when there is a header
     row, 0-based indices otherwise. lifecycle is optional."""
@@ -182,26 +185,63 @@ class LogFormat:
         return cls(**doc)
 
 
+class EventTable:
+    """Events as numpy columns, sorted by (atm_id, lifecycle_id, time_us).
+
+    ``time_us`` counts microseconds since the epoch, UTC. The constructor
+    sorts once (stably); slicing or masking a table keeps its order.
+    """
+
+    def __init__(self, atm_id, lifecycle_id, time_us, event_code):
+        atm_id = np.asarray(atm_id, dtype=str)
+        lifecycle_id = np.asarray(lifecycle_id, dtype=np.int64)
+        time_us = np.asarray(time_us, dtype=np.int64)
+        order = np.lexsort((time_us, lifecycle_id, atm_id))
+        self.atm_id = atm_id[order]
+        self.lifecycle_id = lifecycle_id[order]
+        self.time_us = time_us[order]
+        self.event_code = np.asarray(event_code, dtype=str)[order]
+
+    def __len__(self) -> int:
+        return self.time_us.size
+
+    def __getitem__(self, rows) -> "EventTable":
+        """The rows picked by a slice or a boolean mask, still sorted."""
+        part = copy.copy(self)
+        part.__dict__.update((name, column[rows]) for name, column in vars(self).items())
+        return part
+
+
+def _runs(*keys: np.ndarray) -> list[tuple[int, int]]:
+    """[lo, hi) bounds of the runs of equal rows in sorted key columns."""
+    n = keys[0].size
+    change = np.zeros(max(n - 1, 0), dtype=bool)
+    for key in keys:
+        change |= key[1:] != key[:-1]
+    edges = [0, *(np.flatnonzero(change) + 1).tolist(), n]
+    return list(zip(edges, edges[1:])) if n else []
+
+
 @dataclass
 class ParseResult:
-    records: list[EventRecord]
+    records: EventTable
     malformed_count: int
     total_rows: int
 
 
 def parse_event_log(source, fmt: LogFormat | None = None) -> ParseResult:
-    """Parse a delimited event log into sorted records.
+    """Parse a delimited event log into a sorted :class:`EventTable`.
 
-    ``source`` is a path or a text file object. Malformed rows are counted
-    and reported, not silently dropped; more than 10% malformed raises
-    :class:`ParseQualityError`.
+    ``source`` is a path, bytes or a text file object. Malformed rows are
+    counted and reported, not silently dropped; more than 10% malformed
+    raises :class:`ParseQualityError`.
     """
     fmt = fmt or LogFormat()
+    if isinstance(source, (bytes, bytearray)):
+        source = io.StringIO(source.decode("utf-8"))
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return _parse_stream(fh, fmt)
-    if isinstance(source, (bytes, bytearray)):
-        return _parse_stream(io.StringIO(source.decode("utf-8")), fmt)
     return _parse_stream(source, fmt)
 
 
@@ -213,90 +253,89 @@ def _parse_stream(fh, fmt: LogFormat) -> ParseResult:
         if header is not None:
             columns = {name.strip(): i for i, name in enumerate(header)}
 
-    def col(spec: str | int, row: list[str]) -> str:
-        idx = spec if isinstance(spec, int) else columns[spec]
-        return row[idx].strip()
+    def index(spec: str | int) -> int:
+        # a column the header lacks gets an index no row reaches, so every
+        # row is malformed
+        return spec if isinstance(spec, int) else columns.get(spec, sys.maxsize)
 
-    records: list[EventRecord] = []
+    ts_i, atm_i, code_i = map(index, (fmt.timestamp, fmt.atm_id, fmt.event_code))
+    lc_i = None if fmt.lifecycle_id is None else index(fmt.lifecycle_id)
+
+    events: list[tuple[str, int, int, str]] = []
     malformed = 0
     total = 0
     for row in reader:
-        if not row or all(not cell.strip() for cell in row):
+        if not "".join(row).strip():
             continue
         total += 1
         try:
-            ts = parse_timestamp(col(fmt.timestamp, row))
-            atm = col(fmt.atm_id, row)
-            code = col(fmt.event_code, row)
-            if not atm or not code:
-                raise ValueError("empty field")
-            lifecycle = 0
-            if fmt.lifecycle_id is not None:
-                lifecycle = int(col(fmt.lifecycle_id, row))
-            records.append(EventRecord(atm, lifecycle, ts, code))
-        except (ValueError, KeyError, IndexError):
+            ts = parse_timestamp(row[ts_i])
+            # interned, so each distinct id and code is one string, not one per row
+            atm = sys.intern(row[atm_i].strip())
+            code = sys.intern(row[code_i].strip())
+            lifecycle = 0 if lc_i is None else int(row[lc_i])
+            if not atm or not code or abs(lifecycle) >= 2**63:
+                raise ValueError("empty field or a life cycle id beyond 64 bits")
+        except (ValueError, IndexError):
             malformed += 1
+            continue
+        events.append((atm, lifecycle, (ts - EPOCH) // _MICROSECOND, code))
     if total > 0 and malformed / total > 0.10:
         raise ParseQualityError(malformed, total)
-    records.sort(key=lambda r: (r.atm_id, r.lifecycle_id, r.timestamp))
-    return ParseResult(records, malformed, total)
+    by_column = list(zip(*events)) or [()] * 4
+    return ParseResult(EventTable(*by_column), malformed, total)
 
 
-def remove_infected(records: Sequence[EventRecord], failures: Sequence[FailureMark],
-                    ii_days: float) -> list[EventRecord]:
-    """Drop every record within [f, f + ii] of any failure f of its machine.
+def remove_infected(events: EventTable, ii_days: float) -> EventTable:
+    """Drop every event within [f, f + ii] of a failure f of its machine.
 
-    An ii of zero removes nothing. Idempotent, and overlapping infected
-    intervals simply union.
+    Each life cycle's last event is taken as the failure that ended it, and
+    its infected interval trims only the machine's OTHER cycles, never the
+    end-of-cycle events of the cycle that produced the mark. An ii of zero
+    removes nothing; overlapping infected intervals simply union.
     """
     if ii_days <= 0:
-        return list(records)
-    spans: dict[str, list[tuple[datetime, datetime]]] = defaultdict(list)
-    delta = timedelta(days=ii_days)
-    for f in failures:
-        spans[f.atm_id].append((f.failure_time, f.failure_time + delta))
+        return events
+    ii_us = timedelta(days=ii_days) // _MICROSECOND
+    infected = np.zeros(len(events), dtype=bool)
+    for lo, hi in _runs(events.atm_id):
+        t = events.time_us[lo:hi]
+        cycle = events.lifecycle_id[lo:hi]
+        for first, last in _runs(cycle):
+            failure = t[last - 1]
+            infected[lo:hi] |= (t >= failure) & (t <= failure + ii_us) & (cycle != cycle[first])
+    return events[~infected]
 
-    def infected(r: EventRecord) -> bool:
-        return any(lo <= r.timestamp <= hi for lo, hi in spans.get(r.atm_id, ()))
 
-    return [r for r in records if not infected(r)]
-
-
-def resample(cycle_records: Sequence[EventRecord], period_hours: float,
+def resample(events: EventTable, period_hours: float,
              code_universe: Sequence[str]) -> np.ndarray:
-    """Occurrence counts per (bucket, code) for one life cycle's records.
+    """Occurrence counts per (bucket, code) for one life cycle's events.
 
-    Buckets of ``period_hours`` starting at the first record; rows with no
+    Buckets of ``period_hours`` start at the first event; rows with no
     events are explicit zeros. An event landing exactly on the final bucket
-    boundary is counted in the last bucket.
+    boundary is counted in the last bucket. Every event code must be in
+    ``code_universe``.
     """
     if period_hours <= 0:
         raise ValueError("period must be positive")
-    if not cycle_records:
-        raise ValueError("no records to resample")
-    keys = {(r.atm_id, r.lifecycle_id) for r in cycle_records}
-    if len(keys) > 1:
-        raise ValueError(f"records span {len(keys)} life cycles, expected one")
-    col = {code: i for i, code in enumerate(code_universe)}
-    start = min(r.timestamp for r in cycle_records)
-    end = max(r.timestamp for r in cycle_records)
-    span = (end - start).total_seconds()
+    if not len(events):
+        raise ValueError("no events to resample")
+    offset_s = (events.time_us - events.time_us[0]) / 1e6  # rounds like total_seconds()
     bucket_s = period_hours * 3600.0
-    rows = max(1, math.ceil(span / bucket_s))
-    counts = np.zeros((rows, len(code_universe)), dtype=int)
-    for r in cycle_records:
-        if r.event_code not in col:
-            raise ValueError(f"event code {r.event_code!r} not in the code universe")
-        k = min(int((r.timestamp - start).total_seconds() / bucket_s), rows - 1)
-        counts[k, col[r.event_code]] += 1
+    rows = max(1, math.ceil(offset_s[-1] / bucket_s))
+    buckets = np.minimum((offset_s / bucket_s).astype(np.int64), rows - 1)
+    universe = np.asarray(code_universe, dtype=str)
+    order = np.argsort(universe)
+    columns = order[np.searchsorted(universe, events.event_code, sorter=order)]
+    counts = np.zeros((rows, universe.size), dtype=int)
+    np.add.at(counts, (buckets, columns), 1)
     return counts
 
 
 def build_features(counts: np.ndarray, code_universe: Sequence[str],
                    config: CodeGroupingConfig, *, atm_id: str = "",
                    cycle_index: int = 0, start_time: Optional[datetime] = None,
-                   end_time: Optional[datetime] = None, period_hours: float = 24.0,
-                   ended_in_failure: bool = True) -> LifeCycle:
+                   period_hours: float = 24.0) -> LifeCycle:
     """Severity-ratio features from a count matrix, as a LifeCycle.
 
     Per recipe and bucket: sum of numerator-code counts over
@@ -316,12 +355,11 @@ def build_features(counts: np.ndarray, code_universe: Sequence[str],
         num = counts[:, num_cols].sum(axis=1)
         den = np.maximum(counts[:, den_cols].sum(axis=1), 1)
         feats[:, j] = num / den
-    start = start_time or datetime.fromtimestamp(0, tz=timezone.utc)
-    end = end_time or (start + timedelta(hours=period_hours * counts.shape[0]))
+    start = start_time or EPOCH
+    end = start + timedelta(hours=period_hours * counts.shape[0])
     return LifeCycle(atm_id=atm_id, cycle_index=cycle_index, start_time=start,
                      end_time=end, feature_names=config.feature_names,
-                     samples=feats, period=period_hours,
-                     ended_in_failure=ended_in_failure)
+                     samples=feats, period=period_hours)
 
 
 @dataclass(frozen=True)
@@ -387,66 +425,32 @@ class IngestResult:
     n_skipped_groups: int
 
 
-def build_cycles(records: Sequence[EventRecord], config: CodeGroupingConfig,
-                 period_hours: float = 24.0,
-                 failures: Optional[Sequence[FailureMark]] = None,
-                 ii_days: float = 1.0) -> IngestResult:
-    """Full record-to-cycle pipeline.
-
-    When no explicit failure marks are given, each life cycle's last event
-    time is taken as the failure that ended it, so the infected interval
-    trims the head of whatever data follows it on the same machine.
-    """
-    records = sorted(records, key=lambda r: (r.atm_id, r.lifecycle_id, r.timestamp))
-    n_codes_seen = len({r.event_code for r in records})
-
-    groups: dict[tuple[str, int], list[EventRecord]] = defaultdict(list)
-    for r in records:
-        groups[(r.atm_id, r.lifecycle_id)].append(r)
-
-    if failures is None:
-        # each cycle's last event approximates the failure that ended it; the
-        # infected interval then trims only the machine's OTHER cycles, never
-        # the end-of-cycle events of the cycle that produced the mark.
-        derived = {key: recs[-1].timestamp for key, recs in groups.items()}
-        kept = []
-        for key, recs in sorted(groups.items()):
-            others = [FailureMark(atm, t) for (atm, lc), t in derived.items()
-                      if atm == key[0] and (atm, lc) != key]
-            kept.extend(remove_infected(recs, others, ii_days))
-    else:
-        kept = remove_infected(records, failures, ii_days)
-    n_removed = len(records) - len(kept)
-
-    original_keys = set(groups)
-    universe = set(config.relevant_codes)
-    groups = defaultdict(list)
-    for r in kept:
-        if r.event_code in universe:
-            groups[(r.atm_id, r.lifecycle_id)].append(r)
-    skipped = len(original_keys - set(groups))
-
+def build_cycles(records: EventTable, config: CodeGroupingConfig,
+                 period_hours: float = 24.0, ii_days: float = 1.0) -> IngestResult:
+    """Full event-to-cycle pipeline: drop infected events (see
+    :func:`remove_infected`), keep the grouped codes, resample each cycle."""
+    kept = remove_infected(records, ii_days)
+    codes = config.relevant_codes
+    grouped = kept[np.isin(kept.event_code, codes)]
+    withdrawals = [codes.index(c) for c in config.codes_in_group("withdrawal")]
     cycles: list[LifeCycle] = []
     withdrawal_daily: dict[tuple[str, int], float] = {}
-    wd_codes = [c for c, (g, _) in config.codes.items() if g == "withdrawal"]
-    codes = config.relevant_codes
-    col = {c: i for i, c in enumerate(codes)}
-    for (atm, lifecycle_id), recs in sorted(groups.items()):
-        counts = resample(recs, period_hours, codes)
-        start = min(r.timestamp for r in recs)
-        end = max(r.timestamp for r in recs)
-        cycle = build_features(counts, codes, config, atm_id=atm,
-                               cycle_index=lifecycle_id, start_time=start,
-                               end_time=end if end > start else None,
+    for lo, hi in _runs(grouped.atm_id, grouped.lifecycle_id):
+        events = grouped[lo:hi]
+        counts = resample(events, period_hours, codes)
+        cycle = build_features(counts, codes, config, atm_id=str(events.atm_id[0]),
+                               cycle_index=int(events.lifecycle_id[0]),
+                               start_time=EPOCH + int(events.time_us[0]) * _MICROSECOND,
                                period_hours=period_hours)
         cycles.append(cycle)
-        if wd_codes:
-            total_wd = counts[:, [col[c] for c in wd_codes]].sum()
-            days = max(cycle.duration_days(), period_hours / 24.0)
-            withdrawal_daily[cycle.key] = float(total_wd) / days
+        if withdrawals:
+            total = float(counts[:, withdrawals].sum())
+            withdrawal_daily[cycle.key] = total / cycle.duration_days()
+    n_groups = len(_runs(records.atm_id, records.lifecycle_id))
     return IngestResult(cycles=cycles, withdrawal_daily=withdrawal_daily,
-                        n_codes_seen=n_codes_seen, n_records=len(records),
-                        n_removed_infected=n_removed, n_skipped_groups=skipped)
+                        n_codes_seen=np.unique(records.event_code).size,
+                        n_records=len(records), n_removed_infected=len(records) - len(kept),
+                        n_skipped_groups=n_groups - len(cycles))
 
 
 # Canonical cycle files: <atm>_<cycle>.csv (header + one row per bucket) and a

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from maintseg.core import LifeCycle
-from maintseg.costs import SegmentCost
+from maintseg.costs import NORMAL_EPS, SegmentCost
 
 EPOCH = datetime(2021, 6, 1, tzinfo=timezone.utc)
 
@@ -69,7 +69,7 @@ def direct_cost(x: np.ndarray, a: int, b: int, spec: SegmentCost) -> float:
         return float(np.abs(seg - np.median(seg, axis=0)).sum())
     if spec.kind == "normal":
         cov = np.cov(seg.T, bias=True).reshape(seg.shape[1], seg.shape[1])
-        return float(len(seg) * np.log(np.linalg.det(cov + spec.eps * np.eye(seg.shape[1]))))
+        return float(len(seg) * np.log(np.linalg.det(cov + NORMAL_EPS * np.eye(seg.shape[1]))))
     gamma = spec.gamma
     if gamma is None:
         all_d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)

@@ -105,6 +105,17 @@ class TestIngest:
         assert main(["ingest", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o")]) == 1
 
+    def test_machine_ids_sharing_a_file_name_are_an_error(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text("timestamp,atm_id,lifecycle_id,event_code\n"
+                       "2019-03-01T10:00:00Z,atm 1,0,6000\n"
+                       "2019-03-01T10:00:00Z,atm/1,0,6000\n")
+        out = tmp_path / "o"
+        assert main(["ingest", str(log), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "'atm 1'" in err and "'atm/1'" in err
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_never_firing_config(self, corpus, tmp_path, capsys):

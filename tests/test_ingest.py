@@ -1,14 +1,15 @@
 import json
+import math
+import random
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
-from maintseg.core import EventRecord
 from maintseg.ingest import (
     CodeGroupingConfig,
     ConfigurationError,
-    FailureMark,
+    EventTable,
     FeatureRecipe,
     LogFormat,
     ParseQualityError,
@@ -28,30 +29,81 @@ from conftest import make_cycle
 
 UTC = timezone.utc
 T0 = datetime(2019, 3, 1, tzinfo=UTC)
+EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
+US = timedelta(microseconds=1)
+HEADER = "timestamp,atm_id,lifecycle_id,event_code\n"
 
 
-def rec(hours, code="6000", atm="atm1", lc=0):
-    return EventRecord(atm, lc, T0 + timedelta(hours=hours), code)
+def ev(hours, code="6000", atm="atm1", lc=0):
+    """One event as an (atm_id, lifecycle_id, time_us, event_code) row."""
+    return atm, lc, (T0 + timedelta(hours=hours) - EPOCH) // US, code
+
+
+def table(events):
+    return EventTable(*zip(*events))
+
+
+def as_rows(events: EventTable):
+    return list(zip(events.atm_id.tolist(), events.lifecycle_id.tolist(),
+                    events.time_us.tolist(), events.event_code.tolist()))
+
+
+def cycle_files(log, tmp_path, name, fmt=None, **build):
+    """Ingest ``log`` and save its cycles under tmp_path/name; returns
+    {file name: bytes}."""
+    built = build_cycles(parse_event_log(log, fmt).records, default_grouping(), **build)
+    for cycle in built.cycles:
+        save_cycle(cycle, tmp_path / name)
+    return {p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())}
+
+
+def per_event_counts(events, period_hours, ii_days, universe):
+    """Reference for build_cycles: per-event loops over (atm, lifecycle,
+    time_us, code) rows, with datetime arithmetic. Returns the infected
+    count and {(atm, lifecycle): counts}."""
+    marks = {}
+    for atm, lc, t, _ in events:
+        marks[atm, lc] = max(t, marks.get((atm, lc), t))
+    ii = timedelta(days=ii_days)
+
+    def infected(atm, lc, t):
+        at = EPOCH + t * US
+        return ii_days > 0 and any(
+            a == atm and other != lc and EPOCH + m * US <= at <= EPOCH + m * US + ii
+            for (a, other), m in marks.items())
+
+    kept = [e for e in events if not infected(*e[:3])]
+    per_cycle = {}
+    for atm, lc, t, code in kept:
+        if code in universe:
+            per_cycle.setdefault((atm, lc), []).append((t, code))
+    bucket_s = period_hours * 3600.0
+    out = {}
+    for key, evs in per_cycle.items():
+        start, end = min(t for t, _ in evs), max(t for t, _ in evs)
+        n = max(1, math.ceil(timedelta(microseconds=end - start).total_seconds() / bucket_s))
+        counts = np.zeros((n, len(universe)), dtype=int)
+        for t, code in evs:
+            k = int(timedelta(microseconds=t - start).total_seconds() / bucket_s)
+            counts[min(k, n - 1), universe.index(code)] += 1
+        out[key] = counts
+    return len(events) - len(kept), out
 
 
 class TestParseEventLog:
     def test_direct_field_mapping(self, tmp_path):
         path = tmp_path / "log.csv"
-        path.write_text("timestamp,atm_id,lifecycle_id,event_code\n"
-                        "2019-03-01T10:00:00Z,atm42,3,6001\n")
+        path.write_text(HEADER + "2019-03-01T10:00:00Z,atm42,3,6001\n")
         result = parse_event_log(path)
         assert result.malformed_count == 0
-        (r,) = result.records
-        assert r.atm_id == "atm42"
-        assert r.lifecycle_id == 3
-        assert r.event_code == "6001"
-        assert r.timestamp == datetime(2019, 3, 1, 10, tzinfo=UTC)
+        assert as_rows(result.records) == [
+            ("atm42", 3, (datetime(2019, 3, 1, 10, tzinfo=UTC) - EPOCH) // US, "6001")]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "log.csv"
-        path.write_text("timestamp,atm_id,lifecycle_id,event_code\n")
+        path.write_text(HEADER)
         result = parse_event_log(path)
-        assert result.records == [] and result.malformed_count == 0
+        assert len(result.records) == 0 and result.malformed_count == 0
 
     def test_one_bad_row_of_100(self, tmp_path):
         rows = ["timestamp,atm_id,lifecycle_id,event_code"]
@@ -73,69 +125,144 @@ class TestParseEventLog:
         with pytest.raises(ParseQualityError):
             parse_event_log(path)
 
+    def test_lifecycle_id_beyond_64_bits_is_malformed(self):
+        log = HEADER + "".join(f"2019-03-01T10:00:00Z,atm1,{lc},6000\n"
+                               for lc in (2**63, -2**63, 2**63 - 1, *range(17)))
+        result = parse_event_log(log.encode())
+        assert (len(result.records), result.malformed_count) == (18, 2)
+        assert result.records.lifecycle_id.max() == 2**63 - 1
+
     def test_unreadable_source(self, tmp_path):
         with pytest.raises(OSError):
             parse_event_log(tmp_path / "missing.csv")
 
     def test_records_sorted(self, tmp_path):
         path = tmp_path / "log.csv"
-        path.write_text("timestamp,atm_id,lifecycle_id,event_code\n"
+        path.write_text(HEADER +
                         "2019-03-02T00:00:00Z,b,0,6000\n"
                         "2019-03-01T00:00:00Z,a,1,6000\n"
-                        "2019-03-01T00:00:00Z,a,0,6001\n")
-        result = parse_event_log(path)
-        keys = [(r.atm_id, r.lifecycle_id) for r in result.records]
-        assert keys == [("a", 0), ("a", 1), ("b", 0)]
+                        "2019-03-01T12:00:00Z,a,0,6001\n"
+                        "2019-03-01T00:00:00Z,a,0,6002\n")
+        events = parse_event_log(path).records
+        assert [(a, lc, c) for a, lc, _, c in as_rows(events)] == [
+            ("a", 0, "6002"), ("a", 0, "6001"), ("a", 1, "6000"), ("b", 0, "6000")]
 
     def test_headerless_index_mapping(self, tmp_path):
         path = tmp_path / "log.tsv"
         path.write_text("2019-03-01T10:00:00Z\tatmX\t2\t6002\n")
         fmt = LogFormat(delimiter="\t", timestamp=0, atm_id=1, lifecycle_id=2,
                         event_code=3, has_header=False)
-        (r,) = parse_event_log(path, fmt).records
-        assert (r.atm_id, r.lifecycle_id, r.event_code) == ("atmX", 2, "6002")
+        ((atm, lc, _, code),) = as_rows(parse_event_log(path, fmt).records)
+        assert (atm, lc, code) == ("atmX", 2, "6002")
+
+
+class TestParseKeeps:
+    """Parse behaviour pinned through the cycles it gives."""
+
+    def test_header_without_a_mapped_column_fails_every_row(self):
+        log = b"timestamp,atm_id,event_code\n" + b"2019-03-01T10:00:00Z,atm1,6000\n" * 5
+        with pytest.raises(ParseQualityError) as info:
+            parse_event_log(log)
+        assert (info.value.malformed, info.value.total) == (5, 5)
+
+    def test_whitespace_only_rows_skipped_and_not_counted(self):
+        log = (HEADER + "2019-03-01T10:00:00Z,atm1,0,6000\n"
+               "   \n\n \t , ,\t\n,,,\n"
+               "2019-03-02T10:00:00Z,atm1,0,6000\n")
+        result = parse_event_log(log.encode())
+        assert (len(result.records), result.total_rows, result.malformed_count) == (2, 2, 0)
+
+    def test_no_lifecycle_column_is_cycle_zero(self):
+        log = ("timestamp,atm_id,event_code\n"
+               "2019-03-01T10:00:00Z,b,6000\n"
+               "2019-03-01T11:00:00Z,a,6000\n"
+               "2019-03-03T10:00:00Z,a,6001\n")
+        fmt = LogFormat(lifecycle_id=None)
+        built = build_cycles(parse_event_log(log.encode(), fmt).records, default_grouping())
+        assert [(c.key, c.n) for c in built.cycles] == [(("a", 0), 2), (("b", 0), 1)]
+
+    def test_offset_and_naive_timestamps_are_utc(self):
+        log = (HEADER +
+               "2019-03-01T00:00:00,atm1,0,6000\n"  # naive: midnight UTC
+               "2019-03-02T01:30:00+02:00,atm1,0,6001\n"  # 23:30 UTC, day 0
+               "2019-03-02T20:00:00Z,atm1,0,6000\n")
+        (cycle,) = build_cycles(parse_event_log(log.encode()).records,
+                                default_grouping()).cycles
+        assert cycle.start_time == T0
+        assert cycle.samples[:, 0].tolist() == [1.0, 0.0]  # dist_error_ok per day
+
+    def test_bytes_source_parses(self, tmp_path):
+        log = HEADER + "2019-03-01T10:00:00Z,atm1,0,6000\n2019-03-04T10:00:00Z,atm1,0,6001\n"
+        path = tmp_path / "log.csv"
+        path.write_text(log)
+        assert cycle_files(log.encode(), tmp_path, "from_bytes") == \
+            cycle_files(path, tmp_path, "from_path")
+
+    def test_shuffled_lines_give_identical_cycle_files(self, tmp_path):
+        rng = random.Random(7)
+        codes = sorted(default_grouping().codes) + ["9999"]
+        lines = []
+        for m in range(3):
+            start = T0 + timedelta(hours=rng.randrange(48))
+            for lc in range(3):
+                end = start + timedelta(days=rng.uniform(5, 12))
+                for _ in range(60):
+                    t = start + (end - start) * rng.random()
+                    lines.append(f"{t:%Y-%m-%dT%H:%M:%S.%fZ},atm{m},{lc},{rng.choice(codes)}")
+                lines.append(f"{end:%Y-%m-%dT%H:%M:%S.%fZ},atm{m},{lc},8000")
+                start = end + timedelta(hours=rng.uniform(1, 30))
+        shuffled = lines[:]
+        rng.shuffle(shuffled)
+        for period, ii in ((24.0, 1.0), (1.0, 0.5)):
+            name = f"{period}-{ii}"
+            a = cycle_files((HEADER + "\n".join(lines)).encode(), tmp_path, "a" + name,
+                            period_hours=period, ii_days=ii)
+            b = cycle_files((HEADER + "\n".join(shuffled)).encode(), tmp_path, "b" + name,
+                            period_hours=period, ii_days=ii)
+            assert len(a) == 18 and a == b
 
 
 class TestRemoveInfected:
     def test_zero_interval_is_identity(self):
-        records = [rec(0), rec(5)]
-        assert remove_infected(records, [FailureMark("atm1", T0)], 0.0) == records
+        events = table([ev(0), ev(5), ev(5, lc=1)])
+        assert as_rows(remove_infected(events, 0.0)) == as_rows(events)
 
     def test_day_membership(self):
-        failure = FailureMark("atm1", T0 + timedelta(days=10))
-        records = [rec(24 * 10.5), rec(24 * 11.5)]
-        kept = remove_infected(records, [failure], 1.0)
-        assert kept == [records[1]]
+        # cycle 0's failure at day 10 infects [10, 11] on the same machine
+        events = table([ev(0), ev(24 * 10), ev(24 * 10.5, lc=1), ev(24 * 11, lc=1),
+                        ev(24 * 11.5, lc=1)])
+        kept = remove_infected(events, 1.0)
+        assert as_rows(kept) == [ev(0), ev(24 * 10), ev(24 * 11.5, lc=1)]
 
     def test_overlapping_intervals_union(self):
-        failures = [FailureMark("atm1", T0 + timedelta(days=10)),
-                    FailureMark("atm1", T0 + timedelta(days=10, hours=12))]
-        records = [rec(24 * 10.2), rec(24 * 11.2), rec(24 * 11.8)]
-        kept = remove_infected(records, failures, 1.0)
-        assert kept == [records[2]]
+        events = table([ev(24 * 10), ev(24 * 10.5, lc=1),
+                        ev(24 * 10.2, lc=2), ev(24 * 11.2, lc=2), ev(24 * 11.8, lc=2)])
+        kept = remove_infected(events, 1.0)
+        # cycle 1's failure lies inside cycle 0's interval, and still marks one
+        assert as_rows(kept) == [ev(24 * 10), ev(24 * 11.8, lc=2)]
 
     def test_other_machines_untouched(self):
-        failure = FailureMark("atm1", T0)
-        other = rec(1, atm="atm2")
-        assert remove_infected([rec(1), other], [failure], 1.0) == [other]
+        events = table([ev(0), ev(1, lc=1), ev(1, atm="atm2", lc=1)])
+        assert as_rows(remove_infected(events, 1.0)) == [ev(0), ev(1, atm="atm2", lc=1)]
 
     def test_idempotent(self):
-        failures = [FailureMark("atm1", T0 + timedelta(days=2))]
-        records = [rec(h) for h in range(0, 120, 7)]
-        once = remove_infected(records, failures, 1.0)
-        assert remove_infected(once, failures, 1.0) == once
+        # no cycle's last event is infected, so the failure marks stay put
+        events = table([ev(h) for h in range(0, 49, 7)] +
+                       [ev(h, lc=1) for h in range(50, 150, 7)])
+        once = remove_infected(events, 1.0)
+        assert len(once) < len(events)
+        assert as_rows(remove_infected(once, 1.0)) == as_rows(once)
 
 
 class TestResample:
     def test_three_events_one_bucket(self):
-        records = [rec(1, "6001"), rec(2, "6001"), rec(3, "6001")]
-        counts = resample(records, 24.0, ["6000", "6001"])
+        events = table([ev(1, "6001"), ev(2, "6001"), ev(3, "6001")])
+        counts = resample(events, 24.0, ["6000", "6001"])
         assert counts.shape == (1, 2)
         assert counts[0, 1] == 3
 
     def test_gap_day_is_explicit_zero_row(self):
-        records = [rec(0), rec(50)]
-        counts = resample(records, 24.0, ["6000"])
+        counts = resample(table([ev(0), ev(50)]), 24.0, ["6000"])
         assert counts.shape == (3, 1)
         assert counts[1, 0] == 0
 
@@ -144,24 +271,17 @@ class TestResample:
         events = [(0, "6000"), (5, "6001"), (23.98, "6000"),
                   (24, "6000"), (36, "6001"),
                   (49, "6000"), (50, "6001"), (51, "6001"), (52, "6000"), (58, "6000")]
-        records = [rec(h, c) for h, c in events]
-        counts = resample(records, 24.0, ["6000", "6001"])
-        np.testing.assert_array_equal(counts, [[2, 1], [1, 1], [3, 2]])
+        counts = resample(table([ev(h, c) for h, c in events]), 24.0, ["6001", "6000"])
+        np.testing.assert_array_equal(counts, [[1, 2], [1, 1], [2, 3]])
 
     def test_conserves_events(self, rng):
+        universe = ["6000", "6001", "6002"]
         hours = rng.uniform(0, 24 * 30, size=200)
-        codes = rng.choice(["6000", "6001", "6002"], size=200)
-        records = [rec(float(h), c) for h, c in zip(hours, codes)]
-        counts = resample(records, 24.0, ["6000", "6001", "6002"])
+        codes = rng.choice(universe, size=200)
+        events = table([ev(float(h), c) for h, c in zip(hours, codes)])
+        counts = resample(events, 24.0, universe)
         assert counts.sum() == 200
-
-    def test_mixed_cycles_rejected(self):
-        with pytest.raises(ValueError):
-            resample([rec(0), rec(1, lc=1)], 24.0, ["6000"])
-
-    def test_unknown_code_rejected(self):
-        with pytest.raises(ValueError):
-            resample([rec(0, "9999")], 24.0, ["6000"])
+        assert counts.sum(axis=0).tolist() == [np.count_nonzero(codes == c) for c in universe]
 
 
 class TestBuildFeatures:
@@ -298,17 +418,17 @@ class TestCycleFiles:
 class TestBuildCycles:
     def test_pipeline_on_fixture_log(self):
         grouping = default_grouping()
-        records = []
+        events = []
         # atm1 cycle 0: 5 days of one OK per day plus an error burst at the end
         for day in range(5):
-            records.append(rec(24 * day, "6000"))
-        records.append(rec(24 * 4 + 6, "6001"))
+            events.append(ev(24 * day, "6000"))
+        events.append(ev(24 * 4 + 6, "6001"))
         # atm1 cycle 1 starts 12 hours after cycle 0's failure: first two events
         # fall inside the infected interval of the derived failure mark
-        records.append(rec(24 * 4 + 18, "6000", lc=1))
-        records.append(rec(24 * 5, "6000", lc=1))
-        records.append(rec(24 * 7, "6000", lc=1))
-        result = build_cycles(records, grouping, ii_days=1.0)
+        events.append(ev(24 * 4 + 18, "6000", lc=1))
+        events.append(ev(24 * 5, "6000", lc=1))
+        events.append(ev(24 * 7, "6000", lc=1))
+        result = build_cycles(table(events), grouping, ii_days=1.0)
         assert [c.key for c in result.cycles] == [("atm1", 0), ("atm1", 1)]
         assert result.n_removed_infected == 2
         cycle0 = result.cycles[0]
@@ -318,17 +438,56 @@ class TestBuildCycles:
 
     def test_infected_removal_can_disable(self):
         grouping = default_grouping()
-        records = [rec(0, "6000"), rec(24, "6001"),
-                   rec(25, "6000", lc=1), rec(49, "6000", lc=1)]
-        with_ii = build_cycles(records, grouping, ii_days=1.0)
-        without_ii = build_cycles(records, grouping, ii_days=0.0)
+        events = table([ev(0, "6000"), ev(24, "6001"),
+                        ev(25, "6000", lc=1), ev(49, "6000", lc=1)])
+        with_ii = build_cycles(events, grouping, ii_days=1.0)
+        without_ii = build_cycles(events, grouping, ii_days=0.0)
         assert with_ii.n_removed_infected == 1  # h25 sits inside [24, 48]
         assert without_ii.n_removed_infected == 0
 
     def test_irrelevant_codes_dropped_but_counted(self):
         grouping = default_grouping()
-        records = [rec(0, "6000"), rec(1, "9999"), rec(30, "6001")]
-        result = build_cycles(records, grouping, ii_days=0.0)
+        events = table([ev(0, "6000"), ev(1, "9999"), ev(30, "6001"),
+                        ev(5, "9999", atm="atm2")])
+        result = build_cycles(events, grouping, ii_days=0.0)
         assert result.n_codes_seen == 3
+        assert result.n_skipped_groups == 1  # atm2 logged no grouped code
         (cycle,) = result.cycles
         assert cycle.n == 2
+
+    @pytest.mark.parametrize("period_hours, ii_days",
+                             [(24.0, 1.0), (24.0, 0.0), (1.0, 0.5), (7.5, 2.5)])
+    def test_matches_per_event_reference(self, rng, period_hours, ii_days):
+        grouping = default_grouping()
+        universe = list(grouping.relevant_codes)
+        codes = universe + ["9999"]
+        quarter = 900 * 10**6  # half the times fall on 15-min marks, so on bucket edges too
+        events = []
+        for atm in ("b", "a", "a b"):
+            start = quarter * int(rng.integers(0, 100))
+            for lc in rng.permutation(4).tolist():
+                end = start + quarter * int(rng.integers(2, 1000))
+                marks = start + quarter * rng.integers(0, (end - start) // quarter, 20)
+                times = rng.integers(start, end + 1, size=20).tolist() + [end] + marks.tolist()
+                events += [(atm, lc, t, codes[rng.integers(len(codes))]) for t in times]
+                start = end + quarter * int(rng.integers(-20, 100))  # may overlap
+        n_infected, expected = per_event_counts(events, period_hours, ii_days, universe)
+        result = build_cycles(table(events), grouping, period_hours, ii_days)
+        assert result.n_removed_infected == n_infected
+        assert [c.key for c in result.cycles] == sorted(expected)
+        for cycle in result.cycles:
+            np.testing.assert_array_equal(
+                cycle.samples, build_features(expected[cycle.key], universe, grouping).samples)
+
+    def test_built_and_reloaded_cycles_agree(self, tmp_path):
+        # the last event comes 4.04 days after the first, inside the 5th bucket
+        log = (HEADER + "2019-03-01T00:00:00Z,atm1,0,6000\n"
+               "2019-03-02T06:00:00Z,atm1,0,8000\n2019-03-02T07:00:00Z,atm1,0,8000\n"
+               "2019-03-05T01:00:00Z,atm1,0,8001\n")
+        result = build_cycles(parse_event_log(log.encode()).records, default_grouping())
+        (cycle,) = result.cycles
+        save_cycle(cycle, tmp_path)
+        (loaded,) = load_cycles(tmp_path)
+        assert cycle.duration_days() == loaded.duration_days() == 5.0
+        assert dataset_stats([cycle]) == dataset_stats([loaded])
+        assert result.withdrawal_daily[cycle.key] == pytest.approx(3 / 5.0)
