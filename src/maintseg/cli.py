@@ -145,6 +145,16 @@ def _step_buckets(step_days: int, period_hours: float) -> int:
     return round(buckets)
 
 
+def _write_cycles(cycles, cycle_dir: Path) -> None:
+    """Save the cycles as the whole content of ``cycle_dir``: cycle files
+    that an earlier run left there would otherwise be loaded with them."""
+    cycle_dir.mkdir(parents=True, exist_ok=True)
+    written = {save_cycle(cycle, cycle_dir).stem for cycle in cycles}
+    for path in [*cycle_dir.glob("*.csv"), *cycle_dir.glob("*.json")]:
+        if path.stem not in written:
+            path.unlink()
+
+
 def _pp_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
@@ -169,8 +179,7 @@ def cmd_ingest(args) -> int:
             return 1
     _write_manifest(args)
     cycle_dir = args.out / "cycles"
-    for cycle in result.cycles:
-        save_cycle(cycle, cycle_dir)
+    _write_cycles(result.cycles, cycle_dir)
     stats = dataset_stats(result.cycles, result.withdrawal_daily)
     print(f"{stats.total_cycles} cycles, {stats.total_atms} ATMs, "
           f"{result.n_codes_seen} unique event codes")
@@ -313,12 +322,10 @@ def cmd_synth(args) -> int:
     cycles = generate_corpus(args.seed, args.n_cycles, spec)
     _write_manifest(args)
     cycle_dir = args.out / "cycles"
+    _write_cycles(cycles, cycle_dir)
     if not cycles:
         print("warning: n-cycles is 0, wrote an empty corpus", file=sys.stderr)
-        cycle_dir.mkdir(parents=True, exist_ok=True)
         return 0
-    for cycle in cycles:
-        save_cycle(cycle, cycle_dir)
     atms = len({c.atm_id for c in cycles})
     print(f"wrote {len(cycles)} cycles ({atms} ATMs) to {cycle_dir}")
     return 0

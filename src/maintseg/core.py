@@ -1,12 +1,14 @@
 """Shared domain types plus windowing and normalization primitives.
 
 Everything here is immutable after construction and every operation is a
-pure function, so all of it is safe for unrestricted concurrent use.
+pure function, so all of it is safe for unrestricted concurrent use. The
+one exception is a window's private memo, which the detectors fill with
+work that depends only on the window (see :class:`Window`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -127,10 +129,18 @@ class BusinessParams:
 
 @dataclass(frozen=True)
 class Window:
-    """A prefix view of a cycle: samples[0..end_index)."""
+    """A prefix view of a cycle: samples[0..end_index).
+
+    ``_memo`` holds what the detectors derived from the window alone
+    (z-normalized samples, cost tables, FLUSS curves, solves shared by
+    equal configs), so every config evaluated on one window reuses it. It
+    is not part of the window's equality or hash; the replay clears it
+    before moving to the next window.
+    """
 
     cycle: LifeCycle
     end_index: int
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.end_index <= self.cycle.n:

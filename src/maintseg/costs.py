@@ -11,8 +11,11 @@ A :class:`CostCache` builds one signal's tables for its cost kind and then
 answers every query through ``values(starts, ends)``, one batch of segments
 per call. l2 and rbf cost O(1) per segment after an O(n)/O(n^2) precompute,
 normal O(d^3) per segment (one batched log-determinant) after an O(n d^2)
-precompute, and l1 O(b-a) per segment (a median each). All evaluators are
-invocation-local, never shared between detector calls.
+precompute, and l1 O(b-a) per segment (a median each), kept in a lazily
+filled (n+1)^2 table so that no segment's median is taken twice. A cache
+holds no state but these tables, so the detectors share one per window and
+cost label across every config evaluated on that window (see
+``detectors.detect_with_score``).
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ class CostCache:
     [starts[i], ends[i]); either argument may be a scalar shared by every
     segment. ``value(a, b)`` is the cost of one segment as a float. The
     prefix-sum and Gram tables of the cost kind are built in the
-    constructor.
+    constructor; the l1 table fills as segments are queried.
     """
 
     def __init__(self, signal: np.ndarray, spec: SegmentCost | None = None):
@@ -126,6 +129,9 @@ class CostCache:
             # 2-D prefix sums: _p[i, j] = sum of gram[:i, :j]
             self._p = np.zeros((self.n + 1, self.n + 1))
             self._p[1:, 1:] = gram.cumsum(axis=0).cumsum(axis=1)
+        elif kind == "l1":
+            # _l1_table[a, b] = cost of [a, b), NaN until first asked for
+            self._l1_table = np.full((self.n + 1, self.n + 1), np.nan)
 
     def value(self, a: int, b: int) -> float:
         if not 0 <= a < b <= self.n:
@@ -146,11 +152,14 @@ class CostCache:
     # one of them a scalar that numpy broadcasts against the other.
 
     def _l1(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        out = []
-        for a, b in np.broadcast(starts, ends):
+        starts, ends = np.broadcast_arrays(starts, ends)
+        table = self._l1_table
+        out = table[starts, ends]
+        for i in np.flatnonzero(np.isnan(out)):
+            a, b = starts[i], ends[i]
             seg = self.signal[a:b]
-            out.append(np.abs(seg - np.median(seg, axis=0)).sum())
-        return np.array(out)
+            out[i] = table[a, b] = np.abs(seg - np.median(seg, axis=0)).sum()
+        return out
 
     def _l2(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         length = ends - starts

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import costs
 from .core import DEGENERATE_STD, Window, znormalize
 from .costs import CostCache, SegmentCost, as_signal, cost_from_label
 
@@ -30,6 +31,7 @@ __all__ = [
     "fluss_cac",
     "detect",
     "detect_with_score",
+    "workspace_key",
 ]
 
 METHODS = ("PELT", "BINSEG", "BOTTOMUP", "KCPD", "FLUSS")
@@ -127,18 +129,34 @@ class DetectorConfig:
                    penalty=float(value), min_size=int(min_size), znorm=znorm_flag)
 
 
-def _cost_cache(signal: np.ndarray, cost: SegmentCost | None, penalty: float,
+def workspace_key(config: DetectorConfig) -> tuple:
+    """What a config shares with others on one window: the segmenters'
+    cost tables depend on (cost label, znorm) and FLUSS's per-channel curves
+    on (m, znorm), whatever the penalty, min_size, threshold or channel
+    rule. ``detect_with_score`` keys a window's memo with it, and the sweep
+    replays the configs of one key together."""
+    if config.method == "FLUSS":
+        return ("FLUSS", config.m, config.znorm)
+    return ("segments", config.cost.label, config.znorm)
+
+
+def _cost_cache(signal, cost: SegmentCost | None, penalty: float,
                 min_size: int) -> CostCache:
     """The penalized segmenters' shared preamble: check the penalty and
-    min_size, then build the signal's cost tables."""
+    min_size, then build the signal's cost tables, or take a prebuilt
+    :class:`~maintseg.costs.CostCache` passed in place of the signal."""
     if penalty < 0:
         raise ValueError("penalty must be >= 0")
     if min_size < 1:
         raise ValueError("min_size must be >= 1")
+    if isinstance(signal, costs.CostCache):
+        if cost is not None and cost != signal.spec:
+            raise ValueError(f"cost {cost.label} does not match the cache's {signal.spec.label}")
+        return signal
     return CostCache(signal, cost)
 
 
-def pelt(signal: np.ndarray, cost: SegmentCost | None = None, penalty: float = 1.0,
+def pelt(signal: np.ndarray | CostCache, cost: SegmentCost | None = None, penalty: float = 1.0,
          min_size: int = 1) -> Segmentation:
     """Exact minimizer of sum-of-segment-costs + penalty * (#breakpoints).
 
@@ -146,6 +164,9 @@ def pelt(signal: np.ndarray, cost: SegmentCost | None = None, penalty: float = 1
     cost exceeds the incumbent optimum plus the penalty, which never
     discards an optimal candidate for segment costs that do not increase
     under splitting.
+
+    Like the other segmenters, ``signal`` may be a prebuilt
+    :class:`~maintseg.costs.CostCache` of the cost instead of the signal.
     """
     cache = _cost_cache(signal, cost, penalty, min_size)
     n = cache.n
@@ -180,7 +201,7 @@ def pelt(signal: np.ndarray, cost: SegmentCost | None = None, penalty: float = 1
     return Segmentation(tuple(breakpoints), float(F[n]))
 
 
-def binseg(signal: np.ndarray, cost: SegmentCost | None = None, penalty: float = 1.0,
+def binseg(signal: np.ndarray | CostCache, cost: SegmentCost | None = None, penalty: float = 1.0,
            min_size: int = 1) -> Segmentation:
     """Greedy recursive splitting; a split is kept only if its gain exceeds the penalty."""
     cache = _cost_cache(signal, cost, penalty, min_size)
@@ -206,7 +227,7 @@ def binseg(signal: np.ndarray, cost: SegmentCost | None = None, penalty: float =
     return Segmentation(tuple(breakpoints), total)
 
 
-def bottomup(signal: np.ndarray, cost: SegmentCost | None = None, penalty: float = 1.0,
+def bottomup(signal: np.ndarray | CostCache, cost: SegmentCost | None = None, penalty: float = 1.0,
              min_size: int = 1) -> Segmentation:
     """Start from a dense breakpoint grid and merge the cheapest adjacent pair.
 
@@ -246,7 +267,7 @@ def bottomup(signal: np.ndarray, cost: SegmentCost | None = None, penalty: float
     return Segmentation(tuple(bps), total)
 
 
-def kcpd(signal: np.ndarray, penalty: float = 1.0, min_size: int = 1,
+def kcpd(signal: np.ndarray | CostCache, penalty: float = 1.0, min_size: int = 1,
          kernel: SegmentCost | None = None) -> Segmentation:
     """Kernel change-point detection: the exact dynamic program over the rbf cost."""
     kernel = kernel or SegmentCost("rbf")
@@ -350,7 +371,7 @@ def fluss_cac(mp_index: np.ndarray, m: int, n_sub: int) -> np.ndarray:
     return cac
 
 
-def _fluss_curves(x: np.ndarray, m: int, channel_rule: str) -> list[np.ndarray]:
+def _fluss_curves(x: np.ndarray, m: int) -> list[np.ndarray]:
     """Per-channel corrected arc curves; flat channels yield an all-ones curve."""
     n_sub = x.shape[0] - m + 1
     curves = []
@@ -361,8 +382,6 @@ def _fluss_curves(x: np.ndarray, m: int, channel_rule: str) -> list[np.ndarray]:
             continue
         _, idx = matrix_profile(series, m)
         curves.append(fluss_cac(idx, m, n_sub))
-    if channel_rule == "sum":
-        return [np.mean(curves, axis=0)]
     return curves
 
 
@@ -377,10 +396,13 @@ def _fluss_best(curves: list[np.ndarray]) -> tuple[int, float]:
     return best_pos, best_val
 
 
-def _window_samples(window) -> np.ndarray:
-    if isinstance(window, Window):
-        return window.samples
-    return as_signal(window)
+def _window_samples(window, znorm: bool, memo: dict) -> np.ndarray:
+    x = window.samples if isinstance(window, Window) else as_signal(window)
+    if not znorm:
+        return x
+    if "znorm" not in memo:
+        memo["znorm"] = znormalize(x)
+    return memo["znorm"]
 
 
 def detect(window, config: DetectorConfig) -> int | None:
@@ -405,24 +427,37 @@ def detect_with_score(window, config: DetectorConfig) -> tuple[int | None, float
     curves are averaged first. Windows too short for the matrix profile and
     flat channels (no regime structure) never alert.
     """
-    x = _window_samples(window)
-    if config.znorm:
-        x = znormalize(x)
+    memo = window._memo if isinstance(window, Window) else {}
+    x = _window_samples(window, config.znorm, memo)
+    key = workspace_key(config)
     if config.method == "FLUSS":
         n = x.shape[0]
         excl = (config.m + 1) // 2
         if n < config.m + excl + 1:
             return None, 1.0
-        pos, val = _fluss_best(_fluss_curves(x, config.m, config.channel_rule))
+        if key not in memo:
+            memo[key] = _fluss_curves(x, config.m)
+        curves = memo[key]
+        if config.channel_rule == "sum":
+            curves = [np.mean(curves, axis=0)]
+        pos, val = _fluss_best(curves)
         return (pos if val < config.threshold else None), val
-    if config.method == "PELT":
-        seg = pelt(x, config.cost, config.penalty, config.min_size)
-    elif config.method == "BINSEG":
-        seg = binseg(x, config.cost, config.penalty, config.min_size)
+    if key not in memo:
+        memo[key] = CostCache(x, config.cost)
+    cache = memo[key]
+    if config.method == "BINSEG":
+        seg = binseg(cache, config.cost, config.penalty, config.min_size)
     elif config.method == "BOTTOMUP":
-        seg = bottomup(x, config.cost, config.penalty, config.min_size)
+        seg = bottomup(cache, config.cost, config.penalty, config.min_size)
     else:
-        seg = kcpd(x, config.penalty, config.min_size, config.cost)
+        # KCPD is PELT over the rbf cost: the first of the two on a window
+        # solves, the other reads the solve
+        solve = ("PELT", key, config.penalty, config.min_size)
+        if solve not in memo:
+            memo[solve] = (pelt(cache, config.cost, config.penalty, config.min_size)
+                           if config.method == "PELT" else
+                           kcpd(cache, config.penalty, config.min_size, config.cost))
+        seg = memo[solve]
     if seg.breakpoints:
         return seg.breakpoints[-1], float(len(seg.breakpoints))
     return None, 0.0

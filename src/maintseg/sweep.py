@@ -1,10 +1,13 @@
 """Parameter-grid expansion and the parallel (cycle x config) evaluation run.
 
-The work unit is one (cycle, config) pair: maximally parallel and trivially
-resumable. Results are appended to disk one record per line as they arrive
-so an interrupted run can be resumed by skipping completed pairs, and the
-final table is canonically sorted so output is identical at any worker
-count.
+The work unit is one (cycle, family) task: the configs of one
+``detectors.workspace_key`` (segmenters of one cost label and znorm setting,
+FLUSS configs of one m and znorm setting) replayed together over the
+cycle's windows, so they share each window's cost tables or FLUSS curves.
+Records are still one per (cycle, config) pair and failures are recorded
+per pair. Results are appended to disk as each task finishes so an
+interrupted run can be resumed by skipping completed pairs, and the final
+table is canonically sorted so output is identical at any worker count.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import itertools
 import json
 import logging
 import os
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -23,9 +27,10 @@ from typing import Iterable, Optional, Sequence
 from . import __version__
 from .core import BusinessParams, LifeCycle
 from .costs import cost_from_label
-from .detectors import METHODS, DetectorConfig
+from .detectors import METHODS, DetectorConfig, workspace_key
 from .metrics import EvaluationRecord, best_average_config, best_per_sample, e_score
-from .protocol import ALERT_TIMINGS, Alert, Verdict, classify, run_streaming
+# run_streaming is not called here; bench/tracing.py times it under this name
+from .protocol import ALERT_TIMINGS, Alert, Verdict, classify, replay, run_streaming  # noqa: F401
 
 __all__ = [
     "GridSpecError",
@@ -49,6 +54,9 @@ log = logging.getLogger("maintseg.sweep")
 
 RESULT_COLUMNS = ("atm_id", "cycle_index", "config_id", "verdict",
                   "step_end_index", "change_point_index", "a", "n", "e_score")
+
+# innermost traceback frames kept in a failure's reason
+TRACEBACK_FRAMES = 4
 
 
 class GridSpecError(ValueError):
@@ -187,14 +195,29 @@ def score_alert(atm_id: str, cycle_index: int, config_id: str, alert: Optional[A
                             verdict=verdict, alert=alert, e=e, n=n, params=params)
 
 
-def _evaluate_pair(task) -> EvaluationRecord | Exception:
-    cycle, config, params, step, alert_at = task
-    try:
-        alert = run_streaming(cycle, config, step, alert_at)
-        return score_alert(cycle.atm_id, cycle.cycle_index, config.config_id, alert,
-                           cycle.n, params, cycle.period)
-    except Exception as exc:  # recorded, not fatal for the run
-        return exc
+def _failure_reason(exc: BaseException) -> str:
+    """repr(exc) and the innermost traceback frames, formatted where the
+    traceback still exists (it does not survive the process pool). Frames
+    name the file, not its path, so the reason is the same in any checkout."""
+    frames = traceback.extract_tb(exc.__traceback__)[-TRACEBACK_FRAMES:]
+    return "\n".join([repr(exc), *(f"  {Path(f.filename).name}:{f.lineno} in {f.name}: {f.line}"
+                                    for f in frames)])
+
+
+def _evaluate_family(task) -> list[EvaluationRecord | str]:
+    """One cycle replayed under one family of configs: a record per config,
+    or the reason its pair failed."""
+    cycle, configs, params, step, alert_at = task
+    out: list[EvaluationRecord | str] = []
+    for config, alert in zip(configs, replay(cycle, configs, step, alert_at)):
+        try:
+            if isinstance(alert, Exception):
+                raise alert
+            out.append(score_alert(cycle.atm_id, cycle.cycle_index, config.config_id,
+                                   alert, cycle.n, params, cycle.period))
+        except Exception as exc:  # recorded, not fatal for the run
+            out.append(_failure_reason(exc))
+    return out
 
 
 def run_sweep(cycles: Sequence[LifeCycle], configs: Sequence[DetectorConfig],
@@ -238,10 +261,11 @@ def run_sweep(cycles: Sequence[LifeCycle], configs: Sequence[DetectorConfig],
 
     tasks = []
     for cycle in sorted(cycles, key=lambda c: c.key):
+        families: dict[tuple, list[DetectorConfig]] = {}
         for config in configs:
-            if (cycle.atm_id, cycle.cycle_index, config.config_id) in done:
-                continue
-            tasks.append((cycle, config, params, step, alert_at))
+            if (cycle.atm_id, cycle.cycle_index, config.config_id) not in done:
+                families.setdefault(workspace_key(config), []).append(config)
+        tasks.extend((cycle, family, params, step, alert_at) for family in families.values())
 
     sink = None
     if results_path is not None:
@@ -255,24 +279,30 @@ def run_sweep(cycles: Sequence[LifeCycle], configs: Sequence[DetectorConfig],
 
     records = list(done.values())
     failures: list[SweepFailure] = []
-    total = len(tasks)
+    total = sum(len(task[1]) for task in tasks)
+    finished, tenth = 0, max(total // 10, 1)
     try:
-        for i, (task, outcome) in enumerate(zip(tasks, _run_tasks(tasks, workers))):
-            cycle, config = task[0], task[1]
-            if isinstance(outcome, Exception):
-                failures.append(SweepFailure(cycle.atm_id, cycle.cycle_index,
-                                             config.config_id, repr(outcome)))
-                continue
-            records.append(outcome)
+        for (cycle, family, *_), outcomes in zip(tasks, _run_tasks(tasks, workers)):
+            for config, outcome in zip(family, outcomes):
+                if isinstance(outcome, str):
+                    failures.append(SweepFailure(cycle.atm_id, cycle.cycle_index,
+                                                 config.config_id, outcome))
+                    continue
+                records.append(outcome)
+                if sink is not None:
+                    sink.write(_csv_line(outcome))
             if sink is not None:
-                sink.write(_csv_line(outcome))
                 sink.flush()
-            if total >= 20 and (i + 1) % max(total // 10, 1) == 0:
-                log.info("sweep progress: %d/%d pairs", i + 1, total)
+            before, finished = finished, finished + len(family)
+            if total >= 20 and before // tenth < finished // tenth:
+                log.info("sweep progress: %d/%d pairs", finished, total)
     finally:
         if sink is not None:
             sink.close()
 
+    # failures in (cycle, config) order, whatever the families' order
+    position = {config_id: i for i, config_id in enumerate(table.config_ids)}
+    failures.sort(key=lambda f: (f.atm_id, f.cycle_index, position[f.config_id]))
     table.records = records
     table.failures = failures
     table.sort()
@@ -289,10 +319,10 @@ def run_sweep(cycles: Sequence[LifeCycle], configs: Sequence[DetectorConfig],
 def _run_tasks(tasks, workers: int) -> Iterable:
     if workers <= 1:
         for task in tasks:
-            yield _evaluate_pair(task)
+            yield _evaluate_family(task)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_evaluate_pair, tasks, chunksize=8)
+        yield from pool.map(_evaluate_family, tasks, chunksize=1)
 
 
 def _csv_line(r: EvaluationRecord) -> str:

@@ -77,13 +77,13 @@ class TestSynth:
 
 
 class TestIngest:
-    def write_log(self, path, n_days=30):
+    def write_log(self, path, n_days=30, atm_id="atm1"):
         t0 = datetime(2019, 3, 1, tzinfo=timezone.utc)
         rows = ["timestamp,atm_id,lifecycle_id,event_code"]
         for day in range(n_days):
             ts = t0 + timedelta(days=day)
-            rows.append(f"{ts:%Y-%m-%dT%H:%M:%SZ},atm1,0,6000")
-        rows.append(f"{t0 + timedelta(days=n_days):%Y-%m-%dT%H:%M:%SZ},atm1,0,6001")
+            rows.append(f"{ts:%Y-%m-%dT%H:%M:%SZ},{atm_id},0,6000")
+        rows.append(f"{t0 + timedelta(days=n_days):%Y-%m-%dT%H:%M:%SZ},{atm_id},0,6001")
         path.write_text("\n".join(rows) + "\n")
 
     def test_counts_printed_and_cycles_written(self, tmp_path, capsys):
@@ -94,6 +94,18 @@ class TestIngest:
         printed = capsys.readouterr().out
         assert "1 cycles, 1 ATMs, 2 unique event codes" in printed
         assert len(list((out / "cycles").glob("*.csv"))) == 1
+
+    def test_reingest_leaves_only_the_new_logs_cycles(self, tmp_path, capsys):
+        out = tmp_path / "ingested"
+        for atm_id in ("atmA", "atmB"):
+            log = tmp_path / f"{atm_id}.csv"
+            self.write_log(log, atm_id=atm_id)
+            assert main(["ingest", str(log), "--out", str(out)]) == 0
+        assert sorted(p.name for p in (out / "cycles").iterdir()) == \
+            ["atmB_0000.csv", "atmB_0000.json"]
+        capsys.readouterr()
+        assert main(["stats", str(out / "cycles"), "--out", str(tmp_path / "stats")]) == 0
+        assert capsys.readouterr().out.startswith("1 cycles, 1 ATMs")
 
     def test_empty_input_is_an_error(self, tmp_path, capsys):
         log = tmp_path / "log.csv"
@@ -194,15 +206,15 @@ class TestSweepCommand:
         assert (out / "results.csv.meta.json").exists()
 
     def test_partial_results_exit_code_2(self, corpus, tmp_path, capsys, monkeypatch):
-        import maintseg.sweep as sweep_mod
-        real = sweep_mod.run_streaming
+        import maintseg.protocol as protocol_mod
+        real = protocol_mod.detect
 
-        def sabotaged(cycle, config, step, alert_at):
+        def sabotaged(window, config):
             if config.method == "FLUSS":
                 raise RuntimeError("boom")
-            return real(cycle, config, step, alert_at)
+            return real(window, config)
 
-        monkeypatch.setattr(sweep_mod, "run_streaming", sabotaged)
+        monkeypatch.setattr(protocol_mod, "detect", sabotaged)
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps(TINY_GRID))
         out = tmp_path / "sweep"

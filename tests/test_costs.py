@@ -104,6 +104,33 @@ class TestCacheAgreesWithDirectEvaluation:
         assert list(cache.values(starts, 30)) == [cache.value(int(a), 30) for a in starts]
         assert list(cache.values(0, ends)) == [cache.value(0, int(b)) for b in ends]
 
+    def test_l1_table_answers_as_a_fresh_cache(self, rng):
+        # the lazily filled l1 table returns bitwise the median it would
+        # compute, after any mix of overlapping earlier queries
+        x = rng.normal(size=(30, 3))
+        shared = CostCache(x, SegmentCost("l1"))
+        for _ in range(20):
+            starts = rng.integers(0, 29, size=15)
+            ends = starts + rng.integers(1, 31 - starts)
+            shared.values(starts, ends)
+            shared.values(starts, 30)
+            shared.values(0, ends)
+        starts = np.repeat(np.arange(30), 2)[::3]
+        for end in (int(e) for e in rng.integers(1, 31, size=10)):
+            ok = starts < end
+            assert list(shared.values(starts[ok], end)) == \
+                list(CostCache(x, SegmentCost("l1")).values(starts[ok], end))
+        a, b = np.triu_indices(31, k=1)
+        assert list(shared.values(a, b)) == list(CostCache(x, SegmentCost("l1")).values(a, b))
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (9, 1), (40, 3), (64, 4)])
+    def test_l1_table_is_bitwise_the_segment_median_cost(self, n, d, rng):
+        x = np.round(rng.normal(size=(n, d)), 1)  # ties within segments too
+        a, b = np.triu_indices(n + 1, k=1)
+        got = CostCache(x, SegmentCost("l1")).values(a, b)
+        assert list(got) == [np.abs(x[s:e] - np.median(x[s:e], axis=0)).sum()
+                             for s, e in zip(a, b)]
+
     def test_invalid_batches_rejected(self):
         cache = CostCache(np.zeros(5), SegmentCost("l2"))
         for starts, ends in [([0, 2], [3, 2]), ([0, -1], [3, 2]), ([0, 1], [3, 6]), ([4], 3)]:

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from maintseg.costs import SegmentCost
+import maintseg.detectors as detectors_mod
+from maintseg.core import Window
+from maintseg.costs import CostCache, SegmentCost
 from maintseg.detectors import (
     DetectorConfig,
     Segmentation,
@@ -15,7 +19,7 @@ from maintseg.detectors import (
     pelt,
 )
 
-from conftest import exhaustive_segmentation, mp_brute_force, two_regime_series
+from conftest import exhaustive_segmentation, make_cycle, mp_brute_force, two_regime_series
 
 STEP_FIXTURE = np.array([0.0] * 5 + [10.0] * 5)
 TWO_STEP_FIXTURE = np.array([0.0] * 5 + [10.0] * 5 + [0.0] * 5)
@@ -354,6 +358,42 @@ class TestDetect:
                     DetectorConfig("KCPD", penalty=0.5),
                     DetectorConfig("FLUSS", threshold=0.45, m=5)):
             assert detect(x, cfg) == detect(x.copy(), cfg)
+
+    def test_kcpd_reads_the_pelt_solve_of_its_window(self, rng, monkeypatch):
+        x = np.abs(rng.normal(1.0, 0.2, size=(40, 2)))
+        x[28:] += 3.0
+        window = Window(make_cycle(x), 40)
+        solves = []
+        real = detectors_mod.kcpd
+        monkeypatch.setattr(detectors_mod, "kcpd",
+                            lambda *args: solves.append(args) or real(*args))
+        pelt_rbf = DetectorConfig("PELT", cost=SegmentCost("rbf"), penalty=0.5, min_size=3)
+        kcpd_rbf = DetectorConfig("KCPD", penalty=0.5, min_size=3)
+        assert detect(window, pelt_rbf) == detect(window, kcpd_rbf) == 28
+        assert solves == []
+        # another penalty, min_size, bandwidth or znorm setting is another solve
+        others = [replace(kcpd_rbf, penalty=0.6), replace(kcpd_rbf, min_size=2),
+                  replace(kcpd_rbf, cost=SegmentCost("rbf", gamma=1.0)),
+                  replace(kcpd_rbf, znorm=True)]
+        for i, other in enumerate(others, 1):
+            assert detect(window, other) == detect(x, other)
+            assert len(solves) == 2 * i
+        # without a window memo (or on a fresh window) KCPD solves itself
+        assert detect(x, kcpd_rbf) == detect(Window(window.cycle, 40), kcpd_rbf) == 28
+        assert len(solves) == 2 * len(others) + 2
+
+    def test_segmenters_accept_a_prebuilt_cache(self, rng):
+        x = rng.normal(size=(30, 2))
+        x[18:] += 2.0
+        for kind in ("l1", "l2", "normal", "rbf"):
+            spec = SegmentCost(kind)
+            cache = CostCache(x, spec)
+            for solver in (pelt, binseg, bottomup):
+                assert solver(cache, spec, 0.5, 2) == solver(x, spec, 0.5, 2)
+            with pytest.raises(ValueError):
+                pelt(cache, SegmentCost("l2" if kind != "l2" else "l1"), 0.5, 2)
+        cache = CostCache(x, SegmentCost("rbf"))
+        assert kcpd(cache, 0.5, 2) == kcpd(x, 0.5, 2)
 
     def test_score_channel(self):
         cfg = DetectorConfig("FLUSS", threshold=0.45, m=8)

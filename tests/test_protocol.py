@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from maintseg.costs import SegmentCost
-from maintseg.detectors import DetectorConfig
-from maintseg.protocol import Alert, Verdict, classify, run_streaming, run_streaming_trace
+from maintseg.detectors import METHODS, DetectorConfig
+from maintseg.protocol import (ALERT_TIMINGS, Alert, Verdict, classify, replay, run_streaming,
+                               run_streaming_trace)
+from maintseg.sweep import build_grid, default_grid
+from maintseg.synth import SynthSpec, generate_corpus
 
-from conftest import make_cycle
+from conftest import make_cycle, two_regime_series
 
 NEVER_FIRES = DetectorConfig("PELT", penalty=1e12, min_size=2)
 PELT_L2 = DetectorConfig("PELT", cost=SegmentCost("l2"), penalty=1.0, min_size=2)
+DEFAULT_GRID = build_grid(default_grid())
 
 
 def two_regime_cycle(n=35, change=26, base=0.2, level=3.0):
@@ -77,6 +81,80 @@ class TestRunStreaming:
 
         _, full_trace = run_streaming_trace(cycle, NEVER_FIRES, 7)
         assert [t.end_index for t in full_trace] == [7, 14, 21, 28, 35]
+
+
+def _settings(config):
+    """Every setting of a config but its penalty or threshold."""
+    if config.method == "FLUSS":
+        return {("FLUSS", config.m, config.znorm, config.channel_rule)}
+    return {(config.method, config.cost.label, config.min_size, config.znorm)}
+
+
+def _values(config):
+    """Each setting of a config on its own."""
+    if config.method == "FLUSS":
+        return {("m", config.m), ("znorm", "FLUSS", config.znorm),
+                ("channel_rule", config.channel_rule)}
+    return {(config.method, config.cost.label), ("min_size", config.min_size),
+            ("znorm", config.method, config.znorm)}
+
+
+class TestReplay:
+    # every 11th default-grid config has every combination of settings but
+    # the swept penalty or threshold; every 23rd has each setting's values
+    @pytest.mark.parametrize("every,cover", [(11, _settings), (23, _values)])
+    def test_sampled_grids_cover_the_default_grid(self, every, cover):
+        assert set().union(*map(cover, DEFAULT_GRID[::every])) == \
+            set().union(*map(cover, DEFAULT_GRID))
+
+    @pytest.mark.parametrize("alert_at", ALERT_TIMINGS)
+    @pytest.mark.parametrize("hourly,step,every", [(False, 7, 11), (True, 48, 23)],
+                             ids=["daily", "hourly"])
+    def test_equals_one_run_per_config(self, hourly, step, every, alert_at):
+        n = 240 if hourly else 90
+        spec = SynthSpec(n_days_min=n, n_days_max=n, period_hours=1.0 if hourly else 24.0,
+                         change_offset_days=n // 4)
+        (cycle,) = generate_corpus(n, 1, spec)
+        if not hourly:  # a periodic channel whose regime change FLUSS finds
+            cycle = make_cycle(np.column_stack([cycle.samples,
+                                                two_regime_series(n, 60) + 2.0]))
+        configs = DEFAULT_GRID[::every]
+        expected = [run_streaming(cycle, c, step, alert_at) for c in configs]
+        assert replay(cycle, configs, step, alert_at) == expected
+        assert {c.method for c, alert in zip(configs, expected) if alert} == set(METHODS)
+        assert None in expected
+
+    def test_failed_config_stops_alone(self):
+        cycle = two_regime_cycle(n=35, change=26)
+        broken = DetectorConfig("BINSEG", penalty=1.0)
+        ends = []
+
+        def flaky(window, config):
+            if config is broken:
+                raise RuntimeError("detector failed")
+            ends.append(window.end_index)
+            return 26 if window.end_index == 28 else None
+
+        first, failure, third = replay(cycle, [PELT_L2, broken, NEVER_FIRES], 7,
+                                       detector=flaky)
+        assert first == third == Alert(step_end_index=28, change_point_index=26, a=28)
+        assert isinstance(failure, RuntimeError)
+        assert ends == [7, 7, 14, 14, 21, 21, 28, 28]
+        with pytest.raises(RuntimeError, match="detector failed"):
+            run_streaming(cycle, broken, 7, detector=flaky)
+
+    def test_window_memo_released_before_the_next_window(self):
+        cycle = two_regime_cycle(n=35, change=26)
+        seen = []
+
+        def remembering(window, config):
+            seen.append(dict(window._memo))
+            window._memo[config.config_id] = window.end_index
+            return None
+
+        replay(cycle, [PELT_L2, NEVER_FIRES], 14, detector=remembering)
+        assert seen == [{}, {PELT_L2.config_id: 14}, {}, {PELT_L2.config_id: 28},
+                        {}, {PELT_L2.config_id: 35}]
 
 
 class TestAlertType:

@@ -1,10 +1,9 @@
-import itertools
 import os
 
 import numpy as np
 import pytest
 
-import maintseg.sweep as sweep_mod
+import maintseg.protocol as protocol_mod
 from maintseg.core import BusinessParams
 from maintseg.detectors import DetectorConfig, METHODS
 from maintseg.protocol import Verdict
@@ -35,17 +34,22 @@ def small_corpus(n_cycles=4, seed=0):
 
 
 def interrupted_sweep(monkeypatch, cycles, configs, path, pairs, **kwargs):
-    """A sweep killed (KeyboardInterrupt) as it starts pair number ``pairs``."""
-    real = sweep_mod.run_streaming
-    started = itertools.count()
+    """A sweep killed (KeyboardInterrupt) as it starts pair number ``pairs``,
+    counted from 0 in (cycle, config) order: at the first detection of that
+    pair's cycle and config."""
+    real = protocol_mod.detect
+    started: set = set()
 
-    def killed(*args):
-        if next(started) == pairs:
-            raise KeyboardInterrupt
-        return real(*args)
+    def killed(window, config):
+        pair = (window.cycle.key, config.config_id)
+        if pair not in started:
+            if len(started) == pairs:
+                raise KeyboardInterrupt
+            started.add(pair)
+        return real(window, config)
 
     with monkeypatch.context() as m:
-        m.setattr(sweep_mod, "run_streaming", killed)
+        m.setattr(protocol_mod, "detect", killed)
         with pytest.raises(KeyboardInterrupt):
             run_sweep(cycles, configs, PARAMS, results_path=path, **kwargs)
 
@@ -169,20 +173,38 @@ class TestRunSweep:
     def test_failures_recorded_and_run_continues(self, monkeypatch):
         cycles = small_corpus(2)
         bad = DetectorConfig("BINSEG", penalty=1.0)
-        real = sweep_mod.run_streaming
+        real = protocol_mod.detect
 
-        def sabotaged(cycle, config, step, alert_at):
+        def sabotaged(window, config):
             if config.method == "BINSEG":
                 raise RuntimeError("injected failure")
-            return real(cycle, config, step, alert_at)
+            return real(window, config)
 
-        monkeypatch.setattr(sweep_mod, "run_streaming", sabotaged)
+        monkeypatch.setattr(protocol_mod, "detect", sabotaged)
         table = run_sweep(cycles, [NEVER, bad], PARAMS, workers=1)
         assert table.partial
         assert len(table.failures) == len(cycles)
         assert all("injected failure" in f.reason for f in table.failures)
         # the healthy config still produced its records
         assert sum(1 for r in table.records if r.config_id == NEVER.config_id) == len(cycles)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_reason_names_the_function_that_raised(self, monkeypatch, workers):
+        import maintseg.detectors as detectors_mod
+
+        def broken_binseg(*args):
+            raise RuntimeError("injected failure")
+
+        # worker processes are forked from this one, so they see the patch too
+        monkeypatch.setattr(detectors_mod, "binseg", broken_binseg)
+        cycles = small_corpus(2)
+        table = run_sweep(cycles, [NEVER, DetectorConfig("BINSEG", penalty=1.0)], PARAMS,
+                          workers=workers)
+        assert len(table.failures) == len(cycles) and len(table.records) == len(cycles)
+        for failure in table.failures:
+            assert failure.reason.startswith("RuntimeError('injected failure')\n")
+            assert "in broken_binseg" in failure.reason
+            assert "in detect_with_score" in failure.reason
 
     def test_empty_cycles_rejected(self):
         with pytest.raises(ValueError):
