@@ -132,8 +132,9 @@ class Window:
     """A prefix view of a cycle: samples[0..end_index).
 
     ``_memo`` holds what the detectors derived from the window alone
-    (z-normalized samples, cost tables, FLUSS curves, solves shared by
-    equal configs), so every config evaluated on one window reuses it. It
+    (z-normalized samples, cost tables, FLUSS curves, and each solve with
+    every penalty read off it), so every config evaluated on one window
+    reuses it. It
     is not part of the window's equality or hash; the replay clears it
     before moving to the next window.
     """

@@ -11,6 +11,7 @@ everywhere, and identical inputs and configs give identical outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "detect",
     "detect_with_score",
     "workspace_key",
+    "share_solves",
 ]
 
 METHODS = ("PELT", "BINSEG", "BOTTOMUP", "KCPD", "FLUSS")
@@ -140,24 +142,33 @@ def workspace_key(config: DetectorConfig) -> tuple:
     return ("segments", config.cost.label, config.znorm)
 
 
-def _cost_cache(signal, cost: SegmentCost | None, penalty: float,
-                min_size: int) -> CostCache:
-    """The penalized segmenters' shared preamble: check the penalty and
+def _penalized(signal, cost: SegmentCost | None, penalty,
+               min_size: int) -> tuple[CostCache, np.ndarray]:
+    """The penalized segmenters' shared preamble: check the penalties and
     min_size, then build the signal's cost tables, or take a prebuilt
     :class:`~maintseg.costs.CostCache` passed in place of the signal."""
-    if penalty < 0:
+    penalties = np.atleast_1d(np.asarray(penalty, dtype=float))
+    if penalties.ndim != 1 or penalties.size == 0:
+        raise ValueError("penalty must be a float or a non-empty sequence of floats")
+    if (penalties < 0).any():
         raise ValueError("penalty must be >= 0")
     if min_size < 1:
         raise ValueError("min_size must be >= 1")
     if isinstance(signal, costs.CostCache):
         if cost is not None and cost != signal.spec:
             raise ValueError(f"cost {cost.label} does not match the cache's {signal.spec.label}")
-        return signal
-    return CostCache(signal, cost)
+        return signal, penalties
+    return CostCache(signal, cost), penalties
 
 
-def pelt(signal: np.ndarray | CostCache, cost: SegmentCost | None = None, penalty: float = 1.0,
-         min_size: int = 1) -> Segmentation:
+def _as_given(penalty, segs: list[Segmentation]) -> Segmentation | list[Segmentation]:
+    """One segmentation for a float penalty, the list for a sequence."""
+    return segs if np.ndim(penalty) else segs[0]
+
+
+def pelt(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
+         penalty: float | Sequence[float] = 1.0,
+         min_size: int = 1) -> Segmentation | list[Segmentation]:
     """Exact minimizer of sum-of-segment-costs + penalty * (#breakpoints).
 
     Pruned dynamic program: a candidate start s is dropped once its partial
@@ -165,51 +176,75 @@ def pelt(signal: np.ndarray | CostCache, cost: SegmentCost | None = None, penalt
     discards an optimal candidate for segment costs that do not increase
     under splitting.
 
+    ``penalty`` is one float, giving one :class:`Segmentation`, or a
+    sequence of them, giving one per entry in the given order. The
+    penalties' dynamic programs run in lockstep, one row each with its own
+    candidate set, over one cost query per end t (the union of the rows'
+    candidates); each row is bitwise the one-penalty solve.
+
     Like the other segmenters, ``signal`` may be a prebuilt
     :class:`~maintseg.costs.CostCache` of the cost instead of the signal.
     """
-    cache = _cost_cache(signal, cost, penalty, min_size)
+    cache, penalties = _penalized(signal, cost, penalty, min_size)
     n = cache.n
     if n < 2 * min_size:
-        return Segmentation((), cache.value(0, n))
+        return _as_given(penalty, [Segmentation((), cache.value(0, n))] * penalties.size)
 
-    # F[t] = optimal penalized cost of x[:t]; F[0] = -penalty so each segment
-    # contributes +penalty and the total equals sum costs + penalty * breaks.
-    F = np.full(n + 1, np.inf)
-    F[0] = -penalty
-    prev = np.zeros(n + 1, dtype=int)
-    candidates = [0]
+    # F[p, t] = optimal penalized cost of x[:t] under penalty p; F[p, 0] =
+    # -p so each segment contributes +p and the total equals sum costs +
+    # p * breaks. candidate[p, s]: s is a start row p still considers.
+    rows = np.arange(penalties.size)
+    pen = penalties[:, None]
+    F = np.full((penalties.size, n + 1), np.inf)
+    F[:, 0] = -penalties
+    prev = np.zeros((penalties.size, n + 1), dtype=int)
+    candidate = np.zeros((penalties.size, n + 1), dtype=bool)
+    candidate[:, 0] = True
+    alive = np.zeros(1, dtype=int)  # ascending: the starts some row considers
     for t in range(min_size, n + 1):
-        starts = np.array([s for s in candidates if t - s >= min_size], dtype=int)
-        vals = F[starts] + cache.values(starts, t) + penalty
-        best = int(np.argmin(vals))  # first minimum -> smallest start on ties
-        F[t] = vals[best]
-        prev[t] = starts[best]
-        keep = set(starts[vals <= F[t] + 2 * penalty])  # F[s]+C(s,t) <= F[t]+penalty
-        candidates = [s for s in candidates if t - s < min_size or s in keep]
-        if min_size <= t <= n - min_size:
-            candidates.append(t)
+        starts = alive[:np.searchsorted(alive, t - min_size, side="right")]
+        vals = F[:, starts] + cache.values(starts, t) + pen
+        vals[~candidate[:, starts]] = np.inf
+        best = np.argmin(vals, axis=1)  # first minimum -> smallest start on ties
+        F[:, t] = vals[rows, best]
+        prev[:, t] = starts[best]
+        keep = vals <= F[:, t, None] + 2 * pen  # F[s]+C(s,t) <= F[t]+penalty
+        candidate[:, starts] = keep
+        alive = np.concatenate((starts[keep.any(axis=0)], alive[starts.size:]))
+        if t <= n - min_size:
+            candidate[:, t] = True
+            alive = np.append(alive, t)
 
-    breakpoints: list[int] = []
-    t = n
-    while t > 0:
-        s = int(prev[t])
-        if s > 0:
-            breakpoints.append(s)
-        t = s
-    breakpoints.reverse()
-    return Segmentation(tuple(breakpoints), float(F[n]))
+    segs = []
+    for p in rows:
+        breakpoints: list[int] = []
+        t = n
+        while t > 0:
+            s = int(prev[p, t])
+            if s > 0:
+                breakpoints.append(s)
+            t = s
+        segs.append(Segmentation(tuple(reversed(breakpoints)), float(F[p, n])))
+    return _as_given(penalty, segs)
 
 
-def binseg(signal: np.ndarray | CostCache, cost: SegmentCost | None = None, penalty: float = 1.0,
-           min_size: int = 1) -> Segmentation:
-    """Greedy recursive splitting; a split is kept only if its gain exceeds the penalty."""
-    cache = _cost_cache(signal, cost, penalty, min_size)
+def binseg(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
+           penalty: float | Sequence[float] = 1.0,
+           min_size: int = 1) -> Segmentation | list[Segmentation]:
+    """Greedy recursive splitting; a split is kept only if its gain exceeds the penalty.
+
+    A segment's best split does not depend on the penalty, so the split
+    tree is grown once, at the smallest penalty of a sequence. A split
+    survives a penalty iff its gain and the gains of all the splits above
+    it exceed that penalty.
+    """
+    cache, penalties = _penalized(signal, cost, penalty, min_size)
     n = cache.n
-    breakpoints: list[int] = []
-    pending = [(0, n)]
+    lowest = penalties.min()
+    splits: list[tuple[int, float]] = []  # (cut, least gain from the root down to it)
+    pending = [(0, n, np.inf)]
     while pending:
-        a, b = pending.pop()
+        a, b, above = pending.pop()
         if b - a < 2 * min_size:
             continue
         whole = cache.value(a, b)
@@ -217,25 +252,32 @@ def binseg(signal: np.ndarray | CostCache, cost: SegmentCost | None = None, pena
         both = cache.values(cuts, b) + cache.values(np.full(cuts.size, a), cuts)
         best = int(np.argmin(both))  # smallest index on ties
         gain = whole - both[best]
-        if gain > penalty:
+        if gain > lowest:
             cut = int(cuts[best])
-            breakpoints.append(cut)
-            pending.append((a, cut))
-            pending.append((cut, b))
-    breakpoints.sort()
-    total = _total_cost(cache, breakpoints, n, penalty)
-    return Segmentation(tuple(breakpoints), total)
+            least = min(gain, above)
+            splits.append((cut, least))
+            pending.append((a, cut, least))
+            pending.append((cut, b, least))
+    segs = []
+    for beta in penalties:
+        breakpoints = sorted(cut for cut, least in splits if least > beta)
+        segs.append(Segmentation(tuple(breakpoints), _total_cost(cache, breakpoints, n, beta)))
+    return _as_given(penalty, segs)
 
 
-def bottomup(signal: np.ndarray | CostCache, cost: SegmentCost | None = None, penalty: float = 1.0,
-             min_size: int = 1) -> Segmentation:
+def bottomup(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
+             penalty: float | Sequence[float] = 1.0,
+             min_size: int = 1) -> Segmentation | list[Segmentation]:
     """Start from a dense breakpoint grid and merge the cheapest adjacent pair.
 
     Merging stops once every remaining merge would increase the cost
     strictly more than the penalty, so a penalty of zero keeps any grid
-    whose merges all cost something.
+    whose merges all cost something. The merge order does not depend on
+    the penalty, so a sequence of penalties is read off one merge run,
+    visited in ascending order: each takes the breakpoints left when the
+    cheapest merge first costs more than it.
     """
-    cache = _cost_cache(signal, cost, penalty, min_size)
+    cache, penalties = _penalized(signal, cost, penalty, min_size)
     n = cache.n
     bps = list(range(min_size, n, min_size))
     if bps and n - bps[-1] < min_size:
@@ -252,10 +294,13 @@ def bottomup(signal: np.ndarray | CostCache, cost: SegmentCost | None = None, pe
         return (merged - lhs - rhs).tolist()
 
     deltas = merge_deltas(list(range(len(bps))))
-    while bps:
+    found: list[tuple[int, ...]] = [()] * penalties.size
+    ascending = np.argsort(penalties, kind="stable").tolist()
+    while ascending and bps:
         best = int(np.argmin(deltas))  # smallest breakpoint on ties
-        if deltas[best] > penalty:
-            break
+        if deltas[best] > penalties[ascending[0]]:
+            found[ascending.pop(0)] = tuple(bps)
+            continue
         bps.pop(best)
         deltas.pop(best)
         # removing a breakpoint only changes its neighbors' merge costs
@@ -263,13 +308,15 @@ def bottomup(signal: np.ndarray | CostCache, cost: SegmentCost | None = None, pe
         for i, delta in zip(idx, merge_deltas(idx)):
             deltas[i] = delta
 
-    total = _total_cost(cache, bps, n, penalty)
-    return Segmentation(tuple(bps), total)
+    return _as_given(penalty, [Segmentation(b, _total_cost(cache, list(b), n, beta))
+                               for b, beta in zip(found, penalties)])
 
 
-def kcpd(signal: np.ndarray | CostCache, penalty: float = 1.0, min_size: int = 1,
-         kernel: SegmentCost | None = None) -> Segmentation:
-    """Kernel change-point detection: the exact dynamic program over the rbf cost."""
+def kcpd(signal: np.ndarray | CostCache, penalty: float | Sequence[float] = 1.0,
+         min_size: int = 1, kernel: SegmentCost | None = None,
+         ) -> Segmentation | list[Segmentation]:
+    """Kernel change-point detection: the exact dynamic program over the rbf
+    cost, with :func:`pelt`'s penalty forms."""
     kernel = kernel or SegmentCost("rbf")
     if kernel.kind != "rbf":
         raise ValueError("kcpd is defined for the rbf kernel cost only")
@@ -444,20 +491,41 @@ def detect_with_score(window, config: DetectorConfig) -> tuple[int | None, float
         return (pos if val < config.threshold else None), val
     if key not in memo:
         memo[key] = CostCache(x, config.cost)
-    cache = memo[key]
-    if config.method == "BINSEG":
-        seg = binseg(cache, config.cost, config.penalty, config.min_size)
-    elif config.method == "BOTTOMUP":
-        seg = bottomup(cache, config.cost, config.penalty, config.min_size)
-    else:
-        # KCPD is PELT over the rbf cost: the first of the two on a window
-        # solves, the other reads the solve
-        solve = ("PELT", key, config.penalty, config.min_size)
-        if solve not in memo:
-            memo[solve] = (pelt(cache, config.cost, config.penalty, config.min_size)
-                           if config.method == "PELT" else
-                           kcpd(cache, config.penalty, config.min_size, config.cost))
-        seg = memo[solve]
+    solves = memo.setdefault(_solve_key(config), {})
+    if solves.get(config.penalty) is None:
+        # the first config of a solve key on a window solves every penalty
+        # noted for it (see share_solves), its own among them
+        solves[config.penalty] = None
+        todo = [p for p, seg in solves.items() if seg is None]
+        cache = memo[key]
+        if config.method == "BINSEG":
+            segs = binseg(cache, config.cost, todo, config.min_size)
+        elif config.method == "BOTTOMUP":
+            segs = bottomup(cache, config.cost, todo, config.min_size)
+        elif config.method == "PELT":
+            segs = pelt(cache, config.cost, todo, config.min_size)
+        else:
+            segs = kcpd(cache, todo, config.min_size, config.cost)
+        solves.update(zip(todo, segs))
+    seg = solves[config.penalty]
     if seg.breakpoints:
         return seg.breakpoints[-1], float(len(seg.breakpoints))
     return None, 0.0
+
+
+def _solve_key(config: DetectorConfig) -> tuple:
+    """What one solve serves: a segmenter's workspace and min_size, whatever
+    the penalty. KCPD is PELT over the rbf cost, so the two share solves."""
+    method = "PELT" if config.method == "KCPD" else config.method
+    return ("solve", method, workspace_key(config), config.min_size)
+
+
+def share_solves(window: Window, configs: Sequence[DetectorConfig]) -> None:
+    """Note on ``window`` the penalties ``configs`` need per solve key, so that
+    the first of them detected on the window solves them all in one call.
+    :func:`~maintseg.protocol.replay` calls it with the configs still
+    running on each window; a detection without it solves its own penalty.
+    """
+    for config in configs:
+        if config.method != "FLUSS":
+            window._memo.setdefault(_solve_key(config), {}).setdefault(config.penalty, None)

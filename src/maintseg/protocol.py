@@ -6,7 +6,8 @@ maintenance, which makes any later alert for the same cycle worthless.
 
 :func:`replay` is the one replay loop. It walks a cycle's windows once for
 a whole list of configs, so every config still running on a window shares
-that window's memo (see :class:`~maintseg.core.Window`).
+that window's memo (see :class:`~maintseg.core.Window`), and the penalties
+of those configs that share a solver, cost and min_size are solved together.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .core import LifeCycle, Window, prefix_windows
-from .detectors import DetectorConfig, detect, detect_with_score
+from .detectors import DetectorConfig, detect, detect_with_score, share_solves
 
 __all__ = ["Alert", "Verdict", "ALERT_TIMINGS", "replay", "run_streaming",
            "run_streaming_trace", "classify", "WindowTrace"]
@@ -73,6 +74,7 @@ def replay(cycle: LifeCycle, configs: Sequence[DetectorConfig], step: int = 7,
         if not running:
             break
         end = window.end_index
+        share_solves(window, [configs[i] for i in running])
         for i in running:
             try:
                 cp = run(window, configs[i])

@@ -123,9 +123,15 @@ class TestCacheAgreesWithDirectEvaluation:
         a, b = np.triu_indices(31, k=1)
         assert list(shared.values(a, b)) == list(CostCache(x, SegmentCost("l1")).values(a, b))
 
-    @pytest.mark.parametrize("n,d", [(1, 1), (9, 1), (40, 3), (64, 4)])
-    def test_l1_table_is_bitwise_the_segment_median_cost(self, n, d, rng):
-        x = np.round(rng.normal(size=(n, d)), 1)  # ties within segments too
+    @pytest.mark.parametrize("data", ["rounded", "three-valued", "exponential"])
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 2), (9, 1), (40, 3), (64, 4)])
+    def test_l1_table_is_bitwise_the_segment_median_cost(self, n, d, data, rng):
+        # every segment of the signal: odd and even lengths, ties within
+        # segments (rounded values, or only three values in all), and
+        # values over many orders of magnitude
+        x = {"rounded": lambda: np.round(rng.normal(size=(n, d)), 1),
+             "three-valued": lambda: rng.integers(0, 3, size=(n, d)) / 3,
+             "exponential": lambda: rng.exponential(size=(n, d)) ** 8}[data]()
         a, b = np.triu_indices(n + 1, k=1)
         got = CostCache(x, SegmentCost("l1")).values(a, b)
         assert list(got) == [np.abs(x[s:e] - np.median(x[s:e], axis=0)).sum()

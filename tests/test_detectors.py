@@ -5,7 +5,7 @@ import pytest
 
 import maintseg.detectors as detectors_mod
 from maintseg.core import Window
-from maintseg.costs import CostCache, SegmentCost
+from maintseg.costs import CostCache, SegmentCost, cost_from_label
 from maintseg.detectors import (
     DetectorConfig,
     Segmentation,
@@ -18,6 +18,7 @@ from maintseg.detectors import (
     matrix_profile,
     pelt,
 )
+from maintseg.sweep import default_grid
 
 from conftest import exhaustive_segmentation, make_cycle, mp_brute_force, two_regime_series
 
@@ -402,6 +403,59 @@ class TestDetect:
         assert cp is not None and score < 0.45
         flat_cp, flat_score = detect_with_score(np.full((120, 1), 2.0), cfg)
         assert flat_cp is None and flat_score == 1.0
+
+
+# the default grid's penalties, shuffled, with duplicates and 0.0
+GRID_PENALTIES = default_grid().methods["PELT"].penalties
+PENALTY_PATH = [GRID_PENALTIES[i] for i in (6, 2, 11, 0, 9, 4, 7, 1, 10, 3, 8, 5)]
+PENALTY_PATH[3:3] = [0.0, PENALTY_PATH[5], 0.0]
+
+
+def _exactly(segs):
+    return [(s.breakpoints, repr(s.total_cost)) for s in segs]
+
+
+def _shifting_signal(rng, n=48):
+    x = np.abs(rng.normal(1.0, 0.3, size=(n, 2)))
+    for start, level in ((10, 1.5), (22, 0.4), (31, 4.0), (40, 2.0)):
+        x[start:, start % 2] += level
+    return x
+
+
+class TestPenaltyPath:
+    @pytest.mark.parametrize("min_size", [1, 2, 3, 7])
+    @pytest.mark.parametrize("label", ["l1", "l2", "normal", "rbf", "rbf:0.1", "rbf:10.0"])
+    @pytest.mark.parametrize("solver", [pelt, binseg, bottomup], ids=["pelt", "binseg", "bottomup"])
+    def test_sequence_equals_one_solve_per_penalty(self, solver, label, min_size, rng):
+        spec = cost_from_label(label)
+        x = _shifting_signal(rng)
+        for signal in (x, np.round(x, 1), x[:2 * min_size - 1]):  # ties; n < 2 * min_size
+            path = solver(signal, spec, PENALTY_PATH, min_size)
+            assert _exactly(path) == _exactly(solver(signal, spec, p, min_size)
+                                              for p in PENALTY_PATH)
+        # the path is not one answer repeated
+        assert len({s.breakpoints for s in solver(x, spec, PENALTY_PATH, min_size)}) >= 2
+
+    @pytest.mark.parametrize("min_size", [1, 2, 3, 7])
+    def test_kcpd_sequence_equals_one_solve_per_penalty(self, min_size, rng):
+        x = _shifting_signal(rng)
+        for kernel in (None, SegmentCost("rbf", gamma=0.1)):
+            assert _exactly(kcpd(x, PENALTY_PATH, min_size, kernel)) == \
+                _exactly(kcpd(x, p, min_size, kernel) for p in PENALTY_PATH)
+
+    def test_one_entry_sequence_is_the_float_form(self, rng):
+        x = _shifting_signal(rng)
+        for solver in (pelt, binseg, bottomup):
+            assert solver(x, L2, [0.5], 2) == [solver(x, L2, 0.5, 2)]
+            assert solver(x, L2, np.array([0.5, 2.0]), 2) == solver(x, L2, (0.5, 2.0), 2)
+
+    @pytest.mark.parametrize("penalty", [[], [1.0, -0.5], -0.5, [[1.0]]])
+    def test_bad_penalties_rejected(self, penalty):
+        for solver in (pelt, binseg, bottomup):
+            with pytest.raises(ValueError):
+                solver(STEP_FIXTURE, L2, penalty, 1)
+        with pytest.raises(ValueError):
+            kcpd(STEP_FIXTURE, penalty, 1)
 
 
 class TestSegmentationType:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from maintseg.costs import SegmentCost
-from maintseg.detectors import METHODS, DetectorConfig
+from maintseg.core import Window
+from maintseg.detectors import METHODS, DetectorConfig, share_solves
 from maintseg.protocol import (ALERT_TIMINGS, Alert, Verdict, classify, replay, run_streaming,
                                run_streaming_trace)
 from maintseg.sweep import build_grid, default_grid
@@ -124,6 +125,22 @@ class TestReplay:
         assert {c.method for c, alert in zip(configs, expected) if alert} == set(METHODS)
         assert None in expected
 
+    @pytest.mark.parametrize("alert_at", ALERT_TIMINGS)
+    def test_whole_penalty_axes_equal_one_run_per_config(self, alert_at):
+        # every penalty of a solve key runs on one window, so each window's
+        # first config of a key solves the penalties of all that still run
+        spec = SynthSpec(n_days_min=49, n_days_max=49, change_offset_days=14)
+        (cycle,) = generate_corpus(5, 1, spec)
+        configs = [c for c in DEFAULT_GRID
+                   if c.method != "FLUSS" and c.cost.label in ("l1", "rbf")
+                   or c.method == "KCPD" and c.cost.label == "rbf:0.1"]
+        assert len(configs) == 4 * 2 * 12 * 3 * 2
+        expected = [run_streaming(cycle, c, 7, alert_at) for c in configs]
+        assert replay(cycle, configs, 7, alert_at) == expected
+        # configs stop at different windows, so later windows solve fewer penalties
+        assert len({alert.step_end_index for alert in expected if alert}) >= 3
+        assert None in expected
+
     def test_failed_config_stops_alone(self):
         cycle = two_regime_cycle(n=35, change=26)
         broken = DetectorConfig("BINSEG", penalty=1.0)
@@ -153,8 +170,13 @@ class TestReplay:
             return None
 
         replay(cycle, [PELT_L2, NEVER_FIRES], 14, detector=remembering)
-        assert seen == [{}, {PELT_L2.config_id: 14}, {}, {PELT_L2.config_id: 28},
-                        {}, {PELT_L2.config_id: 35}]
+        # each window starts with nothing but the note of the penalties that
+        # its running configs need (both configs run on every window here)
+        fresh = Window(cycle, 14)
+        share_solves(fresh, [PELT_L2, NEVER_FIRES])
+        note = fresh._memo
+        assert seen == [note, {**note, PELT_L2.config_id: 14}, note,
+                        {**note, PELT_L2.config_id: 28}, note, {**note, PELT_L2.config_id: 35}]
 
 
 class TestAlertType:
