@@ -232,6 +232,11 @@ def cmd_sweep(args) -> int:
     results_path = args.out / "results.csv"
     table = run_sweep(cycles, configs, params, step=step, workers=args.workers,
                       alert_at=args.alert_at, results_path=results_path)
+    print(f"results written to {results_path}")
+    if table.partial:  # no summary over an incomplete grid; a re-run resumes the sweep
+        print(f"warning: {len(table.failures)} pairs failed; results are partial",
+              file=sys.stderr)
+        return 2
     entries = sweep_summary(table.records, params, _pp_list(args.pp_list),
                             table.period_hours)
     (args.out / "summary.json").write_text(json.dumps(entries, indent=2))
@@ -242,11 +247,6 @@ def cmd_sweep(args) -> int:
             print(f"  {method:9s} mean E_s {info['mean_e']:.4f} "
                   f"precision {info['precision']:.4f} recall {info['recall']:.4f} "
                   f"({info['config_id']})")
-    print(f"results written to {results_path}")
-    if table.partial:
-        print(f"warning: {len(table.failures)} pairs failed; results are partial",
-              file=sys.stderr)
-        return 2
     return 0
 
 

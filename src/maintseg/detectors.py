@@ -258,11 +258,8 @@ def binseg(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
             splits.append((cut, least))
             pending.append((a, cut, least))
             pending.append((cut, b, least))
-    segs = []
-    for beta in penalties:
-        breakpoints = sorted(cut for cut, least in splits if least > beta)
-        segs.append(Segmentation(tuple(breakpoints), _total_cost(cache, breakpoints, n, beta)))
-    return _as_given(penalty, segs)
+    found = [tuple(sorted(cut for cut, least in splits if least > beta)) for beta in penalties]
+    return _as_given(penalty, _penalized_segmentations(cache, found, penalties))
 
 
 def bottomup(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
@@ -308,8 +305,7 @@ def bottomup(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
         for i, delta in zip(idx, merge_deltas(idx)):
             deltas[i] = delta
 
-    return _as_given(penalty, [Segmentation(b, _total_cost(cache, list(b), n, beta))
-                               for b, beta in zip(found, penalties)])
+    return _as_given(penalty, _penalized_segmentations(cache, found, penalties))
 
 
 def kcpd(signal: np.ndarray | CostCache, penalty: float | Sequence[float] = 1.0,
@@ -323,10 +319,15 @@ def kcpd(signal: np.ndarray | CostCache, penalty: float | Sequence[float] = 1.0,
     return pelt(signal, kernel, penalty, min_size)
 
 
-def _total_cost(cache: CostCache, breakpoints: list[int], n: int, penalty: float) -> float:
-    bounds = np.array([0, *breakpoints, n])
-    total = sum(cache.values(bounds[:-1], bounds[1:]).tolist())
-    return float(total + penalty * len(breakpoints))
+def _penalized_segmentations(cache: CostCache, found: list[tuple[int, ...]],
+                             penalties: np.ndarray) -> list[Segmentation]:
+    """One segmentation per (breakpoints, penalty) pair. Penalties often share
+    a breakpoint set, so each distinct set's segment costs are summed once."""
+    sums = {}
+    for breakpoints in dict.fromkeys(found):
+        bounds = np.array([0, *breakpoints, cache.n])
+        sums[breakpoints] = sum(cache.values(bounds[:-1], bounds[1:]).tolist())
+    return [Segmentation(b, float(sums[b] + beta * len(b))) for b, beta in zip(found, penalties)]
 
 
 def matrix_profile(series: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

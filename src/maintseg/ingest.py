@@ -23,7 +23,7 @@ import math
 import re
 import sys
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from importlib import resources
 from pathlib import Path
@@ -65,7 +65,8 @@ _MICROSECOND = timedelta(microseconds=1)
 
 
 class ConfigurationError(ValueError):
-    """A grouping config references unknown codes, groups or severities."""
+    """A grouping config or log format is malformed, or references unknown
+    codes, groups or severities."""
 
 
 class ParseQualityError(ValueError):
@@ -137,6 +138,10 @@ class CodeGroupingConfig:
     @classmethod
     def from_json(cls, text: str) -> "CodeGroupingConfig":
         doc = json.loads(text)
+        for key, kind in (("codes", dict), ("features", list)):
+            if not isinstance(doc, dict) or not isinstance(doc.get(key), kind):
+                raise ConfigurationError(f"grouping config: {key!r} must be a JSON "
+                                         f"{'object' if kind is dict else 'array'}")
         try:
             codes = {str(code): (entry["group"], entry["severity"])
                      for code, entry in doc["codes"].items()}
@@ -182,6 +187,13 @@ class LogFormat:
     @classmethod
     def from_json(cls, text: str) -> "LogFormat":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ConfigurationError("log format: expected a JSON object")
+        known = [f.name for f in fields(cls)]
+        unknown = sorted(set(doc) - set(known))
+        if unknown:
+            raise ConfigurationError(f"log format: unknown keys {unknown}, "
+                                     f"expected some of {known}")
         return cls(**doc)
 
 

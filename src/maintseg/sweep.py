@@ -5,9 +5,11 @@ The work unit is one (cycle, family) task: the configs of one
 FLUSS configs of one m and znorm setting) replayed together over the
 cycle's windows, so they share each window's cost tables or FLUSS curves.
 Records are still one per (cycle, config) pair and failures are recorded
-per pair. Results are appended to disk as each task finishes so an
-interrupted run can be resumed by skipping completed pairs, and the final
-table is canonically sorted so output is identical at any worker count.
+per pair. Results are appended to disk as each task finishes, and the
+final table is canonically sorted so output is identical at any worker
+count. A results file and its ``.meta.json`` sidecar are one unit: an
+interrupted run resumes only with its sidecar and the same corpus, grid
+and settings, and another grid needs another results file.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import logging
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -60,7 +64,12 @@ TRACEBACK_FRAMES = 4
 
 
 class GridSpecError(ValueError):
-    """The grid spec expands to duplicate config identifiers."""
+    """A grid spec is malformed or expands to duplicate config identifiers."""
+
+
+# the MethodGrid fields a grid spec may give for each method
+GRID_FIELDS = {method: ("znorm", "thresholds", "ms", "channel_rules") if method == "FLUSS"
+               else ("znorm", "costs", "penalties", "min_sizes") for method in METHODS}
 
 
 @dataclass(frozen=True)
@@ -82,32 +91,25 @@ class GridSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "GridSpec":
+        """Raises :class:`GridSpecError` naming an unknown method or field."""
         doc = json.loads(text)
-        methods = {}
+        if not isinstance(doc, dict) or not all(isinstance(p, dict) for p in doc.values()):
+            raise GridSpecError("a grid spec is a JSON object of method -> object of lists")
         for method, params in doc.items():
-            methods[method] = MethodGrid(
-                costs=tuple(params.get("costs", ())),
-                penalties=tuple(params.get("penalties", ())),
-                thresholds=tuple(params.get("thresholds", ())),
-                ms=tuple(params.get("ms", ())),
-                min_sizes=tuple(params.get("min_sizes", ())),
-                znorm=tuple(params.get("znorm", (False, True))),
-                channel_rules=tuple(params.get("channel_rules", ("any",))),
-            )
-        return cls(methods=methods)
+            if method not in GRID_FIELDS:
+                raise GridSpecError(f"grid spec: unknown method {method!r}, "
+                                    f"expected one of {METHODS}")
+            bad = [k for k, v in params.items()
+                   if k not in GRID_FIELDS[method] or not isinstance(v, list)]
+            if bad:
+                raise GridSpecError(f"grid spec {method}: {bad[0]!r} is not one of its "
+                                    f"lists {GRID_FIELDS[method]}")
+        return cls({method: MethodGrid(**{k: tuple(v) for k, v in params.items()})
+                    for method, params in doc.items()})
 
     def to_json(self) -> str:
-        doc = {}
-        for method, g in self.methods.items():
-            entry: dict = {"znorm": list(g.znorm)}
-            if method == "FLUSS":
-                entry.update(thresholds=list(g.thresholds), ms=list(g.ms),
-                             channel_rules=list(g.channel_rules))
-            else:
-                entry.update(costs=list(g.costs), penalties=list(g.penalties),
-                             min_sizes=list(g.min_sizes))
-            doc[method] = entry
-        return json.dumps(doc, indent=2)
+        return json.dumps({method: {f: list(getattr(g, f)) for f in GRID_FIELDS[method]}
+                           for method, g in self.methods.items()}, indent=2)
 
 
 def build_grid(spec: GridSpec) -> list[DetectorConfig]:
@@ -227,10 +229,11 @@ def run_sweep(cycles: Sequence[LifeCycle], configs: Sequence[DetectorConfig],
     """Evaluate every (cycle, config) pair through the streaming protocol.
 
     Deterministic regardless of worker count (records come back canonically
-    sorted). With ``results_path`` records are persisted incrementally and a
-    partially written file is resumed instead of recomputed. A failing pair
-    is recorded with its reason and the run continues; more than 1% failed
-    pairs is reported as a run-level error summary.
+    sorted). With ``results_path`` records are persisted incrementally, and
+    an existing file is resumed if its sidecar's settings equal this run's.
+    A failing pair, or each pair of a task whose worker died, is recorded
+    with its reason and the run continues; more than 1% failed pairs is
+    reported as a run-level error summary.
     """
     if not cycles:
         raise ValueError("no cycles to evaluate")
@@ -245,20 +248,24 @@ def run_sweep(cycles: Sequence[LifeCycle], configs: Sequence[DetectorConfig],
                          fingerprint=corpus_fingerprint(cycles), params=params,
                          step=step, alert_at=alert_at, period_hours=period_hours)
 
-    done: dict[tuple[str, int, str], EvaluationRecord] = {}
-    results_path = None if results_path is None else Path(results_path)
-    resuming = (results_path is not None and results_path.exists()
-                and _cut_torn_tail(results_path))
-    if resuming:
-        prior = load_results(results_path, params=params)
-        if (prior.params, prior.step, prior.alert_at) != (params, step, alert_at):
-            raise ValueError("existing results were produced under different settings")
-        if prior.fingerprint and prior.fingerprint != table.fingerprint:
-            raise ValueError("existing results belong to a different cycle corpus")
-        done = {(r.atm_id, r.cycle_index, r.config_id): r for r in prior.records}
-        log.info("resuming: %d of %d pairs already done", len(done),
-                 len(cycles) * len(configs))
+    if results_path is not None:
+        results_path = Path(results_path)
+        if results_path.exists():
+            prior = load_results(results_path)
+            ours, theirs = _settings(table), _settings(prior)
+            if ours["fingerprint"] != theirs["fingerprint"]:
+                raise ValueError("existing results belong to a different cycle corpus")
+            if ours != theirs:
+                raise ValueError("existing results were produced under different settings: "
+                                 + ", ".join(k for k in ours if ours[k] != theirs[k]))
+            table.records = prior.records
+            log.info("resuming: %d of %d pairs already done", len(table.records),
+                     len(cycles) * len(configs))
+        # the sidecar, then the records so far (without a torn last line);
+        # from here on the run only appends
+        save_results(table, results_path)
 
+    done = {(r.atm_id, r.cycle_index, r.config_id) for r in table.records}
     tasks = []
     for cycle in sorted(cycles, key=lambda c: c.key):
         families: dict[tuple, list[DetectorConfig]] = {}
@@ -267,28 +274,18 @@ def run_sweep(cycles: Sequence[LifeCycle], configs: Sequence[DetectorConfig],
                 families.setdefault(workspace_key(config), []).append(config)
         tasks.extend((cycle, family, params, step, alert_at) for family in families.values())
 
-    sink = None
-    if results_path is not None:
-        results_path.parent.mkdir(parents=True, exist_ok=True)
-        # the sidecar goes first, so an interrupted file still names its
-        # corpus and settings when it is resumed
-        _write_meta(table, results_path)
-        sink = open(results_path, "a" if resuming else "w", encoding="utf-8", newline="")
-        if not resuming:
-            sink.write(",".join(RESULT_COLUMNS) + "\n")
-
-    records = list(done.values())
-    failures: list[SweepFailure] = []
     total = sum(len(task[1]) for task in tasks)
     finished, tenth = 0, max(total // 10, 1)
+    sink = None if results_path is None else open(results_path, "a", encoding="utf-8",
+                                                   newline="")
     try:
         for (cycle, family, *_), outcomes in zip(tasks, _run_tasks(tasks, workers)):
             for config, outcome in zip(family, outcomes):
                 if isinstance(outcome, str):
-                    failures.append(SweepFailure(cycle.atm_id, cycle.cycle_index,
-                                                 config.config_id, outcome))
+                    table.failures.append(SweepFailure(cycle.atm_id, cycle.cycle_index,
+                                                       config.config_id, outcome))
                     continue
-                records.append(outcome)
+                table.records.append(outcome)
                 if sink is not None:
                     sink.write(_csv_line(outcome))
             if sink is not None:
@@ -302,15 +299,13 @@ def run_sweep(cycles: Sequence[LifeCycle], configs: Sequence[DetectorConfig],
 
     # failures in (cycle, config) order, whatever the families' order
     position = {config_id: i for i, config_id in enumerate(table.config_ids)}
-    failures.sort(key=lambda f: (f.atm_id, f.cycle_index, position[f.config_id]))
-    table.records = records
-    table.failures = failures
+    table.failures.sort(key=lambda f: (f.atm_id, f.cycle_index, position[f.config_id]))
     table.sort()
-    if failures:
-        frac = len(failures) / max(len(cycles) * len(configs), 1)
+    if table.failures:
+        frac = len(table.failures) / max(len(cycles) * len(configs), 1)
         level = logging.ERROR if frac > 0.01 else logging.WARNING
         log.log(level, "sweep finished with %d failed pairs (%.2f%%); first: %s",
-                len(failures), 100 * frac, failures[0])
+                len(table.failures), 100 * frac, table.failures[0])
     if results_path is not None:
         save_results(table, results_path)
     return table
@@ -322,7 +317,17 @@ def _run_tasks(tasks, workers: int) -> Iterable:
             yield _evaluate_family(task)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_evaluate_family, tasks, chunksize=1)
+        returned = 0
+        try:
+            # closing cancels the pending tasks if the caller stops early
+            with closing(pool.map(_evaluate_family, tasks, chunksize=1)) as outcomes:
+                for outcome in outcomes:
+                    yield outcome
+                    returned += 1
+        except BrokenProcessPool as exc:
+            # a worker died: every task that did not come back failed
+            for _, family, *_ in tasks[returned:]:
+                yield [repr(exc)] * len(family)
 
 
 def _csv_line(r: EvaluationRecord) -> str:
@@ -336,64 +341,63 @@ def _csv_line(r: EvaluationRecord) -> str:
             f"{step_end},{cp},{a},{r.n},{r.e!r}\n")
 
 
-def save_results(table: ResultsTable, path) -> None:
-    """Write the records CSV (stable column order) plus a metadata sidecar."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    table.sort()
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(RESULT_COLUMNS) + "\n")
-        for r in table.records:
-            fh.write(_csv_line(r))
-    os.replace(tmp, path)
-    _write_meta(table, path)
-
-
-def _write_meta(table: ResultsTable, path: Path) -> None:
-    meta = {
+def _settings(table: ResultsTable) -> dict:
+    """What identifies a run: its sidecar without the failures and version.
+    A resume must match it field for field."""
+    return {
         "config_ids": list(table.config_ids),
         "fingerprint": table.fingerprint,
-        "params": {"rd": table.params.rd, "pp": table.params.pp,
-                   "ii": table.params.ii, "s": table.params.s},
+        "params": asdict(table.params),
         "step": table.step,
         "alert_at": table.alert_at,
         "period_hours": table.period_hours,
-        "version": table.version,
-        "failures": [{"atm_id": f.atm_id, "cycle_index": f.cycle_index,
-                      "config_id": f.config_id, "reason": f.reason}
-                     for f in table.failures],
     }
-    meta_path = _meta_path(path)
-    tmp = meta_path.with_suffix(meta_path.suffix + ".tmp")
-    tmp.write_text(json.dumps(meta, indent=2))
-    os.replace(tmp, meta_path)
-
-
-def _cut_torn_tail(path: Path) -> bool:
-    """Truncate ``path`` after its last newline, dropping a last line that a
-    kill cut short. Returns whether any complete line is left."""
-    with open(path, "r+b") as fh:
-        keep = fh.read().rfind(b"\n") + 1
-        fh.truncate(keep)
-    return keep > 0
 
 
 def _meta_path(path: Path) -> Path:
     return path.with_suffix(path.suffix + ".meta.json")
 
 
-def load_results(path, params: Optional[BusinessParams] = None) -> ResultsTable:
-    """Read a results CSV (and its sidecar when present) back into a table."""
+def _write_whole(path: Path, lines: Iterable[str]) -> None:
+    """Write ``path`` through a temp file and a rename, so that a kill leaves
+    either the old file or the new one, whole."""
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(lines)
+    os.replace(tmp, path)
+
+
+def save_results(table: ResultsTable, path) -> None:
+    """Write the metadata sidecar, then the records CSV (stable column order)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    table.sort()
+    meta = {**_settings(table), "version": table.version,
+            "failures": [asdict(f) for f in table.failures]}
+    _write_whole(_meta_path(path), [json.dumps(meta, indent=2)])
+    _write_whole(path, itertools.chain([",".join(RESULT_COLUMNS) + "\n"],
+                                       map(_csv_line, table.records)))
+
+
+def load_results(path) -> ResultsTable:
+    """Read a results CSV and its sidecar back into a table. A last line that
+    a kill cut short is not a record."""
     path = Path(path)
     meta_path = _meta_path(path)
-    meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
-    if "params" in meta:
+    if not meta_path.exists():
+        raise ValueError(f"results file {path} has no sidecar {meta_path.name}, "
+                         "so its corpus and settings are unknown")
+    meta = json.loads(meta_path.read_text())
+    try:
         params = BusinessParams(**meta["params"])
-    if params is None:
-        raise ValueError("no metadata sidecar; pass the business params explicitly")
+        table = ResultsTable(
+            records=[], config_ids=tuple(meta["config_ids"]), fingerprint=meta["fingerprint"],
+            params=params, step=meta["step"], alert_at=meta["alert_at"],
+            period_hours=meta["period_hours"], version=meta["version"],
+            failures=[SweepFailure(**f) for f in meta["failures"]])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed results sidecar {meta_path}: {exc!r}") from exc
 
-    records: list[EvaluationRecord] = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
         if tuple(header) != RESULT_COLUMNS:
@@ -409,21 +413,10 @@ def load_results(path, params: Optional[BusinessParams] = None) -> ResultsTable:
             if step_end != "":
                 alert = Alert(step_end_index=int(step_end),
                               change_point_index=int(cp), a=int(a))
-            records.append(EvaluationRecord(
+            table.records.append(EvaluationRecord(
                 atm_id=atm_id, cycle_index=int(cyc), config_id=config_id,
                 verdict=Verdict(verdict), alert=alert, e=float(e), n=int(n),
                 params=params))
-    table = ResultsTable(
-        records=records,
-        config_ids=tuple(meta.get("config_ids", sorted({r.config_id for r in records}))),
-        fingerprint=meta.get("fingerprint", ""),
-        params=params,
-        step=int(meta.get("step", 7)),
-        alert_at=meta.get("alert_at", "window-end"),
-        period_hours=float(meta.get("period_hours", 24.0)),
-        version=meta.get("version", __version__),
-        failures=[SweepFailure(**f) for f in meta.get("failures", [])],
-    )
     table.sort()
     return table
 

@@ -129,6 +129,28 @@ class TestIngest:
         assert not out.exists()
 
 
+class TestConfigFiles:
+    """A malformed config file is one ``error:`` line naming the key, exit 1."""
+
+    @pytest.mark.parametrize("command, flag, doc, named", [
+        ("ingest", "--format", {"timestmp": 0}, "'timestmp'"),
+        ("ingest", "--grouping", {"codes": 3, "features": []}, "'codes'"),
+        ("sweep", "--grid", {"FLUS": {"thresholds": [0.5], "ms": [7]}}, "'FLUS'"),
+        ("sweep", "--grid", {"PELT": {"costs": ["l2"], "penalty": [1.0]}}, "'penalty'"),
+    ], ids=["format", "grouping", "grid-method", "grid-field"])
+    def test_malformed_config_file(self, corpus, tmp_path, capsys, command, flag, doc, named):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        log = tmp_path / "log.csv"
+        TestIngest().write_log(log)
+        source = log if command == "ingest" else corpus
+        capsys.readouterr()
+        assert main([command, str(source), flag, str(config),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+
+
 class TestEvaluate:
     def test_never_firing_config(self, corpus, tmp_path, capsys):
         out = tmp_path / "eval"
@@ -222,6 +244,30 @@ class TestSweepCommand:
         assert code == 2
         assert "partial" in capsys.readouterr().err
 
+    def test_dead_worker_exit_code_2_and_rerun_resumes(self, corpus, tmp_path, capsys,
+                                                       monkeypatch):
+        import os
+        import maintseg.protocol as protocol_mod
+        real = protocol_mod.detect
+
+        def dies(window, config):
+            if config.method == "FLUSS":
+                os._exit(1)
+            return real(window, config)
+
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(TINY_GRID))
+        args = ["sweep", str(corpus), "--grid", str(grid), "--workers", "2"]
+        assert main([*args, "--out", str(tmp_path / "fresh")]) == 0
+        with monkeypatch.context() as m:
+            m.setattr(protocol_mod, "detect", dies)
+            assert main([*args, "--out", str(tmp_path / "sweep")]) == 2
+        assert "partial" in capsys.readouterr().err
+        assert main([*args, "--out", str(tmp_path / "sweep")]) == 0
+        for name in ("results.csv", "results.csv.meta.json", "summary.json"):
+            assert (tmp_path / "sweep" / name).read_bytes() == \
+                (tmp_path / "fresh" / name).read_bytes()
+
     def test_log_env_var_accepted(self, corpus, tmp_path, monkeypatch):
         monkeypatch.setenv("MAINTSEG_LOG", "INFO")
         grid = tmp_path / "grid.json"
@@ -235,6 +281,17 @@ class TestReport:
         assert main(["report", str(tmp_path / "none.csv"),
                      "--out", str(tmp_path / "r")]) == 1
         assert "not found" in capsys.readouterr().err
+
+    def test_results_without_sidecar(self, corpus, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"PELT": TINY_GRID["PELT"]}))
+        sweep_out = tmp_path / "sweep"
+        main(["sweep", str(corpus), "--grid", str(grid), "--out", str(sweep_out)])
+        (sweep_out / "results.csv.meta.json").unlink()
+        capsys.readouterr()
+        assert main(["report", str(sweep_out / "results.csv"),
+                     "--out", str(tmp_path / "report")]) == 1
+        assert "no sidecar results.csv.meta.json" in capsys.readouterr().err
 
     def test_single_method_single_curve(self, corpus, tmp_path):
         grid = tmp_path / "grid.json"

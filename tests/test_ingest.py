@@ -156,6 +156,20 @@ class TestParseEventLog:
         assert (atm, lc, code) == ("atmX", 2, "6002")
 
 
+class TestLogFormat:
+    def test_json_keys_map_to_fields(self):
+        fmt = LogFormat.from_json('{"delimiter": ";", "lifecycle_id": null}')
+        assert fmt == LogFormat(delimiter=";", lifecycle_id=None)
+
+    @pytest.mark.parametrize("text, named", [
+        ('{"delimiter": ";", "timestmp": 0}', "'timestmp'"),
+        ('["timestamp"]', "JSON object"),
+    ], ids=["unknown-key", "not-an-object"])
+    def test_malformed_json_is_a_config_error(self, text, named):
+        with pytest.raises(ConfigurationError, match=named):
+            LogFormat.from_json(text)
+
+
 class TestParseKeeps:
     """Parse behaviour pinned through the cycles it gives."""
 
@@ -347,6 +361,18 @@ class TestGroupingConfig:
             CodeGroupingConfig(
                 codes={"6000": ("distribution", "OK")},
                 features=(FeatureRecipe("x", ("nosuch",), ("Error",)),))
+
+    @pytest.mark.parametrize("doc, named", [
+        ({"codes": 3, "features": []}, "'codes'"),
+        ({"codes": {}, "features": {}}, "'features'"),
+        ({"features": []}, "'codes'"),
+        ({"codes": {"6000": {"group": "distribution"}}, "features": []}, "'severity'"),
+        ([], "'codes'"),
+    ], ids=["codes-not-object", "features-not-array", "codes-missing", "entry-key-missing",
+            "not-an-object"])
+    def test_malformed_json_names_the_key(self, doc, named):
+        with pytest.raises(ConfigurationError, match=named):
+            CodeGroupingConfig.from_json(json.dumps(doc))
 
     def test_unknown_severity_rejected(self):
         with pytest.raises(ConfigurationError):

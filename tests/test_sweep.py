@@ -1,4 +1,6 @@
+import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -55,6 +57,18 @@ def interrupted_sweep(monkeypatch, cycles, configs, path, pairs, **kwargs):
 
 
 class TestBuildGrid:
+    @pytest.mark.parametrize("doc, named", [
+        ({"FLUS": {"thresholds": [0.5], "ms": [7]}}, "'FLUS'"),
+        ({"PELT": {"costs": ["l2"], "penalty": [1.0], "min_sizes": [2]}}, "'penalty'"),
+        ({"FLUSS": {"costs": ["l2"], "thresholds": [0.5], "ms": [7]}}, "'costs'"),
+        ({"PELT": {"costs": "l2", "penalties": [1.0], "min_sizes": [2]}}, "'costs'"),
+        ({"PELT": [1.0]}, "JSON object"),
+        ([], "JSON object"),
+    ], ids=["method", "field", "other-method-field", "not-a-list", "not-an-object", "list"])
+    def test_malformed_spec_named(self, doc, named):
+        with pytest.raises(GridSpecError, match=named):
+            GridSpec.from_json(json.dumps(doc))
+
     def test_cartesian_count(self):
         spec = GridSpec({"PELT": MethodGrid(costs=("l1", "l2"),
                                             penalties=(0.1, 1.0, 10.0),
@@ -122,6 +136,7 @@ class TestRunSweep:
         partial_path = tmp_path / "partial.csv"
         lines = full_path.read_text().splitlines(keepends=True)
         partial_path.write_text("".join(lines[:4]))
+        shutil.copy(tmp_path / "full.csv.meta.json", tmp_path / "partial.csv.meta.json")
         resumed = run_sweep(cycles, configs, PARAMS, results_path=partial_path)
         assert resumed.records == full.records
         assert partial_path.read_text() == full_path.read_text()
@@ -162,6 +177,36 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(small_corpus(2), [NEVER, TUNED], PARAMS, results_path=path, **settings)
         assert list(tmp_path.iterdir()) == []
+
+    def test_resume_without_sidecar_is_refused_before_any_work(self, tmp_path, monkeypatch):
+        cycles = small_corpus()
+        path = tmp_path / "results.csv"
+        interrupted_sweep(monkeypatch, cycles, [NEVER, TUNED], path, 3)
+        (tmp_path / "results.csv.meta.json").unlink()
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="no sidecar"):
+            run_sweep(small_corpus(seed=1), [NEVER, TUNED], PARAMS, results_path=path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("change, differs", [
+        ({"configs": [NEVER]}, "config_ids"),
+        ({"configs": [TUNED, NEVER]}, "config_ids"),
+        ({"params": BusinessParams(rd=2.0)}, "params"),
+        ({"step": 14}, "step"),
+        ({"alert_at": "changepoint"}, "alert_at"),
+    ], ids=["smaller-grid", "reordered-grid", "params", "step", "alert-at"])
+    def test_resume_with_other_settings_is_refused_before_any_work(
+            self, tmp_path, monkeypatch, change, differs):
+        cycles = small_corpus()
+        path = tmp_path / "results.csv"
+        interrupted_sweep(monkeypatch, cycles, [NEVER, TUNED], path, 3)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        settings = {"configs": [NEVER, TUNED], "params": PARAMS, **change}
+        with pytest.raises(ValueError, match=f"different settings: {differs}$"):
+            run_sweep(cycles, settings.pop("configs"), settings.pop("params"),
+                      results_path=path, **settings)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_resume_rejects_mismatched_settings(self, tmp_path):
         cycles = small_corpus()
@@ -205,6 +250,35 @@ class TestRunSweep:
             assert failure.reason.startswith("RuntimeError('injected failure')\n")
             assert "in broken_binseg" in failure.reason
             assert "in detect_with_score" in failure.reason
+
+    def test_dead_worker_fails_its_pairs_and_the_rerun_resumes(self, tmp_path, monkeypatch):
+        cycles = small_corpus()
+        configs = [NEVER, TUNED, DetectorConfig("BINSEG", penalty=1.0, min_size=2)]
+        fresh_path = tmp_path / "fresh.csv"
+        fresh = run_sweep(cycles, configs, PARAMS, results_path=fresh_path)
+        real = protocol_mod.detect
+
+        def dies(window, config):
+            if window.cycle.key == cycles[1].key and config.method == "BINSEG":
+                os._exit(1)
+            return real(window, config)
+
+        path = tmp_path / "results.csv"
+        with monkeypatch.context() as m:
+            m.setattr(protocol_mod, "detect", dies)  # seen by the forked workers
+            table = run_sweep(cycles, configs, PARAMS, workers=2, results_path=path)
+        assert table.partial
+        dead = (cycles[1].atm_id, cycles[1].cycle_index, configs[2].config_id)
+        assert dead in {(f.atm_id, f.cycle_index, f.config_id) for f in table.failures}
+        assert all(f.reason.startswith("BrokenProcessPool(") for f in table.failures)
+        assert len(table.records) + len(table.failures) == len(cycles) * len(configs)
+        assert len(load_results(path).failures) == len(table.failures)
+
+        resumed = run_sweep(cycles, configs, PARAMS, workers=2, results_path=path)
+        assert resumed.records == fresh.records and not resumed.partial
+        assert path.read_bytes() == fresh_path.read_bytes()
+        assert (tmp_path / "results.csv.meta.json").read_bytes() == \
+            (tmp_path / "fresh.csv.meta.json").read_bytes()
 
     def test_empty_cycles_rejected(self):
         with pytest.raises(ValueError):
@@ -250,9 +324,28 @@ class TestResultsIO:
 
     def test_header_validated(self, tmp_path):
         path = tmp_path / "bad.csv"
+        save_results(run_sweep(small_corpus(2), [NEVER], PARAMS), path)
         path.write_text("nope\n")
         with pytest.raises(ValueError):
-            load_results(path, params=PARAMS)
+            load_results(path)
+
+    def test_missing_sidecar_is_refused(self, tmp_path):
+        path = tmp_path / "results.csv"
+        run_sweep(small_corpus(2), [NEVER], PARAMS, results_path=path)
+        (tmp_path / "results.csv.meta.json").unlink()
+        with pytest.raises(ValueError, match="results.csv has no sidecar results.csv.meta.json"):
+            load_results(path)
+
+    @pytest.mark.parametrize("key", ["params", "step", "failures"])
+    def test_malformed_sidecar_is_refused(self, tmp_path, key):
+        path = tmp_path / "results.csv"
+        run_sweep(small_corpus(2), [NEVER], PARAMS, results_path=path)
+        meta_path = tmp_path / "results.csv.meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta[key]
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"malformed results sidecar .*'{key}'"):
+            load_results(path)
 
 
 class TestFingerprint:
