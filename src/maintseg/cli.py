@@ -1,5 +1,14 @@
 """Command-line entry point: ingest, evaluate, sweep, report, stats, synth.
 
+Every command takes --out and only the other flags it reads:
+
+  ingest    --grouping --format --period-hours --ii
+  evaluate  --config --rd --pp --s --step --alert-at
+  sweep     --rd --pp --s --step --alert-at --workers --grid --pp-list
+  report    --pp --pp-list (rd, s and the other settings come from the sidecar)
+  stats     (none)
+  synth     --seed --n-cycles --n-days-min --n-days-max --change-offset
+
 All durations on the CLI are in days and converted internally using the
 resampling period. Plot data is emitted as CSV, not images. Exit codes:
 0 success, 1 usage or input error, 2 a sweep completed with failed pairs.
@@ -56,26 +65,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _global_flags() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--rd", type=float, default=1.0, help="responsive duration, days")
-    p.add_argument("--pp", type=float, default=14.0, help="predictive padding, days")
-    p.add_argument("--s", type=float, default=0.2, help="early-alert sensibility")
-    p.add_argument("--step", type=int, default=7, help="streaming step T, days")
-    p.add_argument("--alert-at", choices=("window-end", "changepoint"),
-                   default="window-end", help="alert timing rule for a")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", type=Path, default=Path("maintseg_out"))
-    return p
-
-
 def build_parser() -> _Parser:
-    parser = _Parser(prog="maintseg", description=__doc__)
+    parser = _Parser(prog="maintseg", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"maintseg {__version__}")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    g = _global_flags()
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=Path, default=Path("maintseg_out"))
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--rd", type=float, default=1.0, help="responsive duration, days")
+    scoring.add_argument("--pp", type=float, default=14.0, help="predictive padding, days")
+    scoring.add_argument("--s", type=float, default=0.2, help="early-alert sensibility")
+    scoring.add_argument("--step", type=int, default=7, help="streaming step T, days")
+    scoring.add_argument("--alert-at", choices=("window-end", "changepoint"),
+                         default="window-end", help="alert timing rule for a")
 
-    p = sub.add_parser("ingest", parents=[g],
+    p = sub.add_parser("ingest", parents=[out],
                        help="parse a raw event log into canonical cycle files")
     p.add_argument("log", type=Path)
     p.add_argument("--grouping", type=Path, help="code grouping config JSON")
@@ -84,29 +89,29 @@ def build_parser() -> _Parser:
     p.add_argument("--period-hours", type=float, default=24.0)
     p.add_argument("--ii", type=float, default=1.0, help="infected interval, days")
 
-    p = sub.add_parser("evaluate", parents=[g],
+    p = sub.add_parser("evaluate", parents=[out, scoring],
                        help="run one config over a cycle corpus with traces")
     p.add_argument("cycles", type=Path)
-    p.add_argument("--config", required=True,
-                   help="config id, e.g. PELT/l2/5.0/2/-/0/-")
+    p.add_argument("--config", required=True, help="config id, e.g. PELT/l2/5.0/2/-/0/-")
 
-    p = sub.add_parser("sweep", parents=[g],
+    p = sub.add_parser("sweep", parents=[out, scoring],
                        help="evaluate a whole config grid over a cycle corpus")
     p.add_argument("cycles", type=Path)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--grid", type=Path, help="grid spec JSON (default: shipped grid)")
-    p.add_argument("--pp-list", default="7,14,21",
-                   help="comma-separated pp values for the summary")
+    p.add_argument("--pp-list", default="7,14,21", help="summary pp values, comma-separated")
 
-    p = sub.add_parser("report", parents=[g],
+    p = sub.add_parser("report", parents=[out],
                        help="plot-ready curves and stability stats from results")
     p.add_argument("results", type=Path)
+    p.add_argument("--pp", type=float, default=14.0, help="pp of best_per_cycle.csv, days")
     p.add_argument("--pp-list", default="7,14,21")
 
-    p = sub.add_parser("stats", parents=[g],
+    p = sub.add_parser("stats", parents=[out],
                        help="dataset statistics of a cycle corpus")
     p.add_argument("cycles", type=Path)
 
-    p = sub.add_parser("synth", parents=[g],
+    p = sub.add_parser("synth", parents=[out],
                        help="generate a synthetic cycle corpus")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-cycles", type=int, default=50)
@@ -115,11 +120,6 @@ def build_parser() -> _Parser:
     p.add_argument("--change-offset", type=int, default=10,
                    help="planted change, days before failure")
     return parser
-
-
-def _params(args) -> BusinessParams:
-    ii = getattr(args, "ii", 1.0)
-    return BusinessParams(rd=args.rd, pp=args.pp, ii=ii, s=args.s)
 
 
 def _write_manifest(args, extra: dict | None = None) -> None:
@@ -160,7 +160,8 @@ def _pp_list(text: str) -> list[float]:
 
 
 def cmd_ingest(args) -> int:
-    params = _params(args)
+    if args.ii < 0:
+        raise ValueError("ii must be >= 0")
     fmt = LogFormat.from_json(args.log_format.read_text()) if args.log_format else LogFormat()
     grouping = (CodeGroupingConfig.from_json(args.grouping.read_text())
                 if args.grouping else default_grouping())
@@ -169,7 +170,7 @@ def cmd_ingest(args) -> int:
         print("error: no parseable event records in input", file=sys.stderr)
         return 1
     result = build_cycles(parsed.records, grouping, period_hours=args.period_hours,
-                          ii_days=params.ii)
+                          ii_days=args.ii)
     owners: dict[str, str] = {}
     for cycle in result.cycles:
         name = cycle_basename(cycle)
@@ -190,7 +191,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    params = _params(args)
+    params = BusinessParams(rd=args.rd, pp=args.pp, s=args.s)
     cycles = load_cycles(args.cycles)
     config = DetectorConfig.from_id(args.config)
     period = cycles[0].period
@@ -223,7 +224,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    params = _params(args)
+    params = BusinessParams(rd=args.rd, pp=args.pp, s=args.s)
     cycles = load_cycles(args.cycles)
     spec = GridSpec.from_json(args.grid.read_text()) if args.grid else default_grid()
     configs = build_grid(spec)
@@ -251,7 +252,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    params = _params(args)
     if not args.results.exists():
         print(f"error: results file {args.results} not found", file=sys.stderr)
         return 1
@@ -278,7 +278,7 @@ def cmd_report(args) -> int:
         for entry in entries:
             writer.writerow([entry["pp"], repr(entry["best_per_sample_mean"])])
 
-    scored = rescore(table.records, replace(table.params, pp=params.pp),
+    scored = rescore(table.records, replace(table.params, pp=args.pp),
                      table.period_hours)
     best = best_per_sample(scored)
     best_path = args.out / "best_per_cycle.csv"

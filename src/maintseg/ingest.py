@@ -142,17 +142,22 @@ class CodeGroupingConfig:
             if not isinstance(doc, dict) or not isinstance(doc.get(key), kind):
                 raise ConfigurationError(f"grouping config: {key!r} must be a JSON "
                                          f"{'object' if kind is dict else 'array'}")
-        try:
-            codes = {str(code): (entry["group"], entry["severity"])
-                     for code, entry in doc["codes"].items()}
-            features = tuple(
-                FeatureRecipe(name=f["name"], groups=tuple(f["groups"]),
-                              numerator=tuple(f["numerator"]),
-                              denominator=f.get("denominator", "OK"))
-                for f in doc["features"])
-        except (KeyError, TypeError) as exc:
-            raise ConfigurationError(f"malformed grouping config: {exc}") from exc
-        return cls(codes=codes, features=features)
+        codes, features = {}, []
+        for code, entry in doc["codes"].items():
+            try:
+                codes[code] = (entry["group"], entry["severity"])
+            except (KeyError, TypeError) as exc:
+                raise ConfigurationError(
+                    f"malformed grouping config: code {code!r}: {exc}") from exc
+        for i, f in enumerate(doc["features"]):
+            try:
+                features.append(FeatureRecipe(name=f["name"], groups=tuple(f["groups"]),
+                                              numerator=tuple(f["numerator"]),
+                                              denominator=f.get("denominator", "OK")))
+            except (KeyError, TypeError) as exc:
+                raise ConfigurationError(
+                    f"malformed grouping config: features[{i}]: {exc}") from exc
+        return cls(codes=codes, features=tuple(features))
 
     def to_json(self) -> str:
         doc = {
@@ -194,6 +199,17 @@ class LogFormat:
         if unknown:
             raise ConfigurationError(f"log format: unknown keys {unknown}, "
                                      f"expected some of {known}")
+        for key, value in doc.items():
+            if key == "delimiter":
+                what, ok = "a one-character string", isinstance(value, str) and len(value) == 1
+            elif key == "has_header":
+                what, ok = "true or false", isinstance(value, bool)
+            else:  # a column; type() rules out bools, which are ints too
+                nullable = key == "lifecycle_id"
+                what = "a column name or 0-based index" + (" or null" if nullable else "")
+                ok = isinstance(value, str) or type(value) is int or (nullable and value is None)
+            if not ok:
+                raise ConfigurationError(f"log format: {key!r} must be {what}, got {value!r}")
         return cls(**doc)
 
 

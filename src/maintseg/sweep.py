@@ -22,7 +22,6 @@ import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import closing
 from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -317,17 +316,19 @@ def _run_tasks(tasks, workers: int) -> Iterable:
             yield _evaluate_family(task)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        returned = 0
+        futures = [pool.submit(_evaluate_family, task) for task in tasks]
         try:
-            # closing cancels the pending tasks if the caller stops early
-            with closing(pool.map(_evaluate_family, tasks, chunksize=1)) as outcomes:
-                for outcome in outcomes:
-                    yield outcome
-                    returned += 1
-        except BrokenProcessPool as exc:
-            # a worker died: every task that did not come back failed
-            for _, family, *_ in tasks[returned:]:
-                yield [repr(exc)] * len(family)
+            for (_, family, *_), future in zip(tasks, futures):
+                try:
+                    outcome = future.result()
+                except BrokenProcessPool as exc:
+                    # a worker died before this task came back; tasks that
+                    # finished on the other workers keep their records
+                    outcome = [repr(exc)] * len(family)
+                yield outcome
+        finally:  # cancels the pending tasks if the caller stops early
+            for future in futures:
+                future.cancel()
 
 
 def _csv_line(r: EvaluationRecord) -> str:

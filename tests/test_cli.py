@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from maintseg.cli import main
+from maintseg.cli import build_parser, main
 from maintseg.core import BusinessParams
 from maintseg.protocol import Verdict
 from maintseg.sweep import ResultsTable, save_results
@@ -134,10 +134,15 @@ class TestConfigFiles:
 
     @pytest.mark.parametrize("command, flag, doc, named", [
         ("ingest", "--format", {"timestmp": 0}, "'timestmp'"),
+        ("ingest", "--format", {"delimiter": 5}, "'delimiter'"),
+        ("ingest", "--format", {"timestamp": 1.5}, "'timestamp'"),
         ("ingest", "--grouping", {"codes": 3, "features": []}, "'codes'"),
+        ("ingest", "--grouping", {"codes": {"6000": 3}, "features": []}, "code '6000'"),
+        ("ingest", "--grouping", {"codes": {}, "features": [3]}, "features[0]"),
         ("sweep", "--grid", {"FLUS": {"thresholds": [0.5], "ms": [7]}}, "'FLUS'"),
         ("sweep", "--grid", {"PELT": {"costs": ["l2"], "penalty": [1.0]}}, "'penalty'"),
-    ], ids=["format", "grouping", "grid-method", "grid-field"])
+    ], ids=["format", "format-delimiter-type", "format-column-type", "grouping",
+            "grouping-code", "grouping-feature", "grid-method", "grid-field"])
     def test_malformed_config_file(self, corpus, tmp_path, capsys, command, flag, doc, named):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc))
@@ -333,7 +338,44 @@ class TestReport:
         assert "0.50" in capsys.readouterr().out
 
 
+SCORING = {"--rd", "--pp", "--s", "--step", "--alert-at"}
+
+
 class TestUsage:
+    @pytest.mark.parametrize("command, flags", [
+        ("ingest", {"--grouping", "--format", "--period-hours", "--ii"}),
+        ("evaluate", {"--config", *SCORING}),
+        ("sweep", {*SCORING, "--workers", "--grid", "--pp-list"}),
+        ("report", {"--pp", "--pp-list"}),
+        ("stats", set()),
+        ("synth", {"--seed", "--n-cycles", "--n-days-min", "--n-days-max", "--change-offset"}),
+    ])
+    def test_each_command_has_only_the_flags_it_reads(self, command, flags):
+        (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+        options = {s for a in sub.choices[command]._actions for s in a.option_strings}
+        assert options - {"-h", "--help"} == {"--out", *flags}
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "c", "--workers", "2"],
+        ["report", "r.csv", "--rd", "5"],
+        ["synth", "--step", "3"],
+        ["ingest", "l.csv", "--pp", "0"],
+        ["evaluate", "c", "--config", "PELT/l2/5.0/2/-/0/-", "--workers", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_a_dropped_flag_is_a_usage_error(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: maintseg ")
+        assert [line for line in err if "error" in line] == err[-1:] == \
+            [f"error: unrecognized arguments: {' '.join(argv[-2:])}"]
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_infected_interval_is_an_error(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        TestIngest().write_log(log)
+        assert main(["ingest", str(log), "--ii", "-1", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: ii must be >= 0\n"
+
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 1
 

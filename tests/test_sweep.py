@@ -1,11 +1,14 @@
+import functools
 import json
 import os
 import shutil
+import time
 
 import numpy as np
 import pytest
 
 import maintseg.protocol as protocol_mod
+import maintseg.sweep as sweep_mod
 from maintseg.core import BusinessParams
 from maintseg.detectors import DetectorConfig, METHODS
 from maintseg.protocol import Verdict
@@ -276,6 +279,46 @@ class TestRunSweep:
 
         resumed = run_sweep(cycles, configs, PARAMS, workers=2, results_path=path)
         assert resumed.records == fresh.records and not resumed.partial
+        assert path.read_bytes() == fresh_path.read_bytes()
+        assert (tmp_path / "results.csv.meta.json").read_bytes() == \
+            (tmp_path / "fresh.csv.meta.json").read_bytes()
+
+    def test_dead_worker_keeps_the_tasks_that_finished(self, tmp_path, monkeypatch):
+        # 4 cycles x 2 families (PELT/l2, FLUSS) = 8 tasks; the first task's
+        # worker dies only after the other worker has finished the other 7
+        cycles = small_corpus()
+        configs = [NEVER, TUNED, DetectorConfig("FLUSS", threshold=0.45, m=7, znorm=True)]
+        fresh_path = tmp_path / "fresh.csv"
+        run_sweep(cycles, configs, PARAMS, results_path=fresh_path)
+        first = min(c.key for c in cycles)
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        real = sweep_mod._evaluate_family
+
+        @functools.wraps(real)  # pickled by name, so the workers run this one
+        def dies_last(task):
+            cycle, family = task[:2]
+            if cycle.key == first and family[0] == NEVER:
+                deadline = time.monotonic() + 60
+                while len(os.listdir(markers)) < 7 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                time.sleep(0.2)  # lets the last outcome reach the parent
+                os._exit(1)
+            outcome = real(task)
+            (markers / f"{cycle.atm_id}-{cycle.cycle_index}-{family[0].method}").touch()
+            return outcome
+
+        path = tmp_path / "results.csv"
+        with monkeypatch.context() as m:
+            m.setattr(sweep_mod, "_evaluate_family", dies_last)  # seen by the forked workers
+            table = run_sweep(cycles, configs, PARAMS, workers=2, results_path=path)
+        assert [(f.atm_id, f.cycle_index, f.config_id) for f in table.failures] == \
+            [(*first, NEVER.config_id), (*first, TUNED.config_id)]
+        assert all(f.reason.startswith("BrokenProcessPool(") for f in table.failures)
+        assert len(table.records) == len(cycles) * len(configs) - 2
+
+        resumed = run_sweep(cycles, configs, PARAMS, workers=2, results_path=path)
+        assert not resumed.partial
         assert path.read_bytes() == fresh_path.read_bytes()
         assert (tmp_path / "results.csv.meta.json").read_bytes() == \
             (tmp_path / "fresh.csv.meta.json").read_bytes()
