@@ -8,7 +8,7 @@ protocol, and scores the alerts with a business-constraint metric.
 __version__ = "0.1.0"
 
 from .core import BusinessParams, LifeCycle, Window, prefix_windows, znormalize
-from .costs import SegmentCost, cost, rbf_bandwidth_median
+from .costs import SegmentCost, rbf_bandwidth_median
 from .detectors import (
     DetectorConfig,
     Segmentation,
@@ -37,7 +37,7 @@ __all__ = [
     "__version__",
     "BusinessParams", "LifeCycle", "Window",
     "prefix_windows", "znormalize",
-    "SegmentCost", "cost", "rbf_bandwidth_median",
+    "SegmentCost", "rbf_bandwidth_median",
     "DetectorConfig", "Segmentation",
     "pelt", "binseg", "bottomup", "kcpd",
     "matrix_profile", "fluss_cac", "detect",

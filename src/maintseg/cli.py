@@ -31,6 +31,7 @@ from .core import BusinessParams
 from .detectors import DetectorConfig
 from .ingest import (
     CodeGroupingConfig,
+    DatasetStats,
     LogFormat,
     ParseQualityError,
     build_cycles,
@@ -70,6 +71,7 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"maintseg {__version__}")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    parser.commands = sub.choices
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", type=Path, default=Path("maintseg_out"))
     scoring = argparse.ArgumentParser(add_help=False)
@@ -159,9 +161,19 @@ def _pp_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
+def _print_groups(stats: DatasetStats) -> None:
+    """The per-group table of ``stats``, with a mean daily withdrawals
+    column when the ingest counted withdrawals."""
+    withdrawals = all(g.mean_daily_withdrawals is not None for g in stats.groups)
+    print(f"{'cycles/ATM':>10} {'ATMs':>6} {'cycles':>7} {'min d':>8} {'median d':>9} "
+          f"{'max d':>8}" + (f" {'withdrawals/d':>13}" if withdrawals else ""))
+    for g in stats.groups:
+        row = (f"{g.cycles_per_atm:>10} {g.n_atms:>6} {g.n_cycles:>7} {g.min_days:>8.1f} "
+               f"{g.median_days:>9.1f} {g.max_days:>8.1f}")
+        print(row + (f" {g.mean_daily_withdrawals:>13.1f}" if withdrawals else ""))
+
+
 def cmd_ingest(args) -> int:
-    if args.ii < 0:
-        raise ValueError("ii must be >= 0")
     fmt = LogFormat.from_json(args.log_format.read_text()) if args.log_format else LogFormat()
     grouping = (CodeGroupingConfig.from_json(args.grouping.read_text())
                 if args.grouping else default_grouping())
@@ -186,6 +198,8 @@ def cmd_ingest(args) -> int:
           f"{result.n_codes_seen} unique event codes")
     print(f"records: {result.n_records} parsed, {parsed.malformed_count} malformed, "
           f"{result.n_removed_infected} removed as infected")
+    print(f"life cycles dropped with no grouped event code: {result.n_skipped_groups}")
+    _print_groups(stats)
     print(f"cycle files written to {cycle_dir}")
     return 0
 
@@ -308,11 +322,7 @@ def cmd_stats(args) -> int:
     stats = dataset_stats(cycles)
     _write_manifest(args)
     print(f"{stats.total_cycles} cycles, {stats.total_atms} ATMs")
-    print(f"{'cycles/ATM':>10} {'ATMs':>6} {'cycles':>7} "
-          f"{'min d':>8} {'median d':>9} {'max d':>8}")
-    for g in stats.groups:
-        print(f"{g.cycles_per_atm:>10} {g.n_atms:>6} {g.n_cycles:>7} "
-              f"{g.min_days:>8.1f} {g.median_days:>9.1f} {g.max_days:>8.1f}")
+    _print_groups(stats)
     return 0
 
 
@@ -347,7 +357,10 @@ def main(argv=None) -> int:
                         format="%(asctime)s %(name)s %(levelname)s %(message)s")
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:  # with the usage of the command that lacks them
+            parser.commands.get(args.command, parser).error(
+                f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     if not args.command:

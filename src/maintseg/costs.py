@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SegmentCost", "CostCache", "cost", "cost_from_label", "rbf_bandwidth_median"]
+__all__ = ["SegmentCost", "CostCache", "cost_from_label", "rbf_bandwidth_median"]
 
 COST_KINDS = ("l1", "l2", "normal", "rbf")
 
@@ -192,8 +192,3 @@ class CostCache:
     # looked up per query: an instance attribute holding a bound method
     # would be a reference cycle, freed only by the cyclic collector
     _COSTS = {"l1": _l1, "l2": _l2, "normal": _normal, "rbf": _rbf}
-
-
-def cost(signal: np.ndarray, a: int, b: int, spec: SegmentCost | None = None) -> float:
-    """One-shot cost of segment [a, b); see :class:`CostCache` for batches."""
-    return CostCache(signal, spec).value(a, b)

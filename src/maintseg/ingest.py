@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import io
 import json
 import math
 import re
@@ -159,17 +158,6 @@ class CodeGroupingConfig:
                     f"malformed grouping config: features[{i}]: {exc}") from exc
         return cls(codes=codes, features=tuple(features))
 
-    def to_json(self) -> str:
-        doc = {
-            "codes": {c: {"group": g, "severity": s}
-                      for c, (g, s) in sorted(self.codes.items())},
-            "features": [
-                {"name": r.name, "groups": list(r.groups),
-                 "numerator": list(r.numerator), "denominator": r.denominator}
-                for r in self.features],
-        }
-        return json.dumps(doc, indent=2)
-
 
 def default_grouping() -> CodeGroupingConfig:
     """The shipped ATM distribution-module mapping (15 codes, 4 ratio features)."""
@@ -260,13 +248,11 @@ class ParseResult:
 def parse_event_log(source, fmt: LogFormat | None = None) -> ParseResult:
     """Parse a delimited event log into a sorted :class:`EventTable`.
 
-    ``source`` is a path, bytes or a text file object. Malformed rows are
+    ``source`` is a path or a text file object. Malformed rows are
     counted and reported, not silently dropped; more than 10% malformed
     raises :class:`ParseQualityError`.
     """
     fmt = fmt or LogFormat()
-    if isinstance(source, (bytes, bytearray)):
-        source = io.StringIO(source.decode("utf-8"))
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return _parse_stream(fh, fmt)
@@ -322,7 +308,9 @@ def remove_infected(events: EventTable, ii_days: float) -> EventTable:
     end-of-cycle events of the cycle that produced the mark. An ii of zero
     removes nothing; overlapping infected intervals simply union.
     """
-    if ii_days <= 0:
+    if ii_days < 0:
+        raise ValueError("ii must be >= 0")
+    if ii_days == 0:
         return events
     ii_us = timedelta(days=ii_days) // _MICROSECOND
     infected = np.zeros(len(events), dtype=bool)

@@ -208,15 +208,11 @@ class StabilityStats:
     n_atms_over_two_cycles: int
 
 
-def model_stability(per_cycle: Sequence[CycleBest], level: str = "method") -> StabilityStats:
+def model_stability(per_cycle: Sequence[CycleBest]) -> StabilityStats:
     """Fraction of multi-cycle machines whose best model never changes, and of
-    >2-cycle machines whose best-model sequence changes at most once.
-
-    ``level`` chooses the label: "method" compares the algorithm only,
-    "config" the full identifier.
+    >2-cycle machines whose best-model sequence changes at most once. A
+    model is the method of the best config, not its full identifier.
     """
-    if level not in ("method", "config"):
-        raise ValueError("level must be 'method' or 'config'")
     by_atm: dict[str, list[CycleBest]] = defaultdict(list)
     for item in per_cycle:
         by_atm[item.atm_id].append(item)
@@ -224,8 +220,7 @@ def model_stability(per_cycle: Sequence[CycleBest], level: str = "method") -> St
     same = total_multi = one_change = total_gt2 = 0
     for atm in sorted(by_atm):
         items = sorted(by_atm[atm], key=lambda b: b.cycle_index)
-        labels = [b.config_id.split("/")[0] if level == "method" else b.config_id
-                  for b in items]
+        labels = [b.config_id.split("/")[0] for b in items]
         if len(labels) > 1:
             total_multi += 1
             if len(set(labels)) == 1:

@@ -106,10 +106,6 @@ class GridSpec:
         return cls({method: MethodGrid(**{k: tuple(v) for k, v in params.items()})
                     for method, params in doc.items()})
 
-    def to_json(self) -> str:
-        return json.dumps({method: {f: list(getattr(g, f)) for f in GRID_FIELDS[method]}
-                           for method, g in self.methods.items()}, indent=2)
-
 
 def build_grid(spec: GridSpec) -> list[DetectorConfig]:
     """Expand a grid spec into configs, ordered by method then parameters.

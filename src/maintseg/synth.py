@@ -34,31 +34,26 @@ class SynthSpec:
     n_days_max: int = 90
     period_hours: float = 24.0
     change_offset_days: int = 10
-    base_level: float = 0.2
-    base_noise: float = 0.05
-    shift_level: float = 3.0
-    shift_noise: float = 0.3
-    n_features: int = 4
-    max_cycles_per_atm: int = 3
 
     def __post_init__(self) -> None:
         if self.n_days_min < 2 or self.n_days_max < self.n_days_min:
             raise ValueError("need 2 <= n_days_min <= n_days_max")
         if self.change_offset_days < 1:
             raise ValueError("change offset must be >= 1 day")
-        if self.n_features < 1 or self.max_cycles_per_atm < 1:
-            raise ValueError("n_features and max_cycles_per_atm must be >= 1")
 
 
 FEATURE_NAMES = ("dist_error_ok", "dist_warning_ok", "k7_error_ok", "withdrawal_error_ok")
+# |normal(level, noise)| samples before the planted change, and of the one
+# shifted feature after it
+BASE_LEVEL, BASE_NOISE = 0.2, 0.05
+SHIFT_LEVEL, SHIFT_NOISE = 3.0, 0.3
+MAX_CYCLES_PER_ATM = 3
 
 
 def generate_corpus(seed: int, n_cycles: int, spec: SynthSpec | None = None) -> list[LifeCycle]:
     """Generate ``n_cycles`` synthetic cycles, deterministically per seed."""
     spec = spec or SynthSpec()
     rng = np.random.default_rng(seed)
-    names = tuple(FEATURE_NAMES[i % len(FEATURE_NAMES)] + ("" if i < 4 else f"_{i}")
-                  for i in range(spec.n_features))
     epoch = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
     cycles: list[LifeCycle] = []
@@ -66,22 +61,21 @@ def generate_corpus(seed: int, n_cycles: int, spec: SynthSpec | None = None) -> 
     while len(cycles) < n_cycles:
         atm += 1
         atm_id = f"synth{atm:04d}"
-        per_atm = min(int(rng.integers(1, spec.max_cycles_per_atm + 1)),
+        per_atm = min(int(rng.integers(1, MAX_CYCLES_PER_ATM + 1)),
                       n_cycles - len(cycles))
         for cycle_index in range(per_atm):
             n = int(rng.integers(spec.n_days_min, spec.n_days_max + 1))
-            samples = np.abs(rng.normal(spec.base_level, spec.base_noise,
-                                        size=(n, spec.n_features)))
+            samples = np.abs(rng.normal(BASE_LEVEL, BASE_NOISE,
+                                        size=(n, len(FEATURE_NAMES))))
             change = n - spec.change_offset_days
             if change >= spec.change_offset_days:
-                feat = int(rng.integers(0, spec.n_features))
+                feat = int(rng.integers(0, len(FEATURE_NAMES)))
                 samples[change:, feat] = np.abs(
-                    rng.normal(spec.shift_level, spec.shift_noise,
-                               size=n - change))
+                    rng.normal(SHIFT_LEVEL, SHIFT_NOISE, size=n - change))
             start = epoch + timedelta(days=int(rng.integers(0, 365)))
             cycles.append(LifeCycle(
                 atm_id=atm_id, cycle_index=cycle_index, start_time=start,
                 end_time=start + timedelta(hours=spec.period_hours * n),
-                feature_names=names, samples=samples,
+                feature_names=FEATURE_NAMES, samples=samples,
                 period=spec.period_hours, ended_in_failure=True))
     return cycles

@@ -95,6 +95,26 @@ class TestIngest:
         assert "1 cycles, 1 ATMs, 2 unique event codes" in printed
         assert len(list((out / "cycles").glob("*.csv"))) == 1
 
+    def test_group_table_and_dropped_cycles_printed(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        self.write_log(log)
+        t0 = datetime(2019, 3, 1, tzinfo=timezone.utc)
+        with open(log, "a") as fh:  # 30 withdrawals in cycle 0; cycle 1 has no grouped code
+            fh.writelines(f"{t0 + timedelta(days=day):%Y-%m-%dT%H:%M:%SZ},atm1,0,8000\n"
+                          for day in range(30))
+            fh.write(f"{t0 + timedelta(days=40):%Y-%m-%dT%H:%M:%SZ},atm1,1,9999\n")
+        assert main(["ingest", str(log), "--out", str(tmp_path / "o")]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert "life cycles dropped with no grouped event code: 1" in printed
+        header = printed.index(f"{'cycles/ATM':>10} {'ATMs':>6} {'cycles':>7} {'min d':>8} "
+                               f"{'median d':>9} {'max d':>8} {'withdrawals/d':>13}")
+        assert printed[header + 1].split() == ["1", "1", "1", "30.0", "30.0", "30.0", "1.0"]
+        assert main(["stats", str(tmp_path / "o" / "cycles"),
+                     "--out", str(tmp_path / "s")]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == \
+            [printed[header].removesuffix(f" {'withdrawals/d':>13}"),
+             printed[header + 1].removesuffix(f" {'1.0':>13}")]
+
     def test_reingest_leaves_only_the_new_logs_cycles(self, tmp_path, capsys):
         out = tmp_path / "ingested"
         for atm_id in ("atmA", "atmB"):
@@ -365,7 +385,10 @@ class TestUsage:
     def test_a_dropped_flag_is_a_usage_error(self, tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err[0].startswith("usage: maintseg ")
+        # the usage of the command that lacks the flag, not the top-level one
+        assert err[0].startswith(f"usage: maintseg {argv[0]} [-h] [--out OUT]")
+        if argv[0] == "stats":
+            assert err[0] == "usage: maintseg stats [-h] [--out OUT] cycles"
         assert [line for line in err if "error" in line] == err[-1:] == \
             [f"error: unrecognized arguments: {' '.join(argv[-2:])}"]
         assert not (tmp_path / "o").exists()
@@ -375,6 +398,7 @@ class TestUsage:
         TestIngest().write_log(log)
         assert main(["ingest", str(log), "--ii", "-1", "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == "error: ii must be >= 0\n"
+        assert not (tmp_path / "o").exists()
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 1

@@ -3,37 +3,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maintseg.costs import CostCache, SegmentCost, cost, cost_from_label, rbf_bandwidth_median
+from maintseg.costs import CostCache, SegmentCost, cost_from_label, rbf_bandwidth_median
 
 from conftest import direct_cost
 
 
 class TestCostValues:
     def test_l2_constant_segment_is_zero(self):
-        assert cost(np.full(6, 3.3), 0, 6, SegmentCost("l2")) == pytest.approx(0.0, abs=1e-12)
+        cache = CostCache(np.full(6, 3.3), SegmentCost("l2"))
+        assert cache.value(0, 6) == pytest.approx(0.0, abs=1e-12)
 
     def test_l2_hand_value(self):
         # mean 2, sum (x-2)^2 = 4 * 4
-        assert cost(np.array([0.0, 0.0, 4.0, 4.0]), 0, 4, SegmentCost("l2")) == pytest.approx(16.0)
+        cache = CostCache(np.array([0.0, 0.0, 4.0, 4.0]), SegmentCost("l2"))
+        assert cache.value(0, 4) == pytest.approx(16.0)
 
     def test_l1_hand_value(self):
         # median 1, sum |x - 1| = 1 + 0 + 0 + 9
         x = np.array([0.0, 1.0, 1.0, 10.0])
-        assert cost(x, 0, 4, SegmentCost("l1")) == pytest.approx(10.0)
+        assert CostCache(x, SegmentCost("l1")).value(0, 4) == pytest.approx(10.0)
 
     def test_rbf_single_point_is_zero(self):
-        assert cost(np.array([2.5]), 0, 1, SegmentCost("rbf", gamma=1.0)) == pytest.approx(0.0)
+        cache = CostCache(np.array([2.5]), SegmentCost("rbf", gamma=1.0))
+        assert cache.value(0, 1) == pytest.approx(0.0)
 
     def test_rbf_hand_value(self):
         # two points at distance 2, gamma=1: 2 - (2 + 2 e^-4)/2
         x = np.array([0.0, 2.0])
         expected = 2.0 - (2.0 + 2.0 * np.exp(-4.0)) / 2.0
-        assert cost(x, 0, 2, SegmentCost("rbf", gamma=1.0)) == pytest.approx(expected, abs=1e-12)
+        cache = CostCache(x, SegmentCost("rbf", gamma=1.0))
+        assert cache.value(0, 2) == pytest.approx(expected, abs=1e-12)
 
     def test_normal_matches_direct_formula(self, rng):
         x = rng.normal(size=(12, 3))
         spec = SegmentCost("normal")
-        got = cost(x, 2, 10, spec)
+        got = CostCache(x, spec).value(2, 10)
         seg = x[2:10]
         cov = np.cov(seg.T, bias=True) + 1e-6 * np.eye(3)
         expected = 8 * np.log(np.linalg.det(cov))
@@ -163,6 +167,6 @@ class TestCostProperties:
     def test_order_reversal_invariance(self, kind, rng):
         x = rng.normal(size=(15, 2))
         spec = SegmentCost(kind, gamma=1.0 if kind == "rbf" else None)
-        forward = cost(x, 3, 12, spec)
-        backward = cost(x[::-1], 15 - 12, 15 - 3, spec)
+        forward = CostCache(x, spec).value(3, 12)
+        backward = CostCache(x[::-1], spec).value(15 - 12, 15 - 3)
         assert forward == pytest.approx(backward, rel=1e-9)

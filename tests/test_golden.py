@@ -1,9 +1,18 @@
-"""Byte-identity gate: a fixed sweep must keep writing the same results.csv.
+"""Byte-identity gate: a fixed sweep must keep writing the same outputs.
 
-The golden files under ``tests/data/`` hold the records of 2 seeded 40-90-day
-daily cycles x every 7th default-grid config (201 configs), step 7, once
-per alert timing. A change that is meant to keep every result (a faster
-solver, a shared cache) must leave them as they are. A change that is meant
+The golden files under ``tests/data/`` hold what one fixed sweep writes:
+2 seeded 40-90-day daily cycles x every 7th default-grid config (201
+configs), step 7, once per alert timing. For each timing there are
+
+* ``golden_results.<timing>.csv``: the records, as ``save_results`` writes
+  them;
+* ``golden_summary.<timing>.json``: the pp 7, 14 and 21 summary, as
+  ``maintseg sweep`` writes it to ``summary.json``;
+* ``golden_report.<timing>/``: what ``maintseg report`` writes from those
+  records (``curve_*.csv``, ``best_per_cycle.csv``, ``stability.json``).
+
+A change that is meant to keep every result (a faster solver, a shared
+cache, a smaller API) must leave them as they are. A change that is meant
 to move results, such as making PELT exact at min_size > 1 (ROADMAP item
 1), rewrites them on purpose, says so, and reports what moved:
 
@@ -12,47 +21,82 @@ to move results, such as making PELT exact at min_size > 1 (ROADMAP item
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
+from maintseg.cli import main
 from maintseg.core import BusinessParams
 from maintseg.protocol import ALERT_TIMINGS
-from maintseg.sweep import build_grid, default_grid, run_sweep, save_results
+from maintseg.sweep import build_grid, default_grid, run_sweep, save_results, sweep_summary
 from maintseg.synth import SynthSpec, generate_corpus
 
 DATA = Path(__file__).resolve().parent / "data"
 PARAMS = BusinessParams(rd=1.0, pp=14.0, s=0.2)
+PP_LIST = [7.0, 14.0, 21.0]  # maintseg sweep's default --pp-list
 
 
-def golden_path(alert_at: str) -> Path:
-    return DATA / f"golden_results.{alert_at}.csv"
+def results_name(alert_at: str) -> str:
+    return f"golden_results.{alert_at}.csv"
 
 
-def golden_sweep(alert_at: str, workdir: Path) -> str:
-    """Run the golden sweep and return the results.csv it saves."""
+def golden_outputs(alert_at: str, workdir: Path) -> dict[str, bytes]:
+    """Run the golden sweep, summary and report; return each output's bytes
+    under its golden file's path relative to ``tests/data``."""
     cycles = generate_corpus(1, 2, SynthSpec(n_days_min=40, n_days_max=90))
     configs = build_grid(default_grid())[::7]
+    table = run_sweep(cycles, configs, PARAMS, step=7, alert_at=alert_at)
     path = workdir / "results.csv"
-    save_results(run_sweep(cycles, configs, PARAMS, step=7, alert_at=alert_at), path)
-    return path.read_text(encoding="utf-8")
+    save_results(table, path)
+    summary = sweep_summary(table.records, PARAMS, PP_LIST, table.period_hours)
+    report = workdir / "report"
+    assert main(["report", str(path), "--out", str(report)]) == 0
+    return {
+        results_name(alert_at): path.read_bytes(),
+        f"golden_summary.{alert_at}.json": json.dumps(summary, indent=2).encode(),
+        **{f"golden_report.{alert_at}/{p.name}": p.read_bytes()
+           for p in sorted(report.iterdir()) if p.name != "manifest.json"},
+    }
 
 
-@pytest.mark.parametrize("alert_at", ALERT_TIMINGS)
-def test_results_equal_the_golden_file(alert_at, tmp_path):
-    got = golden_sweep(alert_at, tmp_path).splitlines()
-    want = golden_path(alert_at).read_text(encoding="utf-8").splitlines()
+@pytest.fixture(scope="module", params=ALERT_TIMINGS)
+def outputs(request, tmp_path_factory) -> tuple[str, dict[str, bytes]]:
+    """(alert timing, its golden outputs), one sweep per timing."""
+    return request.param, golden_outputs(request.param, tmp_path_factory.mktemp("golden"))
+
+
+def test_results_equal_the_golden_file(outputs):
+    alert_at, got_files = outputs
+    got = got_files[results_name(alert_at)].decode("utf-8").splitlines()
+    want = (DATA / results_name(alert_at)).read_text(encoding="utf-8").splitlines()
     differing = [f"line {i}: want {w!r}, got {g!r}"
                  for i, (w, g) in enumerate(zip(want, got), 1) if w != g]
     assert not differing, f"{len(differing)} records differ; first:\n" + "\n".join(differing[:5])
     assert len(got) == len(want), f"{len(got)} lines, golden file has {len(want)}"
 
 
+def test_summary_and_report_equal_the_golden_files(outputs):
+    alert_at, got_files = outputs
+    report_dir = DATA / f"golden_report.{alert_at}"
+    want_names = {f"golden_summary.{alert_at}.json",
+                  *(f"{report_dir.name}/{p.name}" for p in report_dir.iterdir())}
+    got_names = set(got_files) - {results_name(alert_at)}
+    assert got_names == want_names
+    differing = sorted(name for name in want_names
+                       if (DATA / name).read_bytes() != got_files[name])
+    assert not differing, f"differ from their golden files: {differing}"
+
+
 if __name__ == "__main__":
     import tempfile
 
-    DATA.mkdir(exist_ok=True)
     for timing in ALERT_TIMINGS:
         with tempfile.TemporaryDirectory() as tmp:
-            golden_path(timing).write_text(golden_sweep(timing, Path(tmp)), encoding="utf-8")
-        print(f"wrote {golden_path(timing)}")
+            files = golden_outputs(timing, Path(tmp))
+        for stale in (DATA / f"golden_report.{timing}").glob("*"):
+            stale.unlink()
+        for name, data in files.items():
+            (DATA / name).parent.mkdir(parents=True, exist_ok=True)
+            (DATA / name).write_bytes(data)
+        print(f"wrote {len(files)} golden files for alert timing {timing}")

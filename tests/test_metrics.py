@@ -243,10 +243,9 @@ class TestModelStability:
         assert stats.n_atms_multi_cycle == 2
         assert stats.n_atms_over_two_cycles == 0
 
-    def test_config_level(self):
+    def test_a_model_is_a_method_not_a_config(self):
         per_cycle = [
             CycleBest("a", 0, 1.0, "PELT/l2/1.0/2/-/0/-"),
             CycleBest("a", 1, 1.0, "PELT/l2/2.0/2/-/0/-"),
         ]
-        assert model_stability(per_cycle, level="method").same_model_fraction == 1.0
-        assert model_stability(per_cycle, level="config").same_model_fraction == 0.0
+        assert model_stability(per_cycle).same_model_fraction == 1.0
