@@ -1,8 +1,14 @@
 """Byte-identity gate: a fixed sweep must keep writing the same outputs.
 
 The golden files under ``tests/data/`` hold what one fixed sweep writes:
-2 seeded 40-90-day daily cycles x every 7th default-grid config (201
-configs), step 7, once per alert timing. For each timing there are
+3 seeded 40-90-day daily cycles of one machine x every 7th default-grid
+config (201 configs), step 7, once per alert timing. The third cycle's
+samples are quantized to multiples of 1/8, as ratios of small event counts
+are in real logs, so ties and flat runs (where the matrix profile's
+neighbour choice and the detectors' tie-breaking decide results) are under
+the gate too, and with three cycles of one machine the report's
+``one_change_fraction`` has a non-empty denominator. For each timing there
+are
 
 * ``golden_results.<timing>.csv``: the records, as ``save_results`` writes
   them;
@@ -22,8 +28,10 @@ to move results, such as making PELT exact at min_size > 1 (ROADMAP item
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from maintseg.cli import main
@@ -41,10 +49,18 @@ def results_name(alert_at: str) -> str:
     return f"golden_results.{alert_at}.csv"
 
 
+def golden_corpus() -> list:
+    """``synth0001``'s two cycles, then ``synth0002`` cycle 0 (n = 41) with
+    its samples quantized to multiples of 1/8 as ``synth0001`` cycle 2."""
+    first, second, third = generate_corpus(1, 3, SynthSpec(n_days_min=40, n_days_max=90))
+    return [first, second, replace(third, atm_id=first.atm_id, cycle_index=2,
+                                   samples=np.round(third.samples * 8) / 8)]
+
+
 def golden_outputs(alert_at: str, workdir: Path) -> dict[str, bytes]:
     """Run the golden sweep, summary and report; return each output's bytes
     under its golden file's path relative to ``tests/data``."""
-    cycles = generate_corpus(1, 2, SynthSpec(n_days_min=40, n_days_max=90))
+    cycles = golden_corpus()
     configs = build_grid(default_grid())[::7]
     table = run_sweep(cycles, configs, PARAMS, step=7, alert_at=alert_at)
     path = workdir / "results.csv"
