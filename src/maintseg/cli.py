@@ -10,24 +10,23 @@ Every command takes --out and only the other flags it reads:
   synth     --seed --n-cycles --n-days-min --n-days-max --change-offset
 
 All durations on the CLI are in days and converted internally using the
-resampling period. Plot data is emitted as CSV, not images. Exit codes:
-0 success, 1 usage or input error, 2 a sweep completed with failed pairs.
-Set MAINTSEG_LOG=INFO (or DEBUG) for progress logging.
+resampling period. Plot data is emitted as CSV, not images. Outputs are UTF-8
+with "\n" line ends, each written whole (results.csv grows as a sweep runs).
+Exit codes: 0 success, 1 usage or input error, 2 a sweep completed with
+failed pairs. Set MAINTSEG_LOG=INFO (or DEBUG) for progress logging.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
-from .core import BusinessParams
+from .core import BusinessParams, write_csv, write_json
 from .detectors import DetectorConfig
 from .ingest import (
     CodeGroupingConfig,
@@ -125,17 +124,13 @@ def build_parser() -> _Parser:
 
 
 def _write_manifest(args, extra: dict | None = None) -> None:
-    out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = {
+    write_json(args.out / "manifest.json", {
         "tool": f"maintseg {__version__}",
         "command": args.command,
         "args": {k: (str(v) if isinstance(v, Path) else v)
                  for k, v in sorted(vars(args).items())},
-    }
-    if extra:
-        manifest.update(extra)
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+        **(extra or {}),
+    })
 
 
 def _step_buckets(step_days: int, period_hours: float) -> int:
@@ -174,8 +169,9 @@ def _print_groups(stats: DatasetStats) -> None:
 
 
 def cmd_ingest(args) -> int:
-    fmt = LogFormat.from_json(args.log_format.read_text()) if args.log_format else LogFormat()
-    grouping = (CodeGroupingConfig.from_json(args.grouping.read_text())
+    fmt = (LogFormat.from_json(args.log_format.read_text(encoding="utf-8"))
+           if args.log_format else LogFormat())
+    grouping = (CodeGroupingConfig.from_json(args.grouping.read_text(encoding="utf-8"))
                 if args.grouping else default_grouping())
     parsed = parse_event_log(args.log, fmt)
     if not parsed.records:
@@ -212,21 +208,17 @@ def cmd_evaluate(args) -> int:
     step = _step_buckets(args.step, period)
     _write_manifest(args)
 
-    records = []
+    records, rows = [], []
+    for cycle in sorted(cycles, key=lambda c: c.key):
+        alert, trace = run_streaming_trace(cycle, config, step, args.alert_at)
+        rows.extend((cycle.atm_id, cycle.cycle_index, row.end_index, int(row.fired),
+                     row.change_point, row.score)
+                    for row in trace)
+        records.append(score_alert(cycle.atm_id, cycle.cycle_index, config.config_id,
+                                   alert, cycle.n, params, period))
     trace_path = args.out / "traces.csv"
-    with open(trace_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["atm_id", "cycle_index", "window_end", "fired",
-                         "change_point", "score"])
-        for cycle in sorted(cycles, key=lambda c: c.key):
-            alert, trace = run_streaming_trace(cycle, config, step, args.alert_at)
-            for row in trace:
-                writer.writerow([cycle.atm_id, cycle.cycle_index, row.end_index,
-                                 int(row.fired),
-                                 "" if row.change_point is None else row.change_point,
-                                 repr(row.score)])
-            records.append(score_alert(cycle.atm_id, cycle.cycle_index, config.config_id,
-                                       alert, cycle.n, params, period))
+    write_csv(trace_path, ["atm_id", "cycle_index", "window_end", "fired", "change_point",
+                           "score"], rows)
     agg = aggregate(records)
     print(f"config: {config.config_id}")
     print(f"cycles: {agg.n_records}  TP={agg.tp} FP={agg.fp} FN={agg.fn}")
@@ -240,7 +232,8 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     params = BusinessParams(rd=args.rd, pp=args.pp, s=args.s)
     cycles = load_cycles(args.cycles)
-    spec = GridSpec.from_json(args.grid.read_text()) if args.grid else default_grid()
+    spec = (GridSpec.from_json(args.grid.read_text(encoding="utf-8"))
+            if args.grid else default_grid())
     configs = build_grid(spec)
     step = _step_buckets(args.step, cycles[0].period)
     _write_manifest(args, {"n_configs": len(configs), "n_cycles": len(cycles)})
@@ -254,7 +247,7 @@ def cmd_sweep(args) -> int:
         return 2
     entries = sweep_summary(table.records, params, _pp_list(args.pp_list),
                             table.period_hours)
-    (args.out / "summary.json").write_text(json.dumps(entries, indent=2))
+    write_json(args.out / "summary.json", entries)
     for entry in entries:
         print(f"pp={entry['pp']:g}: best-per-sample mean E_s = "
               f"{entry['best_per_sample_mean']:.4f}")
@@ -275,40 +268,21 @@ def cmd_report(args) -> int:
     entries = sweep_summary(table.records, table.params, pp_values, table.period_hours)
 
     methods = sorted({r.config_id.split("/")[0] for r in table.records})
+    columns = ["mean_e", "precision", "recall", "config_id"]
     for method in methods:
-        path = args.out / f"curve_{method}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["pp", "mean_e", "precision", "recall", "config_id"])
-            for entry in entries:
-                info = entry["methods"][method]
-                writer.writerow([entry["pp"], repr(info["mean_e"]),
-                                 repr(info["precision"]), repr(info["recall"]),
-                                 info["config_id"]])
-    best_curve = args.out / "curve_best_per_sample.csv"
-    with open(best_curve, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pp", "mean_e"])
-        for entry in entries:
-            writer.writerow([entry["pp"], repr(entry["best_per_sample_mean"])])
+        write_csv(args.out / f"curve_{method}.csv", ["pp", *columns],
+                  ([e["pp"], *(e["methods"][method][k] for k in columns)] for e in entries))
+    write_csv(args.out / "curve_best_per_sample.csv", ["pp", "mean_e"],
+              ([e["pp"], e["best_per_sample_mean"]] for e in entries))
 
     scored = rescore(table.records, replace(table.params, pp=args.pp),
                      table.period_hours)
     best = best_per_sample(scored)
-    best_path = args.out / "best_per_cycle.csv"
-    with open(best_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["atm_id", "cycle_index", "e_score", "config_id"])
-        for b in best.per_cycle:
-            writer.writerow([b.atm_id, b.cycle_index, repr(b.e), b.config_id])
+    write_csv(args.out / "best_per_cycle.csv", ["atm_id", "cycle_index", "e_score", "config_id"],
+              ([b.atm_id, b.cycle_index, b.e, b.config_id] for b in best.per_cycle))
 
     stability = model_stability(best.per_cycle)
-    (args.out / "stability.json").write_text(json.dumps({
-        "same_model_fraction": stability.same_model_fraction,
-        "one_change_fraction": stability.one_change_fraction,
-        "n_atms_multi_cycle": stability.n_atms_multi_cycle,
-        "n_atms_over_two_cycles": stability.n_atms_over_two_cycles,
-    }, indent=2))
+    write_json(args.out / "stability.json", asdict(stability))
     print(f"curves written for {len(methods)} methods to {args.out}")
     print(f"same-model fraction: {stability.same_model_fraction:.2f} "
           f"({stability.n_atms_multi_cycle} multi-cycle ATMs)")

@@ -1,15 +1,22 @@
-"""Shared domain types plus windowing and normalization primitives.
+"""Shared domain types, windowing and normalization primitives, and the
+one writer of every file maintseg writes (:func:`write_whole`).
 
-Everything here is immutable after construction and every operation is a
-pure function, so all of it is safe for unrestricted concurrent use. The
-one exception is a window's private memo, which the detectors fill with
-work that depends only on the window (see :class:`Window`).
+The types are immutable after construction and the primitives are pure
+functions, so they are safe for unrestricted concurrent use. The one
+exception is a window's private memo, which the detectors fill with work
+that depends only on the window (see :class:`Window`).
 """
 
 from __future__ import annotations
 
+import csv
+import itertools
+import json
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -194,3 +201,36 @@ def prefix_windows(cycle: LifeCycle, step: int = 7) -> list[Window]:
     if not ends or ends[-1] != n:
         ends.append(n)
     return [Window(cycle, e) for e in ends]
+
+
+class _Echo:
+    write = staticmethod(str)  # hands back the line that csv.writer gives it
+
+
+# the one CSV dialect: csv's default quoting (a field holding a comma, quote
+# or line end is quoted), floats written with repr, "\n" line ends
+csv_line = csv.writer(_Echo(), lineterminator="\n").writerow
+
+
+def write_whole(path, lines: Iterable[str]) -> None:
+    """Write ``lines`` to ``path`` as UTF-8 through a temp file and a rename,
+    creating the parent directory. A kill leaves the old file or the new one,
+    whole; if ``lines`` raises, the old file stays and the temp file goes."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path, header: Iterable, rows: Iterable[Iterable]) -> None:
+    write_whole(path, map(csv_line, itertools.chain([header], rows)))
+
+
+def write_json(path, doc) -> None:
+    write_whole(path, [json.dumps(doc, indent=2)])

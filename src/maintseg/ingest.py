@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import LifeCycle, parse_timestamp
+from .core import LifeCycle, parse_timestamp, write_csv, write_json
 
 __all__ = [
     "SEVERITIES",
@@ -161,7 +161,8 @@ class CodeGroupingConfig:
 
 def default_grouping() -> CodeGroupingConfig:
     """The shipped ATM distribution-module mapping (15 codes, 4 ratio features)."""
-    text = resources.files("maintseg").joinpath("data/atm_grouping.json").read_text()
+    text = resources.files("maintseg").joinpath("data/atm_grouping.json").read_text(
+        encoding="utf-8")
     return CodeGroupingConfig.from_json(text)
 
 
@@ -481,15 +482,9 @@ def cycle_basename(cycle: LifeCycle) -> str:
 
 
 def save_cycle(cycle: LifeCycle, out_dir) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    base = out_dir / cycle_basename(cycle)
+    base = Path(out_dir) / cycle_basename(cycle)
     csv_path = base.with_suffix(".csv")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cycle.feature_names)
-        for row in cycle.samples:
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv(csv_path, cycle.feature_names, cycle.samples.tolist())
     sidecar = {
         "atm_id": cycle.atm_id,
         "cycle_index": cycle.cycle_index,
@@ -497,13 +492,13 @@ def save_cycle(cycle: LifeCycle, out_dir) -> Path:
         "period_hours": cycle.period,
         "ended_in_failure": cycle.ended_in_failure,
     }
-    base.with_suffix(".json").write_text(json.dumps(sidecar, indent=2))
+    write_json(base.with_suffix(".json"), sidecar)
     return csv_path
 
 
 def load_cycle(csv_path) -> LifeCycle:
     csv_path = Path(csv_path)
-    sidecar = json.loads(csv_path.with_suffix(".json").read_text())
+    sidecar = json.loads(csv_path.with_suffix(".json").read_text(encoding="utf-8"))
     with open(csv_path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         names = tuple(next(reader))

@@ -14,11 +14,12 @@ and settings, and another grid needs another results file.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import itertools
 import json
 import logging
-import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -28,7 +29,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from . import __version__
-from .core import BusinessParams, LifeCycle
+from .core import BusinessParams, LifeCycle, csv_line, write_csv, write_json
 from .costs import cost_from_label
 from .detectors import METHODS, DetectorConfig, workspace_key
 from .metrics import EvaluationRecord, best_average_config, best_per_sample, e_score
@@ -138,7 +139,8 @@ def build_grid(spec: GridSpec) -> list[DetectorConfig]:
 
 def default_grid() -> GridSpec:
     """The shipped default grid (~250-350 configs per method)."""
-    text = resources.files("maintseg").joinpath("data/default_grid.json").read_text()
+    text = resources.files("maintseg").joinpath("data/default_grid.json").read_text(
+        encoding="utf-8")
     return GridSpec.from_json(text)
 
 
@@ -282,7 +284,7 @@ def run_sweep(cycles: Sequence[LifeCycle], configs: Sequence[DetectorConfig],
                     continue
                 table.records.append(outcome)
                 if sink is not None:
-                    sink.write(_csv_line(outcome))
+                    sink.write(csv_line(_row(outcome)))
             if sink is not None:
                 sink.flush()
             before, finished = finished, finished + len(family)
@@ -327,15 +329,12 @@ def _run_tasks(tasks, workers: int) -> Iterable:
                 future.cancel()
 
 
-def _csv_line(r: EvaluationRecord) -> str:
-    if "," in r.atm_id:
-        raise ValueError(f"atm_id {r.atm_id!r} may not contain commas")
-    if r.alert is None:
-        step_end = cp = a = ""
-    else:
-        step_end, cp, a = r.alert.step_end_index, r.alert.change_point_index, r.alert.a
-    return (f"{r.atm_id},{r.cycle_index},{r.config_id},{r.verdict.value},"
-            f"{step_end},{cp},{a},{r.n},{r.e!r}\n")
+def _row(r: EvaluationRecord) -> tuple:
+    """A record's fields in ``RESULT_COLUMNS`` order; no alert is three
+    empty fields."""
+    alert = (("", "", "") if r.alert is None
+             else (r.alert.step_end_index, r.alert.change_point_index, r.alert.a))
+    return (r.atm_id, r.cycle_index, r.config_id, r.verdict.value, *alert, r.n, r.e)
 
 
 def _settings(table: ResultsTable) -> dict:
@@ -355,25 +354,14 @@ def _meta_path(path: Path) -> Path:
     return path.with_suffix(path.suffix + ".meta.json")
 
 
-def _write_whole(path: Path, lines: Iterable[str]) -> None:
-    """Write ``path`` through a temp file and a rename, so that a kill leaves
-    either the old file or the new one, whole."""
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(lines)
-    os.replace(tmp, path)
-
-
 def save_results(table: ResultsTable, path) -> None:
     """Write the metadata sidecar, then the records CSV (stable column order)."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     table.sort()
     meta = {**_settings(table), "version": table.version,
             "failures": [asdict(f) for f in table.failures]}
-    _write_whole(_meta_path(path), [json.dumps(meta, indent=2)])
-    _write_whole(path, itertools.chain([",".join(RESULT_COLUMNS) + "\n"],
-                                       map(_csv_line, table.records)))
+    write_json(_meta_path(path), meta)
+    write_csv(path, RESULT_COLUMNS, map(_row, table.records))
 
 
 def load_results(path) -> ResultsTable:
@@ -384,7 +372,7 @@ def load_results(path) -> ResultsTable:
     if not meta_path.exists():
         raise ValueError(f"results file {path} has no sidecar {meta_path.name}, "
                          "so its corpus and settings are unknown")
-    meta = json.loads(meta_path.read_text())
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
     try:
         params = BusinessParams(**meta["params"])
         table = ResultsTable(
@@ -395,25 +383,26 @@ def load_results(path) -> ResultsTable:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed results sidecar {meta_path}: {exc!r}") from exc
 
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if tuple(header) != RESULT_COLUMNS:
-            raise ValueError(f"unexpected results header {header}")
-        for line in fh:
-            if not line.endswith("\n"):
-                continue  # a last record that a kill cut short
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            atm_id, cyc, config_id, verdict, step_end, cp, a, n, e = line.split(",")
-            alert = None
-            if step_end != "":
-                alert = Alert(step_end_index=int(step_end),
-                              change_point_index=int(cp), a=int(a))
-            table.records.append(EvaluationRecord(
-                atm_id=atm_id, cycle_index=int(cyc), config_id=config_id,
-                verdict=Verdict(verdict), alert=alert, e=float(e), n=int(n),
-                params=params))
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    rows = list(csv.reader(io.StringIO(text)))
+    if rows and (not text.endswith("\n") or len(rows[-1]) != len(RESULT_COLUMNS)):
+        rows.pop()  # cut short by a kill, maybe after a line break in a quoted id
+    header = rows[0] if rows else []
+    if tuple(header) != RESULT_COLUMNS:
+        raise ValueError(f"unexpected results header {header}")
+    for row in rows[1:]:
+        if not row:
+            continue
+        atm_id, cyc, config_id, verdict, step_end, cp, a, n, e = row
+        alert = None
+        if step_end != "":
+            alert = Alert(step_end_index=int(step_end),
+                          change_point_index=int(cp), a=int(a))
+        table.records.append(EvaluationRecord(
+            atm_id=atm_id, cycle_index=int(cyc), config_id=config_id,
+            verdict=Verdict(verdict), alert=alert, e=float(e), n=int(n),
+            params=params))
     table.sort()
     return table
 

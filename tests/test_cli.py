@@ -1,13 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import maintseg
 from maintseg.cli import build_parser, main
 from maintseg.core import BusinessParams
 from maintseg.protocol import Verdict
-from maintseg.sweep import ResultsTable, save_results
+from maintseg.sweep import ResultsTable, load_results, save_results
 from maintseg.metrics import EvaluationRecord
 from maintseg.protocol import Alert
 from maintseg.synth import SynthSpec, generate_corpus
@@ -84,7 +89,7 @@ class TestIngest:
             ts = t0 + timedelta(days=day)
             rows.append(f"{ts:%Y-%m-%dT%H:%M:%SZ},{atm_id},0,6000")
         rows.append(f"{t0 + timedelta(days=n_days):%Y-%m-%dT%H:%M:%SZ},{atm_id},0,6001")
-        path.write_text("\n".join(rows) + "\n")
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
     def test_counts_printed_and_cycles_written(self, tmp_path, capsys):
         log = tmp_path / "log.csv"
@@ -356,6 +361,57 @@ class TestReport:
         stability = json.loads((out / "stability.json").read_text())
         assert stability["same_model_fraction"] == 0.5
         assert "0.50" in capsys.readouterr().out
+
+
+class TestOutputs:
+    """Every file the CLI writes is UTF-8 with "\\n" line ends, whatever
+    the machine ids and the host's locale."""
+
+    def test_no_output_holds_a_carriage_return(self, corpus, tmp_path):
+        log = tmp_path / "log.csv"
+        TestIngest().write_log(log, atm_id='"ATM, Paris 1"')  # a quoted field
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(TINY_GRID))
+        cycles = tmp_path / "ingest" / "cycles"
+        for argv in (["ingest", str(log)],
+                     ["evaluate", str(cycles), "--config", "PELT/l2/5.0/2/-/0/-"],
+                     ["sweep", str(cycles), "--grid", str(grid)],
+                     ["report", str(tmp_path / "sweep" / "results.csv")]):
+            assert main([*argv, "--out", str(tmp_path / argv[0])]) == 0, argv
+        assert {r.atm_id for r in load_results(tmp_path / "sweep" / "results.csv").records} \
+            == {"ATM, Paris 1"}
+        # the corpus fixture ran synth into tmp_path / "synth"
+        written = [p for p in tmp_path.rglob("*") if p.is_file() and p not in (log, grid)]
+        assert {p.parent.name for p in written} >= {"synth", "cycles", "evaluate",
+                                                    "sweep", "report"}
+        for path in written:
+            assert b"\r" not in path.read_bytes(), path
+            path.read_bytes().decode("utf-8")
+
+    def test_c_locale_host(self, tmp_path):
+        """Without a UTF-8 locale or Python's UTF-8 mode, a non-ASCII machine
+        id and feature name are read and written as UTF-8."""
+        grouping = json.loads(resources.files("maintseg").joinpath(
+            "data/atm_grouping.json").read_text(encoding="utf-8"))
+        grouping["features"][0]["name"] = "erreur_distribution_é"
+        (tmp_path / "g.json").write_text(json.dumps(grouping, ensure_ascii=False),
+                                         encoding="utf-8")
+        TestIngest().write_log(tmp_path / "log.csv", atm_id="Zürich-1")
+        (tmp_path / "grid.json").write_text(json.dumps({"PELT": TINY_GRID["PELT"]}))
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONIOENCODING": "",
+               "PYTHONPATH": str(Path(maintseg.__file__).resolve().parents[1])}
+        for argv in (["ingest", "log.csv", "--grouping", "g.json"],
+                     ["evaluate", "ingest/cycles", "--config", "PELT/l2/5.0/2/-/0/-"],
+                     ["sweep", "ingest/cycles", "--grid", "grid.json"],
+                     ["report", "sweep/results.csv"]):
+            done = subprocess.run([sys.executable, "-m", "maintseg.cli", *argv,
+                                   "--out", argv[0]], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True)
+            assert done.returncode == 0, (argv, done.stderr)
+        (cycle_csv,) = (tmp_path / "ingest" / "cycles").glob("*.csv")
+        assert cycle_csv.read_text(encoding="utf-8").startswith("erreur_distribution_é,")
+        for path in ("evaluate/traces.csv", "report/best_per_cycle.csv"):
+            assert "Zürich-1," in (tmp_path / path).read_text(encoding="utf-8")
 
 
 SCORING = {"--rd", "--pp", "--s", "--step", "--alert-at"}

@@ -1,9 +1,19 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from maintseg.core import DEGENERATE_STD, BusinessParams, Window, prefix_windows, znormalize
+from maintseg.core import (
+    DEGENERATE_STD,
+    BusinessParams,
+    Window,
+    csv_line,
+    prefix_windows,
+    write_whole,
+    znormalize,
+)
 
 from conftest import make_cycle
 
@@ -143,3 +153,33 @@ class TestDomainTypes:
         cycle = make_cycle(np.ones(4))
         with pytest.raises(ValueError):
             cycle.samples[0, 0] = 2.0
+
+
+class TestWriteWhole:
+    def test_utf8_with_the_line_ends_given(self, tmp_path):
+        path = tmp_path / "sub" / "out.csv"
+        write_whole(path, ["Zürich\n", "a\r\n"])
+        assert path.read_bytes() == "Zürich\na\r\n".encode("utf-8")
+
+    def test_a_raising_source_leaves_the_old_file_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_whole(path, ["old\n"])
+
+        def rows():
+            yield "new\n"
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            write_whole(path, rows())
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_csv_lines_quote_what_needs_it_and_read_back(self):
+        rows = [["ATM, Paris 1", 0, 0.1, None],
+                ['say "hi"', -1, float("inf"), "two\nlines"],
+                ["Zürich", 2, 1e-17, ""]]
+        text = "".join(map(csv_line, rows))
+        assert "\r" not in text
+        assert text.splitlines()[0] == '"ATM, Paris 1",0,0.1,'
+        assert list(csv.reader(text.splitlines(keepends=True))) == \
+            [[str(v) if v is not None else "" for v in row] for row in rows]

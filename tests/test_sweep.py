@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,8 +35,14 @@ NEVER = DetectorConfig("PELT", penalty=1e12, min_size=2)
 TUNED = DetectorConfig("PELT", penalty=5.0, min_size=2)
 
 
-def small_corpus(n_cycles=4, seed=0):
-    return generate_corpus(seed, n_cycles, SynthSpec(n_days_min=30, n_days_max=45))
+def small_corpus(n_cycles=4, seed=0, atm_id="synth0001"):
+    """Seeded cycles, with machine synth0001 renamed ``atm_id``."""
+    cycles = generate_corpus(seed, n_cycles, SynthSpec(n_days_min=30, n_days_max=45))
+    return [replace(c, atm_id=atm_id) if c.atm_id == "synth0001" else c for c in cycles]
+
+
+# machine ids that the results CSV must quote
+QUOTED_IDS = ["ATM, Paris 1", 'Zürich "Nord"']
 
 
 def interrupted_sweep(monkeypatch, cycles, configs, path, pairs, **kwargs):
@@ -142,15 +149,16 @@ class TestRunSweep:
         assert resumed.records == full.records
         assert partial_path.read_text() == full_path.read_text()
 
-    def test_interrupted_run_resumes_with_its_settings(self, tmp_path, monkeypatch):
-        cycles = small_corpus()
+    @pytest.mark.parametrize("atm_id", ["synth0001", *QUOTED_IDS])
+    def test_interrupted_run_resumes_with_its_settings(self, tmp_path, monkeypatch, atm_id):
+        cycles = small_corpus(atm_id=atm_id)
         configs = [NEVER, TUNED]
         full = run_sweep(cycles, configs, PARAMS, step=14, results_path=tmp_path / "full.csv")
         path = tmp_path / "results.csv"
         interrupted_sweep(monkeypatch, cycles, configs, path, 3, step=14)
         resumed = run_sweep(cycles, configs, PARAMS, step=14, results_path=path)
         assert resumed.records == full.records
-        assert path.read_text() == (tmp_path / "full.csv").read_text()
+        assert path.read_bytes() == (tmp_path / "full.csv").read_bytes()
 
     def test_interrupted_run_refuses_another_corpus(self, tmp_path, monkeypatch):
         path = tmp_path / "results.csv"
@@ -341,8 +349,9 @@ class TestRunSweep:
 
 
 class TestResultsIO:
-    def test_round_trip_exact(self, tmp_path):
-        cycles = small_corpus()
+    @pytest.mark.parametrize("atm_id", ["synth0001", *QUOTED_IDS])
+    def test_round_trip_exact(self, tmp_path, atm_id):
+        cycles = small_corpus(atm_id=atm_id)
         table = run_sweep(cycles, [TUNED, NEVER], PARAMS)
         path = tmp_path / "results.csv"
         save_results(table, path)
@@ -352,15 +361,21 @@ class TestResultsIO:
         assert loaded.fingerprint == table.fingerprint
         assert loaded.params == table.params
 
-    @pytest.mark.parametrize("cut", [20, 6], ids=["fields-missing", "inside-e-score"])
-    def test_torn_last_line_is_not_a_record(self, tmp_path, cut):
+    @pytest.mark.parametrize("atm_id, cut", [
+        ("synth0001", lambda data: len(data) - 20),
+        ("synth0001", lambda data: len(data) - 6),
+        # the last machine's id holds a line break, and the cut falls after it
+        ("zz\nline", lambda data: data.rindex(b"line")),
+    ], ids=["fields-missing", "inside-e-score", "inside-a-quoted-id"])
+    def test_torn_last_line_is_not_a_record(self, tmp_path, atm_id, cut):
         path = tmp_path / "results.csv"
         early = DetectorConfig("PELT", penalty=0.01, min_size=2)  # FP, e far from round
-        table = run_sweep(small_corpus(), [early], PARAMS, results_path=path)
+        table = run_sweep(small_corpus(atm_id=atm_id), [early], PARAMS, results_path=path)
         data = path.read_bytes()
-        path.write_bytes(data[:-cut])
-        if cut == 6:  # the torn line still has all nine fields
-            assert data[:-cut].rsplit(b"\n", 1)[1].count(b",") == 8
+        torn = data[:cut(data)]
+        path.write_bytes(torn)
+        if len(data) - len(torn) == 6:  # the torn line still has all nine fields
+            assert torn.rsplit(b"\n", 1)[1].count(b",") == 8
         assert load_results(path).records == table.records[:-1]
 
     def test_header_validated(self, tmp_path):
