@@ -1,14 +1,17 @@
 """Byte-identity gate: a fixed sweep must keep writing the same outputs.
 
 The golden files under ``tests/data/`` hold what one fixed sweep writes:
-3 seeded 40-90-day daily cycles of one machine x every 7th default-grid
-config (201 configs), step 7, once per alert timing. The third cycle's
-samples are quantized to multiples of 1/8, as ratios of small event counts
-are in real logs, so ties and flat runs (where the matrix profile's
-neighbour choice and the detectors' tie-breaking decide results) are under
-the gate too, and with three cycles of one machine the report's
-``one_change_fraction`` has a non-empty denominator. For each timing there
-are
+4 seeded 40-90-day daily cycles (three of one machine, one of another) x
+every 7th default-grid config (201 configs), step 7, once per alert timing.
+The third and fourth cycles' samples are quantized to multiples of 1/8, as
+ratios of small event counts are in real logs, so ties and flat runs (where
+the matrix profile's neighbour choice and the detectors' tie-breaking
+decide results) are under the gate too. The fourth is 79 days long, so
+FLUSS at m = 5 and 7 has interior arc-curve points (an interior needs
+n >= 11 m) on quantized data, and some of its alerts depend on which of
+several equally near neighbours the matrix profile picks. With three
+cycles of one machine the report's ``one_change_fraction`` has a non-empty
+denominator. For each timing there are
 
 * ``golden_results.<timing>.csv``: the records, as ``save_results`` writes
   them;
@@ -51,10 +54,17 @@ def results_name(alert_at: str) -> str:
 
 def golden_corpus() -> list:
     """``synth0001``'s two cycles, then ``synth0002`` cycle 0 (n = 41) with
-    its samples quantized to multiples of 1/8 as ``synth0001`` cycle 2."""
-    first, second, third = generate_corpus(1, 3, SynthSpec(n_days_min=40, n_days_max=90))
-    return [first, second, replace(third, atm_id=first.atm_id, cycle_index=2,
-                                   samples=np.round(third.samples * 8) / 8)]
+    its samples quantized to multiples of 1/8 as ``synth0001`` cycle 2, then
+    ``synth0009`` cycle 0 (n = 79), quantized the same way."""
+    first, second, third, *_, fourth = generate_corpus(
+        1, 15, SynthSpec(n_days_min=40, n_days_max=90))
+    return [first, second,
+            replace(third, atm_id=first.atm_id, cycle_index=2, samples=quantized(third)),
+            replace(fourth, samples=quantized(fourth))]
+
+
+def quantized(cycle) -> np.ndarray:
+    return np.round(cycle.samples * 8) / 8
 
 
 def golden_outputs(alert_at: str, workdir: Path) -> dict[str, bytes]:
