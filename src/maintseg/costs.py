@@ -11,15 +11,21 @@ A :class:`CostCache` builds one signal's tables for its cost kind and then
 answers every query through ``values(starts, ends)``, one batch of segments
 per call. l2 and rbf cost O(1) per segment after an O(n)/O(n^2) precompute,
 normal O(d^3) per segment (one batched log-determinant) after an O(n d^2)
-precompute, and l1 O((b-a) log(b-a)) per segment (a sort each, whose
-middle row or rows give the median), kept in a lazily filled (n+1)^2 table
-so that no segment's median is taken twice. A cache holds no state but
+precompute, and l1 O((b-a) log(b-a)) per segment (a sort, whose middle row
+or rows give the median), kept in a lazily filled (n+1)^2 table so that no
+segment's median is taken twice. l1 segments are computed in batches of
+one length (one diagonal b - a of the table): a missed segment whose
+diagonal neighbour [a-1, b-1) is known fills the rest of its diagonal in
+one sort, as PELT's column-by-column walk asks for it next; any other miss
+is computed alone. Either way each cost is bitwise
+``np.abs(seg - np.median(seg, axis=0)).sum()``. A cache holds no state but
 these tables, so the detectors share one per window and cost label across
 every config evaluated on that window (see ``detectors.detect_with_score``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +37,9 @@ COST_KINDS = ("l1", "l2", "normal", "rbf")
 # Regularizes the covariance diagonal of the normal cost (low-activity
 # segments are exactly singular without it).
 NORMAL_EPS = 1e-6
+
+# Most samples (segments x length x channels) one batch of l1 medians holds.
+_L1_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -71,6 +80,8 @@ def as_signal(signal: np.ndarray) -> np.ndarray:
         x = x[:, None]
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"signal must be a non-empty 1-D or 2-D array, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("signal must be finite (no NaN or inf)")
     return x
 
 
@@ -132,6 +143,10 @@ class CostCache:
         elif kind == "l1":
             # _l1_table[a, b] = cost of [a, b), NaN until first asked for
             self._l1_table = np.full((self.n + 1, self.n + 1), np.nan)
+            # the samples flat in row order and channel by channel, which
+            # _fill_l1 views as batches of segments
+            self._l1_by_row = np.ascontiguousarray(x).ravel()
+            self._l1_by_channel = np.ascontiguousarray(x.T).ravel()
 
     def value(self, a: int, b: int) -> float:
         if not 0 <= a < b <= self.n:
@@ -155,16 +170,55 @@ class CostCache:
         starts, ends = np.broadcast_arrays(starts, ends)
         table = self._l1_table
         out = table[starts, ends]
-        for i in np.flatnonzero(np.isnan(out)):
-            a, b = starts[i], ends[i]
-            seg = self.signal[a:b]
-            # np.median(seg, axis=0) for finite samples, bitwise: the middle
-            # row of the sorted segment, or the mean of the two middle rows
-            ranked = np.sort(seg, axis=0)
-            mid = (b - a) // 2
-            med = ranked[mid] if (b - a) % 2 else (ranked[mid - 1] + ranked[mid]) / 2
-            out[i] = table[a, b] = np.abs(seg - med).sum()
+        misses = np.flatnonzero(np.isnan(out))
+        for a, b in zip(starts[misses].tolist(), ends[misses].tolist()):
+            if not math.isnan(table[a, b]):
+                continue  # filled with an earlier miss's diagonal
+            # PELT walks its starts one column at a time, so a known diagonal
+            # neighbour means the rest of the diagonal will be asked for too;
+            # other solvers ask for a few segments per length
+            last = self.n - (b - a) if a and not math.isnan(table[a - 1, b - 1]) else a
+            self._fill_l1(a, last + 1, b - a)
+        out[misses] = table[starts[misses], ends[misses]]
         return out
+
+    def _fill_l1(self, first: int, stop: int, length: int) -> None:
+        """Fill the l1 table for the segments [a, a + length), first <= a < stop.
+
+        Each cost is bitwise ``np.abs(seg - np.median(seg, axis=0)).sum()``:
+        the median is the middle row, or the mean of the two middle rows, of
+        the sorted segment, and each segment's deviations are summed as one
+        C-ordered (length, d) block, as numpy sums a single segment.
+        """
+        mid = length // 2
+        if stop - first == 1:  # one segment: fewest numpy calls
+            seg = self.signal[first:first + length]
+            ranked = np.sort(seg, axis=0)
+            med = ranked[mid] if length % 2 else (ranked[mid - 1] + ranked[mid]) / 2
+            self._l1_table[first, first + length] = np.abs(seg - med).sum()
+            return
+        n, d = self.signal.shape
+        by_row, by_channel, item = self._l1_by_row, self._l1_by_channel, self.signal.itemsize
+        # the table's cells [a, a + length) lie n + 2 apart in its flat view
+        cells = self._l1_table.reshape(-1)[length::n + 2]
+        step = max(1, _L1_BLOCK // (length * d))  # bounds the temporaries' size
+        for lo in range(first, stop, step):
+            k = min(step, stop - lo)
+            # views of the samples (numpy checks that they stay inside the
+            # buffer; cheaper to make than sliding_window_view's): channel c
+            # of segment lo + i at [c, i] of a (d, k, length) array, so that
+            # the sort copies whole runs, and segment lo + i at [i] of a
+            # (k, length, d) one
+            channels = np.ndarray((d, k, length), float, by_channel, lo * item,
+                                  (n * item, item, item))
+            segs = np.ndarray((k, length, d), float, by_row, lo * d * item,
+                              (d * item, d * item, item))
+            ranked = np.sort(channels, axis=2)
+            med = ranked[:, :, mid] if length % 2 else (ranked[:, :, mid - 1] + ranked[:, :, mid]) / 2
+            dev = np.empty((k, length, d))
+            np.subtract(segs, med.T[:, None, :], out=dev)
+            np.abs(dev, out=dev)
+            cells[lo:lo + k] = dev.sum(axis=(1, 2))
 
     def _l2(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         length = ends - starts

@@ -41,6 +41,11 @@ CHANNEL_RULES = ("any", "sum")
 
 _UNSET = "-"
 
+# Diagonals per block of the matrix profile: enough that numpy's per-call
+# cost is spread over many pairs; each of a block's temporaries holds at
+# most this many times n values.
+_MP_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class Segmentation:
@@ -341,8 +346,11 @@ def matrix_profile(series: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     middle subsequences have no admissible neighbor at all; their profile
     entries stay infinite.
 
-    Computed with O(1)-updated sliding dot products along diagonals,
-    O(n^2) overall.
+    Computed with sliding dot products along the diagonals j - i = k, each
+    one cumulative sum, O(n^2) overall. The diagonals are taken in blocks:
+    one block's distances form a 2-D array in which each subsequence's
+    nearest neighbors to its right and to its left are column minima, so
+    no n_sub x n_sub array is built.
     """
     x = np.asarray(series, dtype=float).ravel()
     n = x.size
@@ -352,13 +360,16 @@ def matrix_profile(series: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     if n < m + excl + 1:
         raise ValueError(f"series of length {n} too short for m={m} "
                          f"(needs at least {m + excl + 1})")
+    if not np.isfinite(x).all():
+        raise ValueError("series must be finite (no NaN or inf)")
     n_sub = n - m + 1
 
     # center the whole series (z-normalized distances are shift-invariant)
     # so the streaming dot products stay well conditioned, and take window
     # moments from a sliding view, which is exact where cumsums cancel.
     x = x - x.mean()
-    windows = np.lib.stride_tricks.sliding_window_view(x, m)
+    hankel = np.lib.stride_tricks.sliding_window_view
+    windows = hankel(x, m)
     mu = windows.mean(axis=1)
     sigma = windows.std(axis=1)
     degen = sigma < DEGENERATE_STD
@@ -367,30 +378,55 @@ def matrix_profile(series: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     index = np.zeros(n_sub, dtype=int)
     sqrt_m = np.sqrt(m)
 
-    for k in range(excl + 1, n_sub):
-        # dot products of all subsequence pairs (i, i + k) in one cumsum
-        prod = x[: n - k] * x[k:]
-        cp = np.concatenate([[0.0], np.cumsum(prod)])
-        qt = cp[m:] - cp[: n - k - m + 1]
-        i = np.arange(n_sub - k)
-        j = i + k
-        ok = ~degen[i] & ~degen[j]
-        d = np.empty(n_sub - k)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            corr = (qt - m * mu[i] * mu[j]) / (m * sigma[i] * sigma[j])
-        d[ok] = np.sqrt(np.maximum(2.0 * m * (1.0 - corr[ok]), 0.0))
-        one_degen = degen[i] ^ degen[j]
-        d[one_degen] = sqrt_m
-        d[degen[i] & degen[j]] = 0.0
+    def padded(a: np.ndarray) -> np.ndarray:
+        # a block's rows run past the last subsequence by up to its height;
+        # those entries are computed from the padding, then masked out
+        return np.concatenate([a, np.zeros(_MP_BLOCK, a.dtype)])
 
-        upd = d < profile[i]  # keep first (smallest) j on ties
-        profile[i[upd]] = d[upd]
-        index[i[upd]] = j[upd]
-        upd = d <= profile[j]  # later candidates have smaller i: replace on ties
-        profile[j[upd]] = d[upd]
-        index[j[upd]] = i[upd]
+    x_pad, mu_pad, sigma_pad, degen_pad = map(padded, (x, mu, sigma, degen))
+    for k0 in range(excl + 1, n_sub, _MP_BLOCK):
+        # row r of the block is the diagonal k = k0 + r and column c the
+        # pair (i, j) = (c, c + k), which exists while j < n_sub
+        rows = min(_MP_BLOCK, n_sub - k0)
+        width = n_sub - k0
+        # dot products of all pairs (i, i + k): one cumsum per row, each
+        # bitwise the cumsum of that diagonal alone
+        prod = x[: n - k0] * hankel(x_pad[k0:], n - k0)[:rows]
+        cp = np.zeros((rows, n - k0 + 1))
+        np.cumsum(prod, axis=1, out=cp[:, 1:])
+        qt = cp[:, m:] - cp[:, :width]
+        mu_j, sigma_j, degen_j = (hankel(a[k0:], width)[:rows]
+                                  for a in (mu_pad, sigma_pad, degen_pad))
+        degen_i = degen[:width]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            corr = (qt - m * mu[:width] * mu_j) / (m * sigma[:width] * sigma_j)
+            d = np.sqrt(np.maximum(2.0 * m * (1.0 - corr), 0.0))
+        d = np.where(degen_i | degen_j, np.where(degen_i & degen_j, 0.0, sqrt_m), d)
+        # the block goes into a buffer whose rows are padded with infinity,
+        # so that a view with one less row stride skews it: skewed[r, c]
+        # holds the pair (c - r, c + k0), and column c is subsequence k0 + c
+        buf = np.full((rows, width + rows), np.inf)
+        cols = np.arange(width)
+        np.copyto(buf[:, :width], d, where=cols < width - np.arange(rows)[:, None])
+        skewed = np.lib.stride_tricks.as_strided(
+            buf, shape=(rows, width), strides=(buf.strides[0] - buf.strides[1], buf.strides[1]))
+
+        r = np.argmin(buf[:, :width], axis=0)  # first minimum -> smallest j
+        _merge(profile, index, slice(0, width), buf[r, cols], cols + k0 + r)
+        r = rows - 1 - np.argmin(skewed[::-1], axis=0)  # last minimum -> smallest i
+        _merge(profile, index, slice(k0, n_sub), skewed[r, cols], cols - r)
 
     return profile, index
+
+
+def _merge(profile: np.ndarray, index: np.ndarray, where: slice,
+           dist: np.ndarray, neighbor: np.ndarray) -> None:
+    """Take each candidate neighbor that is nearer than the one held, or as
+    near with a smaller index."""
+    held, held_index = profile[where], index[where]
+    better = (dist < held) | ((dist == held) & (neighbor < held_index))
+    held[better] = dist[better]
+    held_index[better] = neighbor[better]
 
 
 def fluss_cac(mp_index: np.ndarray, m: int, n_sub: int) -> np.ndarray:

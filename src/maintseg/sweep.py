@@ -21,8 +21,6 @@ import itertools
 import json
 import logging
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -313,6 +311,10 @@ def _run_tasks(tasks, workers: int) -> Iterable:
         for task in tasks:
             yield _evaluate_family(task)
         return
+    # imported here: multiprocessing costs every ``import maintseg`` ~35 ms
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_evaluate_family, task) for task in tasks]
         try:

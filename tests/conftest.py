@@ -56,6 +56,48 @@ def mp_brute_force(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return profile, index
 
 
+def mp_diagonal_sweep(series: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix profile one diagonal j - i = k at a time, as maintseg
+    computed it before it took the diagonals in blocks: the reference the
+    blocked kernel must match bit for bit, ties included.
+
+    Each diagonal's sliding dot products are one cumsum; a pair updates
+    its left end when strictly nearer (so the first, smallest j wins ties)
+    and its right end when no farther (later diagonals have smaller i).
+    """
+    x = np.asarray(series, dtype=float).ravel()
+    n = x.size
+    excl = (m + 1) // 2
+    n_sub = n - m + 1
+    x = x - x.mean()
+    windows = np.lib.stride_tricks.sliding_window_view(x, m)
+    mu = windows.mean(axis=1)
+    sigma = windows.std(axis=1)
+    degen = sigma < 1e-8
+    profile = np.full(n_sub, np.inf)
+    index = np.zeros(n_sub, dtype=int)
+    for k in range(excl + 1, n_sub):
+        prod = x[: n - k] * x[k:]
+        cp = np.concatenate([[0.0], np.cumsum(prod)])
+        qt = cp[m:] - cp[: n - k - m + 1]
+        i = np.arange(n_sub - k)
+        j = i + k
+        ok = ~degen[i] & ~degen[j]
+        d = np.empty(n_sub - k)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            corr = (qt - m * mu[i] * mu[j]) / (m * sigma[i] * sigma[j])
+        d[ok] = np.sqrt(np.maximum(2.0 * m * (1.0 - corr[ok]), 0.0))
+        d[degen[i] ^ degen[j]] = np.sqrt(m)
+        d[degen[i] & degen[j]] = 0.0
+        upd = d < profile[i]
+        profile[i[upd]] = d[upd]
+        index[i[upd]] = j[upd]
+        upd = d <= profile[j]
+        profile[j[upd]] = d[upd]
+        index[j[upd]] = i[upd]
+    return profile, index
+
+
 def direct_cost(x: np.ndarray, a: int, b: int, spec: SegmentCost) -> float:
     """Cost of segment [a, b) of the (n, d) signal x, straight from its definition.
 

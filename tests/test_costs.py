@@ -49,6 +49,14 @@ class TestCostValues:
         for a, b in [(2, 2), (3, 1), (-1, 2), (0, 6)]:
             with pytest.raises(ValueError):
                 cache.value(a, b)
+        # a non-finite sample would give a NaN cost, which the l1 table
+        # also uses for "not computed yet"
+        for bad in (np.nan, np.inf, -np.inf):
+            x = np.arange(20.0)
+            x[7] = bad
+            for kind in ("l1", "l2", "normal", "rbf"):
+                with pytest.raises(ValueError, match="finite"):
+                    CostCache(x, SegmentCost(kind))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -127,19 +135,46 @@ class TestCacheAgreesWithDirectEvaluation:
         a, b = np.triu_indices(31, k=1)
         assert list(shared.values(a, b)) == list(CostCache(x, SegmentCost("l1")).values(a, b))
 
+    @pytest.mark.parametrize("order", ["one-batch", "column-walk", "rows-and-columns"])
     @pytest.mark.parametrize("data", ["rounded", "three-valued", "exponential"])
     @pytest.mark.parametrize("n,d", [(1, 1), (2, 2), (9, 1), (40, 3), (64, 4)])
-    def test_l1_table_is_bitwise_the_segment_median_cost(self, n, d, data, rng):
+    def test_l1_table_is_bitwise_the_segment_median_cost(self, n, d, data, order, rng):
         # every segment of the signal: odd and even lengths, ties within
         # segments (rounded values, or only three values in all), and
-        # values over many orders of magnitude
+        # values over many orders of magnitude. The table is first filled
+        # in the order a solver asks: PELT's walk over the ends, each with
+        # the starts it still considers (a known diagonal neighbour fills
+        # the rest of the diagonal at once), or BINSEG's rows and columns
+        # of a few segments; then every segment is asked for again.
         x = {"rounded": lambda: np.round(rng.normal(size=(n, d)), 1),
              "three-valued": lambda: rng.integers(0, 3, size=(n, d)) / 3,
              "exponential": lambda: rng.exponential(size=(n, d)) ** 8}[data]()
+        cache = CostCache(x, SegmentCost("l1"))
+        if order == "column-walk":
+            for t in range(1, n + 1):
+                starts = np.arange(t)
+                cache.values(starts[rng.random(t) < 0.8], t)
+        elif order == "rows-and-columns":
+            for a, b in np.sort(rng.integers(0, n + 1, size=(6, 2)), axis=1).tolist():
+                if b - a > 1:
+                    cache.values(np.arange(a + 1, b), b)
+                    cache.values(a, np.arange(a + 1, b))
         a, b = np.triu_indices(n + 1, k=1)
-        got = CostCache(x, SegmentCost("l1")).values(a, b)
+        got = cache.values(a, b)
         assert list(got) == [np.abs(x[s:e] - np.median(x[s:e], axis=0)).sum()
                              for s, e in zip(a, b)]
+
+    def test_l1_long_segments_are_bitwise_the_segment_median_cost(self, rng):
+        # segments of more than 8192 samples x channels (numpy's reduce
+        # buffer), filled a diagonal at a time in several batches
+        x = np.round(rng.normal(size=(2100, 4)), 2)
+        cache = CostCache(x, SegmentCost("l1"))
+        cache.values(np.arange(8), 2050)
+        cache.values(np.arange(9), 2051)  # fills the rest of 8 diagonals
+        a, b = np.nonzero(~np.isnan(cache._l1_table))
+        assert a.size > 300
+        assert list(cache.values(a, b)) == [np.abs(x[s:e] - np.median(x[s:e], axis=0)).sum()
+                                            for s, e in zip(a, b)]
 
     def test_invalid_batches_rejected(self):
         cache = CostCache(np.zeros(5), SegmentCost("l2"))

@@ -20,7 +20,8 @@ from maintseg.detectors import (
 )
 from maintseg.sweep import default_grid
 
-from conftest import exhaustive_segmentation, make_cycle, mp_brute_force, two_regime_series
+from conftest import (exhaustive_segmentation, make_cycle, mp_brute_force, mp_diagonal_sweep,
+                      two_regime_series)
 
 STEP_FIXTURE = np.array([0.0] * 5 + [10.0] * 5)
 TWO_STEP_FIXTURE = np.array([0.0] * 5 + [10.0] * 5 + [0.0] * 5)
@@ -250,9 +251,34 @@ class TestMatrixProfile:
         np.testing.assert_allclose(fast_profile, profile, atol=1e-9)
         assert fast_profile[0] == pytest.approx(0.0, abs=1e-12)  # two flat windows match
 
-    def test_too_short_rejected(self):
+    @pytest.mark.parametrize("m", [3, 5, 7, 14, 24])
+    @pytest.mark.parametrize("data", ["continuous", "eighths", "count-ratio", "partly-flat"])
+    def test_bitwise_the_diagonal_sweep(self, m, data, rng):
+        # profile bits and index equal the one-diagonal-at-a-time kernel's,
+        # so ties in quantized data resolve as they always have; n runs from
+        # the shortest admissible series across several blocks of diagonals
+        shortest = m + (m + 1) // 2 + 1  # n - shortest + 1 diagonals
+        for n in sorted({shortest, shortest + 1, shortest + 2, 11 * m, shortest + 63,
+                         shortest + 64, shortest + 127, shortest + 128, 200, 361}):
+            x = {"continuous": lambda: rng.normal(size=n),
+                 "eighths": lambda: np.round(rng.normal(size=n) * 8) / 8,
+                 "count-ratio": lambda: rng.poisson(2, n) / np.maximum(rng.poisson(3, n), 1),
+                 "partly-flat": lambda: np.concatenate(
+                     [np.full(n // 3, 0.25), np.round(rng.normal(size=n - n // 3) * 8) / 8]),
+                 }[data]()
+            profile, index = matrix_profile(x, m)
+            want_profile, want_index = mp_diagonal_sweep(x, m)
+            assert profile.tobytes() == want_profile.tobytes(), n
+            assert index.tolist() == want_index.tolist(), n
+
+    def test_invalid_series_rejected(self):
         with pytest.raises(ValueError):
             matrix_profile(np.zeros(10), 8)  # needs m + ceil(m/2) + 1 = 13
+        for bad in (np.nan, np.inf):
+            x = np.arange(20.0)
+            x[7] = bad
+            with pytest.raises(ValueError, match="finite"):
+                matrix_profile(x, 5)
 
     def test_affine_invariance(self, rng):
         x = rng.normal(size=180)

@@ -2,12 +2,16 @@ import functools
 import json
 import os
 import shutil
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import maintseg
 import maintseg.protocol as protocol_mod
 import maintseg.sweep as sweep_mod
 from maintseg.core import BusinessParams
@@ -288,6 +292,17 @@ class TestRunSweep:
         assert path.read_bytes() == fresh_path.read_bytes()
         assert (tmp_path / "results.csv.meta.json").read_bytes() == \
             (tmp_path / "fresh.csv.meta.json").read_bytes()
+
+    def test_import_loads_no_process_pool(self):
+        # only a sweep at workers > 1 needs multiprocessing; importing it
+        # would cost every import of maintseg, in each worker and CLI call
+        env = {**os.environ, "PYTHONPATH": str(Path(maintseg.__file__).resolve().parents[1])}
+        code = ("import sys, maintseg, maintseg.cli; "
+                "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+                "if m in sys.modules])")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
     def test_dead_worker_keeps_the_tasks_that_finished(self, tmp_path, monkeypatch):
         # 4 cycles x 2 families (PELT/l2, FLUSS) = 8 tasks; the first task's
