@@ -78,7 +78,7 @@ def as_signal(signal: np.ndarray) -> np.ndarray:
     x = np.asarray(signal, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    if x.ndim != 2 or x.shape[0] < 1:
+    if x.ndim != 2 or x.size == 0:
         raise ValueError(f"signal must be a non-empty 1-D or 2-D array, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("signal must be finite (no NaN or inf)")

@@ -49,6 +49,9 @@ class TestCostValues:
         for a, b in [(2, 2), (3, 1), (-1, 2), (0, 6)]:
             with pytest.raises(ValueError):
                 cache.value(a, b)
+        for empty in (np.zeros(0), np.zeros((6, 0))):
+            with pytest.raises(ValueError, match="non-empty"):
+                CostCache(empty, SegmentCost("l1"))
         # a non-finite sample would give a NaN cost, which the l1 table
         # also uses for "not computed yet"
         for bad in (np.nan, np.inf, -np.inf):
