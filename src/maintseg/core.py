@@ -141,14 +141,18 @@ class Window:
     ``_memo`` holds what the detectors derived from the window alone
     (z-normalized samples, cost tables, FLUSS curves, and each solve with
     every penalty read off it), so every config evaluated on one window
-    reuses it. It
-    is not part of the window's equality or hash; the replay clears it
-    before moving to the next window.
+    reuses it; the replay clears it before moving to the next window.
+    ``_cycle_memo``, which a replay gives each of its windows, holds what
+    they derive from the whole cycle: the cost tables that depend on the
+    cycle alone, of which each window's memo holds a prefix, and PELT's
+    programs over them, resumed window by window. Neither memo is part of
+    the window's equality or hash.
     """
 
     cycle: LifeCycle
     end_index: int
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cycle_memo: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.end_index <= self.cycle.n:
@@ -188,8 +192,10 @@ def znormalize(values: np.ndarray) -> np.ndarray:
     return np.where(degenerate, 0.0, (arr - mean) / safe_std)
 
 
-def prefix_windows(cycle: LifeCycle, step: int = 7) -> list[Window]:
-    """Growing prefix windows ending at step, 2*step, ... and finally n.
+def prefix_windows(cycle: LifeCycle, step: int = 7,
+                   cycle_memo: dict | None = None) -> list[Window]:
+    """Growing prefix windows ending at step, 2*step, ... and finally n,
+    sharing ``cycle_memo`` (see :class:`Window`).
 
     The final partial window is always included so the last few buckets
     before failure are inspected even when n is not a multiple of step.
@@ -200,7 +206,7 @@ def prefix_windows(cycle: LifeCycle, step: int = 7) -> list[Window]:
     ends = list(range(step, n + 1, step))
     if not ends or ends[-1] != n:
         ends.append(n)
-    return [Window(cycle, e) for e in ends]
+    return [Window(cycle, e, cycle_memo) for e in ends]
 
 
 class _Echo:

@@ -19,12 +19,17 @@ diagonal neighbour [a-1, b-1) is known fills the rest of its diagonal in
 one sort, as PELT's column-by-column walk asks for it next; any other miss
 is computed alone. Either way each cost is bitwise
 ``np.abs(seg - np.median(seg, axis=0)).sum()``. A cache holds no state but
-these tables, so the detectors share one per window and cost label across
-every config evaluated on that window (see ``detectors.detect_with_score``).
+these tables, so the detectors share one across every config evaluated on
+a window (see ``detectors.detect_with_score``). The l1, l2 and normal
+tables of a segment [a, b) read only the samples before b, so a replay
+builds them once over the whole cycle and hands each window a
+:meth:`CostCache.prefix` of them; the rbf Gram is built per window (BLAS
+rounds ``x @ x.T`` differently at different n).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -33,6 +38,8 @@ import numpy as np
 __all__ = ["SegmentCost", "CostCache", "cost_from_label", "rbf_bandwidth_median"]
 
 COST_KINDS = ("l1", "l2", "normal", "rbf")
+# the kinds whose tables answer a prefix of the signal bitwise as its own do
+PREFIX_KINDS = ("l1", "l2", "normal")
 
 # Regularizes the covariance diagonal of the normal cost (low-activity
 # segments are exactly singular without it).
@@ -115,7 +122,8 @@ class CostCache:
     [starts[i], ends[i]); either argument may be a scalar shared by every
     segment. ``value(a, b)`` is the cost of one segment as a float. The
     prefix-sum and Gram tables of the cost kind are built in the
-    constructor; the l1 table fills as segments are queried.
+    constructor; the l1 table fills as segments are queried. ``prefix(end)``
+    is the cache of the signal's first ``end`` samples over the same tables.
     """
 
     def __init__(self, signal: np.ndarray, spec: SegmentCost | None = None):
@@ -147,6 +155,20 @@ class CostCache:
             # _fill_l1 views as batches of segments
             self._l1_by_row = np.ascontiguousarray(x).ravel()
             self._l1_by_channel = np.ascontiguousarray(x.T).ravel()
+
+    def prefix(self, end: int) -> "CostCache":
+        """The cache of ``signal[:end]``: a copy with ``n = end`` that shares
+        this cache's tables, bitwise ``CostCache(signal[:end], spec)`` in
+        every answer. l1 costs filled through either are filled for both.
+        Only the :data:`PREFIX_KINDS` have one.
+        """
+        if self.spec.kind not in PREFIX_KINDS:
+            raise ValueError(f"{self.spec.label} tables depend on the whole signal")
+        if not 1 <= end <= self.n:
+            raise ValueError(f"prefix end {end} outside [1, {self.n}]")
+        view = copy.copy(self)  # not the constructor: the tables are kept
+        view.n, view.signal = end, self.signal[:end]
+        return view
 
     def value(self, a: int, b: int) -> float:
         if not 0 <= a < b <= self.n:
@@ -197,7 +219,9 @@ class CostCache:
             med = ranked[mid] if length % 2 else (ranked[mid - 1] + ranked[mid]) / 2
             self._l1_table[first, first + length] = np.abs(seg - med).sum()
             return
-        n, d = self.signal.shape
+        # the whole signal's length, also in a prefix: the table and the
+        # flat samples are the whole signal's
+        n, d = self._l1_table.shape[0] - 1, self.signal.shape[1]
         by_row, by_channel, item = self._l1_by_row, self._l1_by_channel, self.signal.itemsize
         # the table's cells [a, a + length) lie n + 2 apart in its flat view
         cells = self._l1_table.reshape(-1)[length::n + 2]

@@ -33,6 +33,7 @@ __all__ = [
     "detect",
     "detect_with_score",
     "workspace_key",
+    "cycle_level",
     "share_solves",
 ]
 
@@ -155,7 +156,7 @@ def _penalized(signal, cost: SegmentCost | None, penalty,
     penalties = np.atleast_1d(np.asarray(penalty, dtype=float))
     if penalties.ndim != 1 or penalties.size == 0:
         raise ValueError("penalty must be a float or a non-empty sequence of floats")
-    if (penalties < 0).any():
+    if not (penalties >= 0).all():  # NaN too
         raise ValueError("penalty must be >= 0")
     if min_size < 1:
         raise ValueError("min_size must be >= 1")
@@ -172,8 +173,8 @@ def _as_given(penalty, segs: list[Segmentation]) -> Segmentation | list[Segmenta
 
 
 def pelt(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
-         penalty: float | Sequence[float] = 1.0,
-         min_size: int = 1) -> Segmentation | list[Segmentation]:
+         penalty: float | Sequence[float] = 1.0, min_size: int = 1,
+         resume: dict | None = None) -> Segmentation | list[Segmentation]:
     """Exact minimizer of sum-of-segment-costs + penalty * (#breakpoints).
 
     Pruned dynamic program: a candidate start s is dropped once its partial
@@ -189,48 +190,86 @@ def pelt(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
 
     Like the other segmenters, ``signal`` may be a prebuilt
     :class:`~maintseg.costs.CostCache` of the cost instead of the signal.
+    ``resume`` is a dict kept across solves of prefixes of one signal (each
+    ``signal`` a :meth:`~maintseg.costs.CostCache.prefix` of one cache): the
+    program is kept there per min_size and resumed where the last solve
+    left it, since its column t depends on x[:t] alone. A program lacking
+    one of the penalties is replaced by one over the union of both.
     """
     cache, penalties = _penalized(signal, cost, penalty, min_size)
     n = cache.n
     if n < 2 * min_size:
         return _as_given(penalty, [Segmentation((), cache.value(0, n))] * penalties.size)
+    program = None if resume is None else resume.get(min_size)
+    if program is None or not np.isin(penalties, program.penalties).all():
+        rows = penalties if program is None else np.concatenate((program.penalties, penalties))
+        program = _PeltProgram(np.unique(rows), min_size)
+        if resume is not None:
+            resume[min_size] = program
+    program.advance(cache)
+    return _as_given(penalty, program.segmentations(penalties, n))
 
-    # F[p, t] = optimal penalized cost of x[:t] under penalty p; F[p, 0] =
-    # -p so each segment contributes +p and the total equals sum costs +
-    # p * breaks. candidate[p, s]: s is a start row p still considers.
-    rows = np.arange(penalties.size)
-    pen = penalties[:, None]
-    F = np.full((penalties.size, n + 1), np.inf)
-    F[:, 0] = -penalties
-    prev = np.zeros((penalties.size, n + 1), dtype=int)
-    candidate = np.zeros((penalties.size, n + 1), dtype=bool)
-    candidate[:, 0] = True
-    alive = np.zeros(1, dtype=int)  # ascending: the starts some row considers
-    for t in range(min_size, n + 1):
-        starts = alive[:np.searchsorted(alive, t - min_size, side="right")]
-        vals = F[:, starts] + cache.values(starts, t) + pen
-        vals[~candidate[:, starts]] = np.inf
-        best = np.argmin(vals, axis=1)  # first minimum -> smallest start on ties
-        F[:, t] = vals[rows, best]
-        prev[:, t] = starts[best]
-        keep = vals <= F[:, t, None] + 2 * pen  # F[s]+C(s,t) <= F[t]+penalty
-        candidate[:, starts] = keep
-        alive = np.concatenate((starts[keep.any(axis=0)], alive[starts.size:]))
-        if t <= n - min_size:
+
+class _PeltProgram:
+    """:func:`pelt`'s dynamic program, one row per penalty, advanced end by end.
+
+    Columns 0..end are final. A start t is born once column t is, whatever
+    the signal's length: it is first considered at t + min_size.
+    """
+
+    def __init__(self, penalties: np.ndarray, min_size: int):
+        self.penalties, self.min_size = penalties, min_size  # penalties ascending, distinct
+        # F[p, t] = optimal penalized cost of x[:t] under penalty p; F[p, 0] =
+        # -p so each segment contributes +p and the total equals sum costs +
+        # p * breaks. candidate[p, s]: s is a start row p still considers.
+        self.F = np.full((penalties.size, min_size), np.inf)
+        self.F[:, 0] = -penalties
+        self.prev = np.zeros(self.F.shape, dtype=int)
+        self.candidate = np.zeros(self.F.shape, dtype=bool)
+        self.candidate[:, 0] = True
+        self.alive = np.zeros(1, dtype=int)  # ascending: the starts some row considers
+        self.end = min_size - 1
+
+    def advance(self, cache: CostCache) -> None:
+        """Compute the columns up to ``cache.n``."""
+        n, width = cache.n, self.F.shape[1]
+        if n <= self.end:
+            return
+        if n >= width:  # room for n and, doubling, for later ends
+            more = ((0, 0), (0, max(n + 1, 2 * width) - width))
+            self.F = np.pad(self.F, more, constant_values=np.inf)
+            self.prev = np.pad(self.prev, more)
+            self.candidate = np.pad(self.candidate, more)
+        F, prev, candidate, alive, min_size = (self.F, self.prev, self.candidate, self.alive,
+                                               self.min_size)
+        rows = np.arange(self.penalties.size)
+        pen = self.penalties[:, None]
+        for t in range(self.end + 1, n + 1):
+            starts = alive[:np.searchsorted(alive, t - min_size, side="right")]
+            vals = F[:, starts] + cache.values(starts, t) + pen
+            vals[~candidate[:, starts]] = np.inf
+            best = np.argmin(vals, axis=1)  # first minimum -> smallest start on ties
+            F[:, t] = vals[rows, best]
+            prev[:, t] = starts[best]
+            keep = vals <= F[:, t, None] + 2 * pen  # F[s]+C(s,t) <= F[t]+penalty
+            candidate[:, starts] = keep
+            alive = np.concatenate((starts[keep.any(axis=0)], alive[starts.size:], [t]))
             candidate[:, t] = True
-            alive = np.append(alive, t)
+        self.alive, self.end = alive, n
 
-    segs = []
-    for p in rows:
-        breakpoints: list[int] = []
-        t = n
-        while t > 0:
-            s = int(prev[p, t])
-            if s > 0:
-                breakpoints.append(s)
-            t = s
-        segs.append(Segmentation(tuple(reversed(breakpoints)), float(F[p, n])))
-    return _as_given(penalty, segs)
+    def segmentations(self, penalties: np.ndarray, n: int) -> list[Segmentation]:
+        """The optimal segmentation of x[:n] under each penalty."""
+        segs = []
+        for row in np.searchsorted(self.penalties, penalties).tolist():
+            breakpoints: list[int] = []
+            t = n
+            while t > 0:
+                s = int(self.prev[row, t])
+                if s > 0:
+                    breakpoints.append(s)
+                t = s
+            segs.append(Segmentation(tuple(reversed(breakpoints)), float(self.F[row, n])))
+        return segs
 
 
 def binseg(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
@@ -527,20 +566,20 @@ def detect_with_score(window, config: DetectorConfig) -> tuple[int | None, float
         pos, val = _fluss_best(curves)
         return (pos if val < config.threshold else None), val
     if key not in memo:
-        memo[key] = CostCache(x, config.cost)
+        memo[key] = _cost_tables(window, x, config)
     solves = memo.setdefault(_solve_key(config), {})
     if solves.get(config.penalty) is None:
         # the first config of a solve key on a window solves every penalty
         # noted for it (see share_solves), its own among them
         solves[config.penalty] = None
         todo = [p for p, seg in solves.items() if seg is None]
-        cache = memo[key]
+        cache, programs = memo[key]
         if config.method == "BINSEG":
             segs = binseg(cache, config.cost, todo, config.min_size)
         elif config.method == "BOTTOMUP":
             segs = bottomup(cache, config.cost, todo, config.min_size)
         elif config.method == "PELT":
-            segs = pelt(cache, config.cost, todo, config.min_size)
+            segs = pelt(cache, config.cost, todo, config.min_size, programs)
         else:
             segs = kcpd(cache, todo, config.min_size, config.cost)
         solves.update(zip(todo, segs))
@@ -548,6 +587,29 @@ def detect_with_score(window, config: DetectorConfig) -> tuple[int | None, float
     if seg.breakpoints:
         return seg.breakpoints[-1], float(len(seg.breakpoints))
     return None, 0.0
+
+
+def cycle_level(config: DetectorConfig) -> bool:
+    """Whether a config's cost tables depend on the cycle alone, not on the
+    window: a segmenter's on the raw samples (znorm off) of a cost whose
+    tables have prefixes (see :meth:`~maintseg.costs.CostCache.prefix`)."""
+    return (config.method != "FLUSS" and not config.znorm
+            and config.cost.kind in costs.PREFIX_KINDS)
+
+
+def _cost_tables(window, x: np.ndarray, config: DetectorConfig) -> tuple:
+    """A window's cost tables and the dict that keeps PELT's programs over
+    them: in a replay (a window with a cycle memo) and for a cycle-level
+    config, a prefix of the cycle's tables and the cycle's dict, shared
+    with the replay's other windows; else the window's own, and None."""
+    shared = window._cycle_memo if isinstance(window, Window) else None
+    if shared is None or not cycle_level(config):
+        return CostCache(x, config.cost), None
+    key = workspace_key(config)
+    if key not in shared:
+        shared[key] = CostCache(window.cycle.samples, config.cost), {}
+    tables, programs = shared[key]
+    return tables.prefix(window.end_index), programs
 
 
 def _solve_key(config: DetectorConfig) -> tuple:

@@ -8,6 +8,8 @@ maintenance, which makes any later alert for the same cycle worthless.
 a whole list of configs, so every config still running on a window shares
 that window's memo (see :class:`~maintseg.core.Window`), and the penalties
 of those configs that share a solver, cost and min_size are solved together.
+The tables that depend on the cycle alone, and PELT's programs over them,
+are kept in one memo for all the cycle's windows.
 """
 
 from __future__ import annotations
@@ -64,13 +66,20 @@ def replay(cycle: LifeCycle, configs: Sequence[DetectorConfig], step: int = 7,
     :class:`Alert`, None when no window fired, or the exception its
     detection raised (which stops that config only). ``detector`` replaces
     the default dispatch, for instrumentation.
+
+    The windows share a cycle memo: the segmenters whose cost tables depend
+    on the cycle alone (``detectors.cycle_level``) read prefixes of one set
+    of tables over the whole cycle, and PELT resumes one dynamic program
+    from window to window instead of starting each at t = 0. The memo is
+    dropped when the replay returns.
     """
     if alert_at not in ALERT_TIMINGS:
         raise ValueError(f"alert_at must be one of {ALERT_TIMINGS}")
     run = detector or detect
     outcomes: list[Union[Alert, None, Exception]] = [None] * len(configs)
     running = list(range(len(configs)))
-    for window in prefix_windows(cycle, step):
+    cycle_memo: dict = {}
+    for window in prefix_windows(cycle, step, cycle_memo):
         if not running:
             break
         end = window.end_index
@@ -86,6 +95,7 @@ def replay(cycle: LifeCycle, configs: Sequence[DetectorConfig], step: int = 7,
                 outcomes[i] = exc
         window._memo.clear()
         running = [i for i in running if outcomes[i] is None]
+    cycle_memo.clear()  # a failure's traceback may hold a window, and so the memo
     return outcomes
 
 

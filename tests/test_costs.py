@@ -187,6 +187,61 @@ class TestCacheAgreesWithDirectEvaluation:
         assert cache.values(np.array([], dtype=int), 5).shape == (0,)
 
 
+def _column_and_row(n, w, rng):
+    """Segments of a prefix of length w: each ending at w, each starting at 0,
+    and 200 drawn at random."""
+    a = rng.integers(0, w, size=200)
+    b = a + 1 + (rng.random(200) * (w - a)).astype(int)
+    return (np.concatenate([np.arange(w), np.zeros(w, dtype=int), a]),
+            np.concatenate([np.full(w, w), np.arange(1, w + 1), b]))
+
+
+class TestPrefix:
+    """A prefix of a cache answers bitwise as the cache of the prefix."""
+
+    @pytest.mark.parametrize("n", [2, 45, 240, 721])
+    @pytest.mark.parametrize("kind", ["l1", "l2", "normal"])
+    def test_prefix_is_bitwise_the_cache_of_the_prefix(self, kind, n, rng):
+        x = np.round(rng.exponential(size=(n, 3)) ** 2, 2)  # ties and spread
+        spec = SegmentCost(kind)
+        whole = CostCache(x, spec)
+        ends = sorted({1, 2, n // 3 or 1, n // 2 or 1, n - 1 or 1, n})
+        if kind == "l1":  # the whole signal's queries fill the table first
+            whole.values(*_column_and_row(n, n, rng))
+        for w in ends:  # shorter, then longer prefixes
+            starts, stops = _column_and_row(n, w, rng)
+            view = whole.prefix(w)
+            assert view.n == w and view.signal.shape == (w, 3)
+            assert list(view.values(starts, stops)) == \
+                list(CostCache(x[:w], spec).values(starts, stops))
+            # a prefix of a prefix, and the whole cache's answers after them
+            assert list(view.prefix(w).values(starts, stops)) == \
+                list(whole.values(starts, stops))
+            with pytest.raises(ValueError):
+                view.value(0, w + 1)
+
+    def test_l1_entries_filled_through_a_prefix_serve_the_whole(self, rng):
+        x = np.round(rng.normal(size=(60, 2)), 1)
+        whole = CostCache(x, SegmentCost("l1"))
+        for t in range(1, 61):  # a column walk through growing prefixes
+            whole.prefix(t).values(np.arange(t), t)
+        a, b = np.triu_indices(61, k=1)
+        assert not np.isnan(whole._l1_table[a, b]).any()
+        assert list(whole.values(a, b)) == list(CostCache(x, SegmentCost("l1")).values(a, b))
+
+    @pytest.mark.parametrize("label", ["rbf", "rbf:0.1"])
+    def test_rbf_has_no_prefix(self, label):
+        # the Gram's x @ x.T is rounded differently at different n, and the
+        # median-heuristic bandwidth depends on the whole signal
+        with pytest.raises(ValueError, match="whole signal"):
+            CostCache(np.arange(10.0), cost_from_label(label)).prefix(5)
+
+    @pytest.mark.parametrize("end", [0, 11, -1])
+    def test_bad_ends_rejected(self, end):
+        with pytest.raises(ValueError):
+            CostCache(np.arange(10.0), SegmentCost("l2")).prefix(end)
+
+
 class TestCostProperties:
     @pytest.mark.parametrize("kind", ["l1", "l2", "normal", "rbf"])
     def test_splitting_never_increases_cost(self, kind, rng):

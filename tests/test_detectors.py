@@ -469,13 +469,33 @@ class TestPenaltyPath:
             assert _exactly(kcpd(x, PENALTY_PATH, min_size, kernel)) == \
                 _exactly(kcpd(x, p, min_size, kernel) for p in PENALTY_PATH)
 
+    @pytest.mark.parametrize("min_size", [1, 2, 3, 7])
+    @pytest.mark.parametrize("label", ["l1", "l2", "normal"])
+    def test_resumed_program_equals_one_solve_per_prefix(self, label, min_size, rng):
+        # one program resumed over growing prefixes of one cache, as a replay
+        # solves its windows: fewer penalties at later ends, a penalty the
+        # program lacks (it restarts over the union), then an end it has passed
+        spec = cost_from_label(label)
+        x = _shifting_signal(rng, n=80)
+        for signal in (x, np.round(x, 1)):
+            whole, resume = CostCache(signal, spec), {}
+            plan = [(1, PENALTY_PATH), (2 * min_size - 1, PENALTY_PATH),
+                    (2 * min_size, PENALTY_PATH), (17, PENALTY_PATH[4:]),
+                    (30, PENALTY_PATH[9:]), (30, PENALTY_PATH[9:]), (45, [0.25, 3.0]),
+                    (66, PENALTY_PATH[:3]), (79, [3.0]), (80, PENALTY_PATH), (50, [3.0])]
+            for end, penalties in plan:
+                got = pelt(whole.prefix(end), spec, penalties, min_size, resume)
+                assert _exactly(got) == _exactly(pelt(signal[:end], spec, penalties, min_size))
+            assert resume[min_size].end == 80
+            assert set(resume[min_size].penalties) == {*PENALTY_PATH, 0.25, 3.0}
+
     def test_one_entry_sequence_is_the_float_form(self, rng):
         x = _shifting_signal(rng)
         for solver in (pelt, binseg, bottomup):
             assert solver(x, L2, [0.5], 2) == [solver(x, L2, 0.5, 2)]
             assert solver(x, L2, np.array([0.5, 2.0]), 2) == solver(x, L2, (0.5, 2.0), 2)
 
-    @pytest.mark.parametrize("penalty", [[], [1.0, -0.5], -0.5, [[1.0]]])
+    @pytest.mark.parametrize("penalty", [[], [1.0, -0.5], -0.5, [[1.0]], float("nan")])
     def test_bad_penalties_rejected(self, penalty):
         for solver in (pelt, binseg, bottomup):
             with pytest.raises(ValueError):

@@ -1,12 +1,18 @@
+import gc
+import os
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 
-from maintseg.costs import SegmentCost
-from maintseg.core import Window
-from maintseg.detectors import METHODS, DetectorConfig, share_solves
+import maintseg.detectors as detectors_mod
+from maintseg.costs import CostCache, SegmentCost
+from maintseg.core import BusinessParams, Window
+from maintseg.detectors import METHODS, DetectorConfig, cycle_level, detect, share_solves
 from maintseg.protocol import (ALERT_TIMINGS, Alert, Verdict, classify, replay, run_streaming,
                                run_streaming_trace)
-from maintseg.sweep import build_grid, default_grid
+from maintseg.sweep import _evaluate_family, build_grid, default_grid
 from maintseg.synth import SynthSpec, generate_corpus
 
 from conftest import make_cycle, two_regime_series
@@ -84,6 +90,12 @@ class TestRunStreaming:
         assert [t.end_index for t in full_trace] == [7, 14, 21, 28, 35]
 
 
+def per_window(window, config):
+    """The oracle: each (window, config) detected alone on a fresh window, so
+    with the window's own cost tables and a one-penalty solve from t = 0."""
+    return detect(Window(window.cycle, window.end_index), config)
+
+
 def _settings(config):
     """Every setting of a config but its penalty or threshold."""
     if config.method == "FLUSS":
@@ -120,10 +132,21 @@ class TestReplay:
             cycle = make_cycle(np.column_stack([cycle.samples,
                                                 two_regime_series(n, 60) + 2.0]))
         configs = DEFAULT_GRID[::every]
-        expected = [run_streaming(cycle, c, step, alert_at) for c in configs]
-        assert replay(cycle, configs, step, alert_at) == expected
+        detected = []
+
+        def noting(window, config):
+            detected.append((window.end_index, config))
+            return detect(window, config)
+
+        expected = replay(cycle, configs, step, alert_at, detector=per_window)
+        assert replay(cycle, configs, step, alert_at, detector=noting) == expected
+        assert [run_streaming(cycle, c, step, alert_at) for c in configs] == expected
         assert {c.method for c, alert in zip(configs, expected) if alert} == set(METHODS)
         assert None in expected
+        # cycle-level tables and PELT programs serve more than one window
+        for method in ("PELT", "BINSEG", "BOTTOMUP"):
+            assert len({end for end, c in detected
+                        if c.method == method and cycle_level(c)}) >= 2
 
     @pytest.mark.parametrize("alert_at", ALERT_TIMINGS)
     def test_whole_penalty_axes_equal_one_run_per_config(self, alert_at):
@@ -135,8 +158,9 @@ class TestReplay:
                    if c.method != "FLUSS" and c.cost.label in ("l1", "rbf")
                    or c.method == "KCPD" and c.cost.label == "rbf:0.1"]
         assert len(configs) == 4 * 2 * 12 * 3 * 2
-        expected = [run_streaming(cycle, c, 7, alert_at) for c in configs]
+        expected = replay(cycle, configs, 7, alert_at, detector=per_window)
         assert replay(cycle, configs, 7, alert_at) == expected
+        assert [run_streaming(cycle, c, 7, alert_at) for c in configs] == expected
         # configs stop at different windows, so later windows solve fewer penalties
         assert len({alert.step_end_index for alert in expected if alert}) >= 3
         assert None in expected
@@ -177,6 +201,46 @@ class TestReplay:
         note = fresh._memo
         assert seen == [note, {**note, PELT_L2.config_id: 14}, note,
                         {**note, PELT_L2.config_id: 28}, note, {**note, PELT_L2.config_id: 35}]
+
+    def test_cycle_tables_released_when_replay_returns(self, monkeypatch):
+        # the tables built over the whole cycle are dropped with the replay,
+        # also when a failed config's traceback outlives it
+        cycle = two_regime_cycle(n=35, change=26)
+        built = []
+
+        class Noted(CostCache):
+            def __init__(self, signal, spec=None):
+                super().__init__(signal, spec)
+                built.append((len(self.signal), weakref.ref(self)))
+
+        def failing(window, config):
+            cp = detect(window, config)
+            if config is PELT_L2 and window.end_index == 21:
+                raise RuntimeError("after the solve")
+            return cp
+
+        monkeypatch.setattr(detectors_mod, "CostCache", Noted)
+        gc.disable()  # a reference cycle through the traceback must not matter
+        try:
+            outcomes = replay(cycle, [PELT_L2, NEVER_FIRES,
+                                      DetectorConfig("BINSEG", cost=SegmentCost("l1"),
+                                                     penalty=1e12)], 7, detector=failing)
+            assert isinstance(outcomes[0], RuntimeError) and outcomes[1:] == [None, None]
+            assert [n for n, _ in built] == [35, 35]  # one per cost, over the cycle
+            assert [ref() for _, ref in built] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_family_task_pickles_without_tables(self):
+        # a sweep task is what a worker process receives: the cycle and the
+        # configs, never tables, before or after it is evaluated
+        cycle = two_regime_cycle(n=35, change=26)
+        task = (cycle, [PELT_L2, NEVER_FIRES], BusinessParams(), 7, "window-end")
+        before = pickle.dumps(task)
+        assert b"CostCache" not in before and len(before) < 2000
+        records = _evaluate_family(task)
+        assert [r.verdict for r in records] == [Verdict.TP, Verdict.FN]
+        assert pickle.dumps(task) == before
 
 
 class TestAlertType:
@@ -234,3 +298,13 @@ class TestClassify:
                     assert small is Verdict.FP
                 if small is Verdict.TP:
                     assert big is Verdict.TP
+
+
+@pytest.mark.skipif(not os.environ.get("MAINTSEG_RUN_SLOW"),
+                    reason="half-minute oracle run; set MAINTSEG_RUN_SLOW=1")
+def test_default_grid_equals_per_window_oracle():
+    # the whole shipped grid on 3 seeded cycles, at both alert timings
+    for cycle in generate_corpus(11, 3, SynthSpec()):
+        for alert_at in ALERT_TIMINGS:
+            assert replay(cycle, DEFAULT_GRID, 7, alert_at) == \
+                replay(cycle, DEFAULT_GRID, 7, alert_at, detector=per_window)
