@@ -143,9 +143,12 @@ class Window:
     every penalty read off it), so every config evaluated on one window
     reuses it; the replay clears it before moving to the next window.
     ``_cycle_memo``, which a replay gives each of its windows, holds what
-    they derive from the whole cycle: the cost tables that depend on the
-    cycle alone, of which each window's memo holds a prefix, and PELT's
-    programs over them, resumed window by window. Neither memo is part of
+    they share across windows: the replay's window ends; the cost tables
+    that depend on the cycle alone, of which each window's memo holds a
+    prefix, and PELT's programs over them, resumed window by window; and,
+    for tables of one window alone, the tables and segmentations that a
+    batched PELT solve at an earlier window made ahead for later ones, each
+    taken by its window when the replay reaches it. Neither memo is part of
     the window's equality or hash.
     """
 
@@ -195,7 +198,8 @@ def znormalize(values: np.ndarray) -> np.ndarray:
 def prefix_windows(cycle: LifeCycle, step: int = 7,
                    cycle_memo: dict | None = None) -> list[Window]:
     """Growing prefix windows ending at step, 2*step, ... and finally n,
-    sharing ``cycle_memo`` (see :class:`Window`).
+    sharing ``cycle_memo`` (see :class:`Window`), whose "ends" entry is
+    set to their ends.
 
     The final partial window is always included so the last few buckets
     before failure are inspected even when n is not a multiple of step.
@@ -206,6 +210,8 @@ def prefix_windows(cycle: LifeCycle, step: int = 7,
     ends = list(range(step, n + 1, step))
     if not ends or ends[-1] != n:
         ends.append(n)
+    if cycle_memo is not None:
+        cycle_memo["ends"] = ends
     return [Window(cycle, e, cycle_memo) for e in ends]
 
 

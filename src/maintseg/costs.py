@@ -63,8 +63,9 @@ class SegmentCost:
     def __post_init__(self) -> None:
         if self.kind not in COST_KINDS:
             raise ValueError(f"unknown cost kind {self.kind!r}, expected one of {COST_KINDS}")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("rbf bandwidth gamma must be > 0 when fixed")
+        if self.gamma is not None and not 0 < self.gamma < math.inf:  # NaN too
+            raise ValueError(f"rbf bandwidth gamma must be finite and > 0 when fixed, "
+                             f"got {self.gamma!r}")
 
     @property
     def label(self) -> str:

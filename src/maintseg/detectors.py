@@ -10,6 +10,7 @@ everywhere, and identical inputs and configs give identical outputs.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -95,8 +96,9 @@ class DetectorConfig:
             if self.cost is not None or self.penalty is not None or self.min_size is not None:
                 raise ValueError("FLUSS takes no cost, penalty or min_size")
         else:
-            if self.penalty is None or self.penalty < 0:
-                raise ValueError(f"{self.method} needs a penalty >= 0")
+            if self.penalty is None or not 0 <= self.penalty < np.inf:  # NaN too
+                raise ValueError(f"{self.method} needs a finite penalty >= 0, "
+                                 f"got {self.penalty!r}")
             if self.threshold is not None or self.m is not None or self.channel_rule is not None:
                 raise ValueError(f"{self.method} takes no threshold, m or channel_rule")
             cost = self.cost
@@ -156,8 +158,8 @@ def _penalized(signal, cost: SegmentCost | None, penalty,
     penalties = np.atleast_1d(np.asarray(penalty, dtype=float))
     if penalties.ndim != 1 or penalties.size == 0:
         raise ValueError("penalty must be a float or a non-empty sequence of floats")
-    if not (penalties >= 0).all():  # NaN too
-        raise ValueError("penalty must be >= 0")
+    if not ((penalties >= 0) & (penalties < np.inf)).all():  # NaN too
+        raise ValueError("penalty must be finite and >= 0")
     if min_size < 1:
         raise ValueError("min_size must be >= 1")
     if isinstance(signal, costs.CostCache):
@@ -172,9 +174,9 @@ def _as_given(penalty, segs: list[Segmentation]) -> Segmentation | list[Segmenta
     return segs if np.ndim(penalty) else segs[0]
 
 
-def pelt(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
+def pelt(signal: np.ndarray | CostCache | list, cost: SegmentCost | None = None,
          penalty: float | Sequence[float] = 1.0, min_size: int = 1,
-         resume: dict | None = None) -> Segmentation | list[Segmentation]:
+         resume: dict | None = None) -> Segmentation | list:
     """Exact minimizer of sum-of-segment-costs + penalty * (#breakpoints).
 
     Pruned dynamic program: a candidate start s is dropped once its partial
@@ -185,54 +187,99 @@ def pelt(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
     ``penalty`` is one float, giving one :class:`Segmentation`, or a
     sequence of them, giving one per entry in the given order. The
     penalties' dynamic programs run in lockstep, one row each with its own
-    candidate set, over one cost query per end t (the union of the rows'
+    candidate set, over shared cost reads (the union of the rows'
     candidates); each row is bitwise the one-penalty solve.
 
     Like the other segmenters, ``signal`` may be a prebuilt
     :class:`~maintseg.costs.CostCache` of the cost instead of the signal.
+    It may also be a list of signals or caches of non-decreasing length,
+    such as the prefix windows of one cycle, giving one result per entry:
+    their programs run in lockstep too, one row per (window, penalty), and
+    the columns are walked once, up to the longest (see
+    :class:`_PeltProgram`). If one entry's costs fail to read, the result
+    stops before it; the error propagates when it is the first. A replay
+    solves its windows in such batches, within a stated memory budget
+    (see ``_batch``).
+
     ``resume`` is a dict kept across solves of prefixes of one signal (each
     ``signal`` a :meth:`~maintseg.costs.CostCache.prefix` of one cache): the
     program is kept there per min_size and resumed where the last solve
     left it, since its column t depends on x[:t] alone. A program lacking
     one of the penalties is replaced by one over the union of both.
     """
-    cache, penalties = _penalized(signal, cost, penalty, min_size)
-    n = cache.n
-    if n < 2 * min_size:
-        return _as_given(penalty, [Segmentation((), cache.value(0, n))] * penalties.size)
-    program = None if resume is None else resume.get(min_size)
-    if program is None or not np.isin(penalties, program.penalties).all():
-        rows = penalties if program is None else np.concatenate((program.penalties, penalties))
-        program = _PeltProgram(np.unique(rows), min_size)
-        if resume is not None:
-            resume[min_size] = program
-    program.advance(cache)
-    return _as_given(penalty, program.segmentations(penalties, n))
+    checked = [_penalized(window, cost, penalty, min_size)
+               for window in (signal if isinstance(signal, list) else [signal])]
+    caches, penalties = [cache for cache, _ in checked], checked[0][1]
+    if resume is not None and len(caches) > 1:
+        raise ValueError("pelt resumes one signal at a time")
+    if any(b.n < a.n for a, b in zip(caches, caches[1:])):
+        raise ValueError("pelt's signals must come in non-decreasing lengths")
+    out: list[list[Segmentation]] = []
+    try:
+        for cache in caches:
+            if cache.n >= 2 * min_size:
+                break
+            out.append([Segmentation((), cache.value(0, cache.n))] * penalties.size)
+        long = caches[len(out):]
+        if long:
+            program = None if resume is None else resume.get(min_size)
+            if program is None or not np.isin(penalties, program.penalties).all():
+                rows = penalties if program is None else np.concatenate((program.penalties,
+                                                                         penalties))
+                program = _PeltProgram(np.unique(rows), min_size, len(long))
+                if resume is not None:
+                    resume[min_size] = program
+            program.advance(long)
+            out.extend(program.segmentations(penalties, cache.n, w)
+                       for w, cache in enumerate(long[:program.windows]))
+    except Exception:  # in the first signal, or else the result stops before it
+        if not out:
+            raise
+    segs = [_as_given(penalty, window_segs) for window_segs in out]
+    return segs if isinstance(signal, list) else segs[0]
+
+
+# Columns of one cost read: each window's costs of a block of columns are
+# read in one ``values`` call, over the starts alive at the block's first
+# column or born inside it.
+_PELT_BLOCK = 16
 
 
 class _PeltProgram:
-    """:func:`pelt`'s dynamic program, one row per penalty, advanced end by end.
+    """:func:`pelt`'s dynamic program, advanced end by end, one row per
+    (window, penalty): the rows of window w are w * P .. w * P + P - 1 for P
+    penalties, and read window w's costs.
 
     Columns 0..end are final. A start t is born once column t is, whatever
-    the signal's length: it is first considered at t + min_size.
+    the windows' lengths: it is first considered at t + min_size. The
+    windows are in non-decreasing order of length, and each window's rows
+    stop at its length: from then on they are sliced out of every column,
+    so that nothing past a window's end is read and its rows keep no start
+    alive. A start that only other rows keep reads +inf, so each row is
+    bitwise the one-window, one-penalty program. Costs are read ahead in
+    blocks of _PELT_BLOCK columns (see :meth:`_read`).
     """
 
-    def __init__(self, penalties: np.ndarray, min_size: int):
+    def __init__(self, penalties: np.ndarray, min_size: int, windows: int = 1):
         self.penalties, self.min_size = penalties, min_size  # penalties ascending, distinct
-        # F[p, t] = optimal penalized cost of x[:t] under penalty p; F[p, 0] =
-        # -p so each segment contributes +p and the total equals sum costs +
-        # p * breaks. candidate[p, s]: s is a start row p still considers.
-        self.F = np.full((penalties.size, min_size), np.inf)
-        self.F[:, 0] = -penalties
+        self.windows = windows
+        # F[r, t] = optimal penalized cost of x[:t] under row r's penalty p;
+        # F[r, 0] = -p so each segment contributes +p and the total equals
+        # sum costs + p * breaks. candidate[r, s]: s is a start row r still
+        # considers.
+        self.F = np.full((windows * penalties.size, min_size), np.inf)
+        self.F[:, 0] = -np.tile(penalties, windows)
         self.prev = np.zeros(self.F.shape, dtype=int)
         self.candidate = np.zeros(self.F.shape, dtype=bool)
         self.candidate[:, 0] = True
         self.alive = np.zeros(1, dtype=int)  # ascending: the starts some row considers
         self.end = min_size - 1
 
-    def advance(self, cache: CostCache) -> None:
-        """Compute the columns up to ``cache.n``."""
-        n, width = cache.n, self.F.shape[1]
+    def advance(self, caches: list[CostCache]) -> None:
+        """Compute the columns up to the last cache's n, window w's rows over
+        ``caches[w]``. A window whose costs fail to read is dropped with the
+        windows after it; the error propagates if it is the first."""
+        n, width = caches[-1].n, self.F.shape[1]
         if n <= self.end:
             return
         if n >= width:  # room for n and, doubling, for later ends
@@ -240,27 +287,70 @@ class _PeltProgram:
             self.F = np.pad(self.F, more, constant_values=np.inf)
             self.prev = np.pad(self.prev, more)
             self.candidate = np.pad(self.candidate, more)
-        F, prev, candidate, alive, min_size = (self.F, self.prev, self.candidate, self.alive,
-                                               self.min_size)
-        rows = np.arange(self.penalties.size)
-        pen = self.penalties[:, None]
-        for t in range(self.end + 1, n + 1):
-            starts = alive[:np.searchsorted(alive, t - min_size, side="right")]
-            vals = F[:, starts] + cache.values(starts, t) + pen
-            vals[~candidate[:, starts]] = np.inf
-            best = np.argmin(vals, axis=1)  # first minimum -> smallest start on ties
-            F[:, t] = vals[rows, best]
-            prev[:, t] = starts[best]
-            keep = vals <= F[:, t, None] + 2 * pen  # F[s]+C(s,t) <= F[t]+penalty
-            candidate[:, starts] = keep
-            alive = np.concatenate((starts[keep.any(axis=0)], alive[starts.size:], [t]))
-            candidate[:, t] = True
-        self.alive, self.end = alive, n
+        size, min_size = self.penalties.size, self.min_size
+        lengths = [cache.n for cache in caches[:self.windows]]
+        pen3 = self.penalties[None, :, None]
+        pen2 = 2 * np.tile(self.penalties, self.windows)[:, None]
+        rows = np.arange(pen2.size)
+        while self.end < lengths[-1]:
+            first = self.end + 1
+            stop = min(first + _PELT_BLOCK, lengths[-1] + 1)
+            done = bisect.bisect_left(lengths, first)  # the windows that end before first
+            costs = self._read(caches, done, first, stop)
+            if len(costs) < self.windows:  # that window failed: drop it and the later ones
+                self.windows = len(costs)
+                kept = self.windows * size
+                self.F, self.prev, self.candidate = (self.F[:kept], self.prev[:kept],
+                                                     self.candidate[:kept])
+                del lengths[self.windows:]
+                continue
+            F, prev, candidate, alive = self.F, self.prev, self.candidate, self.alive
+            for t in range(first, stop):
+                done = bisect.bisect_left(lengths, t, done)
+                lo, hi = done * size, F.shape[0]  # the rows of the windows that reach t
+                starts = alive[:np.searchsorted(alive, t - min_size, side="right")]
+                vals = (F[lo:, starts].reshape(-1, size, starts.size)
+                        + costs[done:, t - first, starts][:, None, :]
+                        + pen3).reshape(-1, starts.size)
+                vals[~candidate[lo:, starts]] = np.inf
+                best = np.argmin(vals, axis=1)  # first minimum -> smallest start on ties
+                F[lo:, t] = vals[rows[:hi - lo], best]
+                prev[lo:, t] = starts[best]
+                keep = vals <= F[lo:, t, None] + pen2[lo:hi]  # F[s]+C(s,t) <= F[t]+penalty
+                candidate[lo:, starts] = keep
+                alive = np.concatenate((starts[keep.any(axis=0)], alive[starts.size:], [t]))
+                candidate[:, t] = True
+            self.alive, self.end = alive, stop - 1
 
-    def segmentations(self, penalties: np.ndarray, n: int) -> list[Segmentation]:
-        """The optimal segmentation of x[:n] under each penalty."""
+    def _read(self, caches: list[CostCache], done: int, first: int, stop: int) -> np.ndarray:
+        """The costs of the columns first..stop-1 over the starts alive or
+        born by then, read in one ``values`` call per window, its segments
+        column by column (the order in which PELT's l1 queries fill whole
+        diagonals): ``costs[w, t - first, s]`` is window w's C(s, t), for
+        the windows from ``done`` on. Stops before a window whose read fails,
+        or raises if that is the first."""
+        last = stop - 1 - self.min_size  # the latest start the block considers
+        starts = np.concatenate((self.alive[:np.searchsorted(self.alive, last, side="right")],
+                                 np.arange(first, last + 1)))
+        column, index = np.nonzero(starts <= np.arange(first - self.min_size, last + 1)[:, None])
+        seg_starts, seg_ends = starts[index], column + first
+        costs = np.empty((self.windows, stop - first, last + 1))
+        for w in range(done, self.windows):
+            k = np.searchsorted(column, caches[w].n - first, side="right")
+            try:
+                costs[w, column[:k], seg_starts[:k]] = caches[w].values(seg_starts[:k],
+                                                                        seg_ends[:k])
+            except Exception:
+                if w == 0:
+                    raise
+                return costs[:w]
+        return costs
+
+    def segmentations(self, penalties: np.ndarray, n: int, window: int = 0) -> list[Segmentation]:
+        """The optimal segmentation of window ``window``, x[:n], under each penalty."""
         segs = []
-        for row in np.searchsorted(self.penalties, penalties).tolist():
+        base = window * self.penalties.size
+        for row in (base + np.searchsorted(self.penalties, penalties)).tolist():
             breakpoints: list[int] = []
             t = n
             while t > 0:
@@ -352,11 +442,10 @@ def bottomup(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
     return _as_given(penalty, _penalized_segmentations(cache, found, penalties))
 
 
-def kcpd(signal: np.ndarray | CostCache, penalty: float | Sequence[float] = 1.0,
-         min_size: int = 1, kernel: SegmentCost | None = None,
-         ) -> Segmentation | list[Segmentation]:
+def kcpd(signal: np.ndarray | CostCache | list, penalty: float | Sequence[float] = 1.0,
+         min_size: int = 1, kernel: SegmentCost | None = None) -> Segmentation | list:
     """Kernel change-point detection: the exact dynamic program over the rbf
-    cost, with :func:`pelt`'s penalty forms."""
+    cost, with :func:`pelt`'s signal and penalty forms."""
     kernel = kernel or SegmentCost("rbf")
     if kernel.kind != "rbf":
         raise ValueError("kcpd is defined for the rbf kernel cost only")
@@ -551,9 +640,9 @@ def detect_with_score(window, config: DetectorConfig) -> tuple[int | None, float
     flat channels (no regime structure) never alert.
     """
     memo = window._memo if isinstance(window, Window) else {}
-    x = _window_samples(window, config.znorm, memo)
     key = workspace_key(config)
     if config.method == "FLUSS":
+        x = _window_samples(window, config.znorm, memo)
         n = x.shape[0]
         excl = (config.m + 1) // 2
         if n < config.m + excl + 1:
@@ -566,27 +655,82 @@ def detect_with_score(window, config: DetectorConfig) -> tuple[int | None, float
         pos, val = _fluss_best(curves)
         return (pos if val < config.threshold else None), val
     if key not in memo:
-        memo[key] = _cost_tables(window, x, config)
+        memo[key] = _cost_tables(window, config, memo)
     solves = memo.setdefault(_solve_key(config), {})
     if solves.get(config.penalty) is None:
         # the first config of a solve key on a window solves every penalty
         # noted for it (see share_solves), its own among them
         solves[config.penalty] = None
         todo = [p for p, seg in solves.items() if seg is None]
-        cache, programs = memo[key]
-        if config.method == "BINSEG":
-            segs = binseg(cache, config.cost, todo, config.min_size)
-        elif config.method == "BOTTOMUP":
-            segs = bottomup(cache, config.cost, todo, config.min_size)
-        elif config.method == "PELT":
-            segs = pelt(cache, config.cost, todo, config.min_size, programs)
-        else:
-            segs = kcpd(cache, todo, config.min_size, config.cost)
-        solves.update(zip(todo, segs))
+        solves.update(zip(todo, _solve(window, config, todo, memo[key])))
     seg = solves[config.penalty]
     if seg.breakpoints:
         return seg.breakpoints[-1], float(len(seg.breakpoints))
     return None, 0.0
+
+
+def _solve(window, config: DetectorConfig, penalties: list[float],
+           tables: tuple) -> list[Segmentation]:
+    """The window's segmentations under each penalty. In a replay, PELT
+    and KCPD over tables of the window alone solve the replay's next
+    windows in the same pass (see :func:`_batch`), and later windows read
+    their segmentations from the cycle memo."""
+    cache, programs = tables
+    if config.method == "BINSEG":
+        return binseg(cache, config.cost, penalties, config.min_size)
+    if config.method == "BOTTOMUP":
+        return bottomup(cache, config.cost, penalties, config.min_size)
+    shared = window._cycle_memo if isinstance(window, Window) else None
+    caches = cache
+    if shared is not None and programs is None:
+        solved = shared.setdefault(("solved", _solve_key(config)), {})
+        done = solved.pop(window.end_index, {})
+        if all(p in done for p in penalties):
+            return [done[p] for p in penalties]
+        caches = _batch(window, config, cache, len(penalties))
+    if config.method == "PELT":
+        segs = pelt(caches, config.cost, penalties, config.min_size, programs)
+    else:
+        segs = kcpd(caches, penalties, config.min_size, config.cost)
+    if caches is cache:
+        return segs
+    for later, later_segs in zip(caches[1:], segs[1:]):
+        solved.setdefault(later.n, {}).update(zip(penalties, later_segs))
+    return segs[0]
+
+
+# Most cells one batch of windows holds: each window's (n + 1)^2 cost table
+# (rbf's Gram prefix sums, l1's medians) and its (n + 1) columns per
+# penalty row of the program. 2^22 cells of 8 bytes are 32 MB.
+_BATCH_CELLS = 1 << 22
+
+
+def _batch(window: Window, config: DetectorConfig, cache: CostCache,
+           rows: int) -> list[CostCache]:
+    """The cost tables of the windows one solve at ``window`` covers: the
+    replay's windows from it, the i-th, up to the 2i-th, so that a family
+    whose configs have all fired by the k-th solves at most 2k + 1 windows,
+    while their cells stay within _BATCH_CELLS (it always holds
+    ``window``). The tables are kept in the cycle memo until their window
+    takes them. A window whose tables fail to build ends the batch; its
+    error is raised when the replay reaches it."""
+    shared, end = window._cycle_memo, window.end_index
+    ends = shared.get("ends", [])
+    i = bisect.bisect_left(ends, end)
+    later = ends[i + 1:2 * i + 1] if ends[i:i + 1] == [end] else []
+    pending = shared.setdefault(("tables", workspace_key(config)), {})
+    caches, cells = [cache], (end + 1) * (end + 1 + rows)
+    for later_end in later:
+        cells += (later_end + 1) * (later_end + 1 + rows)
+        if cells > _BATCH_CELLS:
+            break
+        if later_end not in pending:
+            try:
+                pending[later_end] = _window_tables(Window(window.cycle, later_end), config, {})
+            except Exception:
+                break
+        caches.append(pending[later_end])
+    return caches
 
 
 def cycle_level(config: DetectorConfig) -> bool:
@@ -597,15 +741,24 @@ def cycle_level(config: DetectorConfig) -> bool:
             and config.cost.kind in costs.PREFIX_KINDS)
 
 
-def _cost_tables(window, x: np.ndarray, config: DetectorConfig) -> tuple:
+def _window_tables(window, config: DetectorConfig, memo: dict) -> CostCache:
+    return CostCache(_window_samples(window, config.znorm, memo), config.cost)
+
+
+def _cost_tables(window, config: DetectorConfig, memo: dict) -> tuple:
     """A window's cost tables and the dict that keeps PELT's programs over
-    them: in a replay (a window with a cycle memo) and for a cycle-level
+    them. In a replay (a window with a cycle memo), for a cycle-level
     config, a prefix of the cycle's tables and the cycle's dict, shared
-    with the replay's other windows; else the window's own, and None."""
+    with the replay's other windows; else the window's own tables, built
+    ahead by a batch (see :func:`_batch`) or here, and None."""
     shared = window._cycle_memo if isinstance(window, Window) else None
-    if shared is None or not cycle_level(config):
-        return CostCache(x, config.cost), None
     key = workspace_key(config)
+    if shared is None or not cycle_level(config):
+        cache = None if shared is None else shared.get(("tables", key), {}).pop(
+            window.end_index, None)
+        if cache is None:
+            cache = _window_tables(window, config, memo)
+        return cache, None
     if key not in shared:
         shared[key] = CostCache(window.cycle.samples, config.cost), {}
     tables, programs = shared[key]

@@ -9,7 +9,8 @@ a whole list of configs, so every config still running on a window shares
 that window's memo (see :class:`~maintseg.core.Window`), and the penalties
 of those configs that share a solver, cost and min_size are solved together.
 The tables that depend on the cycle alone, and PELT's programs over them,
-are kept in one memo for all the cycle's windows.
+are kept in one memo for all the cycle's windows, as are the tables and
+segmentations that one batched PELT solve makes ahead for later windows.
 """
 
 from __future__ import annotations
@@ -67,11 +68,15 @@ def replay(cycle: LifeCycle, configs: Sequence[DetectorConfig], step: int = 7,
     detection raised (which stops that config only). ``detector`` replaces
     the default dispatch, for instrumentation.
 
-    The windows share a cycle memo: the segmenters whose cost tables depend
-    on the cycle alone (``detectors.cycle_level``) read prefixes of one set
-    of tables over the whole cycle, and PELT resumes one dynamic program
-    from window to window instead of starting each at t = 0. The memo is
-    dropped when the replay returns.
+    The windows share a cycle memo. The segmenters whose cost tables
+    depend on the cycle alone (``detectors.cycle_level``) read prefixes of
+    one set of tables over the whole cycle, and PELT resumes one dynamic
+    program from window to window instead of starting each at t = 0. For
+    the others, the first PELT or KCPD solve of a solve key on the i-th
+    window also solves the windows up to the 2i-th in the same column walk,
+    within a stated memory budget; those windows then take their tables and
+    segmentations from the memo. The memo is dropped when the replay
+    returns.
     """
     if alert_at not in ALERT_TIMINGS:
         raise ValueError(f"alert_at must be one of {ALERT_TIMINGS}")

@@ -181,6 +181,23 @@ class TestConfigFiles:
         assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
 
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("penalties", float("nan"), "nan"), ("penalties", float("inf"), "inf"),
+        ("costs", "rbf:nan", "gamma"), ("costs", "rbf:inf", "gamma")])
+    def test_non_finite_grid_value_refused_before_any_work(self, corpus, tmp_path, capsys,
+                                                           field, value, named):
+        doc = {"PELT": {"costs": ["rbf"], "penalties": [1.0], "min_sizes": [2]}}
+        doc["PELT"][field] = [value]
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(doc))  # NaN / Infinity
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main(["sweep", str(corpus), "--grid", str(grid), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+        assert not (out / "results.csv").exists()
+
+
 class TestEvaluate:
     def test_never_firing_config(self, corpus, tmp_path, capsys):
         out = tmp_path / "eval"

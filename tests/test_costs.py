@@ -67,6 +67,14 @@ class TestCostValues:
         with pytest.raises(ValueError):
             SegmentCost("rbf", gamma=0.0)
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_bandwidth_rejected(self, gamma):
+        # a NaN gamma would pass "gamma <= 0" and make every cost NaN
+        with pytest.raises(ValueError, match="finite"):
+            SegmentCost("rbf", gamma=gamma)
+        with pytest.raises(ValueError, match="finite"):
+            cost_from_label(f"rbf:{gamma!r}")
+
     def test_label_round_trip(self):
         for spec in (SegmentCost("l2"), SegmentCost("l1"), SegmentCost("normal"),
                      SegmentCost("rbf"), SegmentCost("rbf", gamma=0.25)):

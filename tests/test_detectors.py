@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import maintseg.detectors as detectors_mod
-from maintseg.core import Window
+from maintseg.core import Window, znormalize
 from maintseg.costs import CostCache, SegmentCost, cost_from_label
 from maintseg.detectors import (
     DetectorConfig,
@@ -56,6 +56,12 @@ class TestDetectorConfig:
             DetectorConfig("PELT")  # penalty missing
         with pytest.raises(ValueError):
             DetectorConfig("PELT", penalty=-1.0)
+
+    @pytest.mark.parametrize("method", ["PELT", "BINSEG", "BOTTOMUP", "KCPD"])
+    @pytest.mark.parametrize("penalty", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_penalty_rejected(self, method, penalty):
+        with pytest.raises(ValueError, match=f"finite penalty >= 0, got {penalty!r}"):
+            DetectorConfig(method, penalty=penalty)
 
     @pytest.mark.parametrize("cfg", [
         DetectorConfig("PELT", penalty=0.046415888336127774, min_size=3),
@@ -489,13 +495,73 @@ class TestPenaltyPath:
             assert resume[min_size].end == 80
             assert set(resume[min_size].penalties) == {*PENALTY_PATH, 0.25, 3.0}
 
+    @pytest.mark.parametrize("min_size", [1, 2, 3, 7])
+    @pytest.mark.parametrize("znorm", [False, True], ids=["raw", "znorm"])
+    @pytest.mark.parametrize("label", ["l1", "l2", "normal", "rbf", "rbf:0.1"])
+    def test_window_rows_equal_one_solve_per_window(self, label, znorm, min_size, rng):
+        # one lockstep program over (window, penalty) rows, as a replay's
+        # batch solves its windows: each window's own tables (z-normalized
+        # per window, or with a median bandwidth of its own), windows
+        # shorter than 2 * min_size, equal lengths and a final partial window
+        spec = cost_from_label(label)
+        x = _shifting_signal(rng, n=47)
+        ends = sorted({1, 2 * min_size - 1, 2 * min_size, 7, 14, 21, 28, 28, 35, 42, 47})
+        for signal in (x, np.round(x, 1)):
+            windows = [znormalize(signal[:e]) if znorm else signal[:e] for e in ends]
+            caches = [CostCache(w, spec) for w in windows]
+            got = pelt(caches, spec, PENALTY_PATH, min_size)
+            assert len(got) == len(windows)
+            for w, segs in zip(windows, got):
+                assert _exactly(segs) == _exactly(pelt(CostCache(w, spec), spec, PENALTY_PATH,
+                                                       min_size))
+            # later windows read subsets of the program's penalties
+            long = [c for c in caches if c.n >= 2 * min_size]
+            program = detectors_mod._PeltProgram(np.unique(PENALTY_PATH), min_size, len(long))
+            program.advance(long)
+            for w, cache in enumerate(long):
+                subset = PENALTY_PATH[w % 5::2]
+                assert _exactly(program.segmentations(np.array(subset), cache.n, w)) == \
+                    _exactly(pelt(CostCache(cache.signal, spec), spec, subset, min_size))
+
+    def test_window_rows_stop_before_a_window_that_fails(self, rng):
+        # a window whose costs fail to read ends the result before it; when
+        # it is the first, its error propagates. Windows 3 and 19 fail: 3 is
+        # shorter than 2 * min_size and reads one cost, 19 is solved
+        x = _shifting_signal(rng, n=40)
+
+        class Failing(CostCache):
+            def values(self, starts, ends):
+                if self.n in (3, 19):
+                    raise RuntimeError(f"window {self.n}")
+                return super().values(starts, ends)
+
+            def value(self, a, b):
+                return float(self.values(np.array([a]), np.array([b]))[0])
+
+        ends = [2, 3, 10, 12, 19, 30, 40]
+        caches = [Failing(x[:e], L2) for e in ends]
+        for windows, solved in ((caches, [2]), (caches[2:], [10, 12]), (caches[:1], [2])):
+            assert [_exactly(segs) for segs in pelt(windows, L2, PENALTY_PATH, 2)] == \
+                [_exactly(pelt(x[:e], L2, PENALTY_PATH, 2)) for e in solved]
+        for first in (caches[1:], caches[4:]):
+            with pytest.raises(RuntimeError, match=f"window {first[0].n}"):
+                pelt(first, L2, PENALTY_PATH, 2)
+
+    def test_windows_must_not_shrink(self, rng):
+        x = _shifting_signal(rng)
+        with pytest.raises(ValueError):
+            pelt([x[:20], x[:10]], L2, 1.0, 2)
+        with pytest.raises(ValueError):
+            pelt([x[:10], x[:20]], L2, 1.0, 2, resume={})
+
     def test_one_entry_sequence_is_the_float_form(self, rng):
         x = _shifting_signal(rng)
         for solver in (pelt, binseg, bottomup):
             assert solver(x, L2, [0.5], 2) == [solver(x, L2, 0.5, 2)]
             assert solver(x, L2, np.array([0.5, 2.0]), 2) == solver(x, L2, (0.5, 2.0), 2)
 
-    @pytest.mark.parametrize("penalty", [[], [1.0, -0.5], -0.5, [[1.0]], float("nan")])
+    @pytest.mark.parametrize("penalty", [[], [1.0, -0.5], -0.5, [[1.0]], float("nan"),
+                                         float("inf"), [1.0, float("inf")]])
     def test_bad_penalties_rejected(self, penalty):
         for solver in (pelt, binseg, bottomup):
             with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 
 import maintseg.detectors as detectors_mod
 from maintseg.costs import CostCache, SegmentCost
-from maintseg.core import BusinessParams, Window
+from maintseg.core import BusinessParams, Window, prefix_windows
 from maintseg.detectors import METHODS, DetectorConfig, cycle_level, detect, share_solves
 from maintseg.protocol import (ALERT_TIMINGS, Alert, Verdict, classify, replay, run_streaming,
                                run_streaming_trace)
@@ -20,6 +20,7 @@ from conftest import make_cycle, two_regime_series
 NEVER_FIRES = DetectorConfig("PELT", penalty=1e12, min_size=2)
 PELT_L2 = DetectorConfig("PELT", cost=SegmentCost("l2"), penalty=1.0, min_size=2)
 DEFAULT_GRID = build_grid(default_grid())
+GRID_PENALTIES = default_grid().methods["PELT"].penalties
 
 
 def two_regime_cycle(n=35, change=26, base=0.2, level=3.0):
@@ -96,6 +97,22 @@ def per_window(window, config):
     return detect(Window(window.cycle, window.end_index), config)
 
 
+_ORACLE: dict = {}
+
+
+def _oracle_once(window, config):
+    """:func:`per_window`, computed once per (cycle, window, config): a
+    detection does not depend on the alert timing."""
+    key = (window.cycle.key, window.cycle.n, window.end_index, config)
+    if key not in _ORACLE:
+        _ORACLE[key] = per_window(window, config)
+    return _ORACLE[key]
+
+
+def alert_at_window(end, cp):
+    return Alert(step_end_index=end, change_point_index=cp, a=end)
+
+
 def _settings(config):
     """Every setting of a config but its penalty or threshold."""
     if config.method == "FLUSS":
@@ -164,6 +181,108 @@ class TestReplay:
         # configs stop at different windows, so later windows solve fewer penalties
         assert len({alert.step_end_index for alert in expected if alert}) >= 3
         assert None in expected
+
+    @pytest.mark.parametrize("alert_at", ALERT_TIMINGS)
+    def test_batched_windows_equal_one_run_per_config(self, alert_at):
+        # the per-window families (znorm on, median-bandwidth rbf, KCPD) at
+        # every cost, min_size and znorm setting and a third of the penalty
+        # axis, over ten hourly windows: batches of 1, 2, 4 and 3 windows
+        spec = SynthSpec(n_days_min=240, n_days_max=240, period_hours=1.0,
+                         change_offset_days=60)
+        (cycle,) = generate_corpus(5, 1, spec)
+        configs = [c for c in DEFAULT_GRID if c.method != "FLUSS" and not cycle_level(c)
+                   and c.penalty in GRID_PENALTIES[::3]]
+        assert {c.method for c in configs} == set(METHODS) - {"FLUSS"}
+        assert len(configs) == 828 // 3
+        expected = replay(cycle, configs, 24, alert_at, detector=_oracle_once)
+        assert replay(cycle, configs, 24, alert_at) == expected
+        # configs stop in several batches, and some never fire
+        assert len({alert.step_end_index for alert in expected if alert}) >= 4
+        assert None in expected
+
+    def test_batch_builds_no_tables_past_twice_the_firing_window(self, monkeypatch):
+        # a solve at the i-th window covers windows i..2i: a config that fires
+        # on the k-th window (0-based) has tables built for at most 2k + 1
+        cycle = two_regime_cycle(n=70, change=26)
+        built = []
+
+        class Counted(CostCache):
+            def __init__(self, signal, spec=None):
+                super().__init__(signal, spec)
+                built.append(self.n)
+
+        monkeypatch.setattr(detectors_mod, "CostCache", Counted)
+        rbf = DetectorConfig("PELT", cost=SegmentCost("rbf", gamma=1.0), penalty=1.0,
+                             min_size=2)
+        for step, fires in ((28, 28), (9, 36), (3, 30), (7, 28)):
+            built.clear()
+            (alert,) = replay(cycle, [rbf], step)
+            assert alert == alert_at_window(fires, 26)
+            ends = [w.end_index for w in prefix_windows(cycle, step)]
+            k = ends.index(fires)
+            assert built == ends[:len(built)] and k < len(built) <= 2 * k + 1
+        assert len(built) == 2 * k + 1  # step 7 fires on window 3: batches of 1, 2 and 4
+        built.clear()
+        assert replay(cycle, [rbf], 28) == [alert_at_window(28, 26)]
+        assert built == [28]  # fires on its first window: that window's tables only
+
+    def test_batch_cells_stay_within_the_budget(self, monkeypatch):
+        # a step-1 replay of a long cycle: the batches grow to the cell
+        # budget, never past it, and always hold their first window
+        cycle = make_cycle(np.random.default_rng(4).gamma(2.0, size=(300, 2)))
+        batches = []
+        real = detectors_mod.pelt
+
+        def noting(signal, cost, penalties, min_size, resume=None):
+            if isinstance(signal, list):
+                batches.append([c.n for c in signal])
+                cells = sum((n + 1) * (n + 1 + len(penalties)) for n in batches[-1])
+                assert len(signal) == 1 or cells <= detectors_mod._BATCH_CELLS
+            return real(signal, cost, penalties, min_size, resume)
+
+        monkeypatch.setattr(detectors_mod, "pelt", noting)
+        never = DetectorConfig("PELT", cost=SegmentCost("rbf", gamma=1.0), penalty=1e12,
+                               min_size=2)
+        assert replay(cycle, [never], 1) == [None]
+        assert [n for batch in batches for n in batch] == list(range(1, 301))
+        assert max(map(len, batches)) > 8  # doubling, then cut by the budget
+        assert batches[-1][-1] == 300 and len(batches[-1]) < 150
+
+    @pytest.mark.parametrize("where", ["values", "build"])
+    def test_failed_tables_fail_their_window_only(self, where, monkeypatch):
+        # tables that fail at one window's length fail the configs still
+        # running there, as the per-window oracle does; configs that stop
+        # earlier keep their alerts, and no other window fails
+        spec = SynthSpec(n_days_min=98, n_days_max=98, change_offset_days=30)
+        (cycle,) = generate_corpus(5, 1, spec)
+        configs = [c for c in DEFAULT_GRID if c.method != "FLUSS" and not cycle_level(c)
+                   and c.cost.label in ("rbf", "l2") and c.min_size == 2]
+
+        class Failing(CostCache):
+            def __init__(self, signal, spec=None):
+                if where == "build" and len(signal) == 63:
+                    raise RuntimeError("no tables at 63")
+                super().__init__(signal, spec)
+
+            def values(self, starts, ends):
+                if self.n == 63:
+                    raise RuntimeError("no costs at 63")
+                return super().values(starts, ends)
+
+        monkeypatch.setattr(detectors_mod, "CostCache", Failing)
+
+        def outcome(alert):
+            return repr(alert) if isinstance(alert, Exception) else alert
+
+        for alert_at in ALERT_TIMINGS:
+            expected = list(map(outcome, replay(cycle, configs, 7, alert_at,
+                                                detector=per_window)))
+            assert list(map(outcome, replay(cycle, configs, 7, alert_at))) == expected
+            # alerts on the first window and on the one before the failure,
+            # whose batch was cut; every other config fails at 63
+            assert {a.step_end_index for a in expected if isinstance(a, Alert)} == {7, 56}
+            assert {a for a in expected if not isinstance(a, Alert)} == \
+                {repr(RuntimeError(f"no {'tables' if where == 'build' else 'costs'} at 63"))}
 
     def test_failed_config_stops_alone(self):
         cycle = two_regime_cycle(n=35, change=26)
@@ -308,3 +427,15 @@ def test_default_grid_equals_per_window_oracle():
         for alert_at in ALERT_TIMINGS:
             assert replay(cycle, DEFAULT_GRID, 7, alert_at) == \
                 replay(cycle, DEFAULT_GRID, 7, alert_at, detector=per_window)
+
+
+@pytest.mark.skipif(not os.environ.get("MAINTSEG_RUN_SLOW"),
+                    reason="minute-long oracle run; set MAINTSEG_RUN_SLOW=1")
+def test_hourly_default_grid_equals_per_window_oracle():
+    # the whole shipped grid on one 240-bucket hourly cycle in steps of 12
+    # buckets: 20 windows, so batches of up to 10, at both alert timings
+    spec = SynthSpec(n_days_min=240, n_days_max=240, period_hours=1.0, change_offset_days=60)
+    (cycle,) = generate_corpus(13, 1, spec)
+    for alert_at in ALERT_TIMINGS:
+        assert replay(cycle, DEFAULT_GRID, 12, alert_at) == \
+            replay(cycle, DEFAULT_GRID, 12, alert_at, detector=per_window)

@@ -83,6 +83,19 @@ class TestBuildGrid:
         with pytest.raises(GridSpecError, match=named):
             GridSpec.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("method, field, value, named", [
+        ("PELT", "penalties", float("nan"), "nan"),
+        ("KCPD", "penalties", float("inf"), "inf"),
+        ("BINSEG", "costs", "rbf:nan", "nan"),
+        ("PELT", "costs", "rbf:inf", "inf"),
+    ])
+    def test_non_finite_values_refused(self, method, field, value, named):
+        doc = {method: {"costs": ["rbf"], "penalties": [1.0], "min_sizes": [2]}}
+        doc[method][field] = [value]
+        spec = GridSpec.from_json(json.dumps(doc))  # JSON's NaN and Infinity parse
+        with pytest.raises(ValueError, match=named):
+            build_grid(spec)
+
     def test_cartesian_count(self):
         spec = GridSpec({"PELT": MethodGrid(costs=("l1", "l2"),
                                             penalties=(0.1, 1.0, 10.0),
