@@ -145,11 +145,11 @@ class Window:
     ``_cycle_memo``, which a replay gives each of its windows, holds what
     they share across windows: the replay's window ends; the cost tables
     that depend on the cycle alone, of which each window's memo holds a
-    prefix, and PELT's programs over them, resumed window by window; and,
-    for tables of one window alone, the tables and segmentations that a
-    batched PELT solve at an earlier window made ahead for later ones, each
-    taken by its window when the replay reaches it. Neither memo is part of
-    the window's equality or hash.
+    prefix; and the segmentations that a batched PELT solve at an earlier
+    window made ahead for later ones, with the tables it built for them
+    when they are tables of one window alone, each taken by its window when
+    the replay reaches it. Neither memo is part of the window's equality or
+    hash.
     """
 
     cycle: LifeCycle

@@ -23,13 +23,13 @@ these tables, so the detectors share one across every config evaluated on
 a window (see ``detectors.detect_with_score``). The l1, l2 and normal
 tables of a segment [a, b) read only the samples before b, so a replay
 builds them once over the whole cycle and hands each window a
-:meth:`CostCache.prefix` of them; the rbf Gram is built per window (BLAS
-rounds ``x @ x.T`` differently at different n).
+:meth:`CostCache.prefix` of them, which PELT solves as one set of rows
+(see ``detectors.pelt``); the rbf Gram is built per window (BLAS rounds
+``x @ x.T`` differently at different n).
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -127,6 +127,9 @@ class CostCache:
     is the cache of the signal's first ``end`` samples over the same tables.
     """
 
+    # the cache that a prefix view was cut from; None for a cache of its own
+    whole: "CostCache | None" = None
+
     def __init__(self, signal: np.ndarray, spec: SegmentCost | None = None):
         self.signal = x = as_signal(signal)
         self.spec = spec or SegmentCost()
@@ -161,14 +164,15 @@ class CostCache:
         """The cache of ``signal[:end]``: a copy with ``n = end`` that shares
         this cache's tables, bitwise ``CostCache(signal[:end], spec)`` in
         every answer. l1 costs filled through either are filled for both.
-        Only the :data:`PREFIX_KINDS` have one.
+        Its ``whole`` is the cache it was cut from (that cache's ``whole``
+        for a prefix of a prefix). Only the :data:`PREFIX_KINDS` have one.
         """
         if self.spec.kind not in PREFIX_KINDS:
             raise ValueError(f"{self.spec.label} tables depend on the whole signal")
         if not 1 <= end <= self.n:
             raise ValueError(f"prefix end {end} outside [1, {self.n}]")
-        view = copy.copy(self)  # not the constructor: the tables are kept
-        view.n, view.signal = end, self.signal[:end]
+        view = object.__new__(type(self))  # not the constructor: the tables are kept
+        view.__dict__.update(vars(self), n=end, signal=self.signal[:end], whole=self.whole or self)
         return view
 
     def value(self, a: int, b: int) -> float:

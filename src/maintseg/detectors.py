@@ -150,11 +150,8 @@ def workspace_key(config: DetectorConfig) -> tuple:
     return ("segments", config.cost.label, config.znorm)
 
 
-def _penalized(signal, cost: SegmentCost | None, penalty,
-               min_size: int) -> tuple[CostCache, np.ndarray]:
-    """The penalized segmenters' shared preamble: check the penalties and
-    min_size, then build the signal's cost tables, or take a prebuilt
-    :class:`~maintseg.costs.CostCache` passed in place of the signal."""
+def _penalties(penalty, min_size: int) -> np.ndarray:
+    """The penalized segmenters' checks of their penalties and min_size."""
     penalties = np.atleast_1d(np.asarray(penalty, dtype=float))
     if penalties.ndim != 1 or penalties.size == 0:
         raise ValueError("penalty must be a float or a non-empty sequence of floats")
@@ -162,11 +159,16 @@ def _penalized(signal, cost: SegmentCost | None, penalty,
         raise ValueError("penalty must be finite and >= 0")
     if min_size < 1:
         raise ValueError("min_size must be >= 1")
+    return penalties
+
+
+def _as_cache(signal, cost: SegmentCost | None) -> CostCache:
+    """The signal's cost tables, or a prebuilt cache passed in its place."""
     if isinstance(signal, costs.CostCache):
         if cost is not None and cost != signal.spec:
             raise ValueError(f"cost {cost.label} does not match the cache's {signal.spec.label}")
-        return signal, penalties
-    return CostCache(signal, cost), penalties
+        return signal
+    return CostCache(signal, cost)
 
 
 def _as_given(penalty, segs: list[Segmentation]) -> Segmentation | list[Segmentation]:
@@ -175,8 +177,7 @@ def _as_given(penalty, segs: list[Segmentation]) -> Segmentation | list[Segmenta
 
 
 def pelt(signal: np.ndarray | CostCache | list, cost: SegmentCost | None = None,
-         penalty: float | Sequence[float] = 1.0, min_size: int = 1,
-         resume: dict | None = None) -> Segmentation | list:
+         penalty: float | Sequence[float] = 1.0, min_size: int = 1) -> Segmentation | list:
     """Exact minimizer of sum-of-segment-costs + penalty * (#breakpoints).
 
     Pruned dynamic program: a candidate start s is dropped once its partial
@@ -193,25 +194,20 @@ def pelt(signal: np.ndarray | CostCache | list, cost: SegmentCost | None = None,
     Like the other segmenters, ``signal`` may be a prebuilt
     :class:`~maintseg.costs.CostCache` of the cost instead of the signal.
     It may also be a list of signals or caches of non-decreasing length,
-    such as the prefix windows of one cycle, giving one result per entry:
-    their programs run in lockstep too, one row per (window, penalty), and
-    the columns are walked once, up to the longest (see
-    :class:`_PeltProgram`). If one entry's costs fail to read, the result
-    stops before it; the error propagates when it is the first. A replay
-    solves its windows in such batches, within a stated memory budget
-    (see ``_batch``).
-
-    ``resume`` is a dict kept across solves of prefixes of one signal (each
-    ``signal`` a :meth:`~maintseg.costs.CostCache.prefix` of one cache): the
-    program is kept there per min_size and resumed where the last solve
-    left it, since its column t depends on x[:t] alone. A program lacking
-    one of the penalties is replaced by one over the union of both.
+    such as the prefix windows of one cycle, giving one result per entry
+    up to the first by which every penalty has found a breakpoint in some
+    entry: the streaming replay stops a config at its first alert, so it
+    reads no later window (see ``_batch``). Their programs run in lockstep
+    too, and the columns are walked once, up to the longest (see
+    :class:`_PeltProgram`). Entries cut from one cache by
+    :meth:`~maintseg.costs.CostCache.prefix` share one set of rows, each
+    read at its own n, since column t depends on x[:t] alone. If one
+    entry's costs fail to read, the result stops before it; the error
+    propagates when it is the first.
     """
-    checked = [_penalized(window, cost, penalty, min_size)
-               for window in (signal if isinstance(signal, list) else [signal])]
-    caches, penalties = [cache for cache, _ in checked], checked[0][1]
-    if resume is not None and len(caches) > 1:
-        raise ValueError("pelt resumes one signal at a time")
+    penalties = _penalties(penalty, min_size)
+    caches = [_as_cache(window, cost)
+              for window in (signal if isinstance(signal, list) else [signal])]
     if any(b.n < a.n for a, b in zip(caches, caches[1:])):
         raise ValueError("pelt's signals must come in non-decreasing lengths")
     out: list[list[Segmentation]] = []
@@ -221,17 +217,12 @@ def pelt(signal: np.ndarray | CostCache | list, cost: SegmentCost | None = None,
                 break
             out.append([Segmentation((), cache.value(0, cache.n))] * penalties.size)
         long = caches[len(out):]
-        if long:
-            program = None if resume is None else resume.get(min_size)
-            if program is None or not np.isin(penalties, program.penalties).all():
-                rows = penalties if program is None else np.concatenate((program.penalties,
-                                                                         penalties))
-                program = _PeltProgram(np.unique(rows), min_size, len(long))
-                if resume is not None:
-                    resume[min_size] = program
-            program.advance(long)
-            out.extend(program.segmentations(penalties, cache.n, w)
-                       for w, cache in enumerate(long[:program.windows]))
+        while long:  # again over the caches before one whose costs failed to read
+            program = _PeltProgram(np.unique(penalties), min_size, long)
+            if program.advance():
+                out.extend(program.segmentations(penalties, w) for w in range(program.solved))
+                break
+            long = long[:program.solved]
     except Exception:  # in the first signal, or else the result stops before it
         if not out:
             raise
@@ -239,75 +230,77 @@ def pelt(signal: np.ndarray | CostCache | list, cost: SegmentCost | None = None,
     return segs if isinstance(signal, list) else segs[0]
 
 
-# Columns of one cost read: each window's costs of a block of columns are
-# read in one ``values`` call, over the starts alive at the block's first
-# column or born inside it.
+# Columns of one cost read: the costs of a block of columns are read in
+# one ``values`` call per group of rows, over the starts alive at the
+# block's first column or born inside it.
 _PELT_BLOCK = 16
 
 
 class _PeltProgram:
-    """:func:`pelt`'s dynamic program, advanced end by end, one row per
-    (window, penalty): the rows of window w are w * P .. w * P + P - 1 for P
-    penalties, and read window w's costs.
+    """:func:`pelt`'s dynamic program over a list of caches of non-decreasing
+    length, one row per (group, penalty): the rows of group g are
+    g * P .. g * P + P - 1 for P penalties. The caches cut from one cache
+    by :meth:`~maintseg.costs.CostCache.prefix` are one group, whose column
+    t is read through the shortest of them that holds t, and whose rows
+    give each of them its result at its own n; any other cache is a group
+    of its own.
 
-    Columns 0..end are final. A start t is born once column t is, whatever
-    the windows' lengths: it is first considered at t + min_size. The
-    windows are in non-decreasing order of length, and each window's rows
-    stop at its length: from then on they are sliced out of every column,
-    so that nothing past a window's end is read and its rows keep no start
-    alive. A start that only other rows keep reads +inf, so each row is
-    bitwise the one-window, one-penalty program. Costs are read ahead in
-    blocks of _PELT_BLOCK columns (see :meth:`_read`).
+    A start t is born once column t is final, whatever the groups' lengths:
+    it is first considered at t + min_size. The groups are in
+    non-decreasing order of their longest caches, and each group's rows
+    stop there: from then on they are sliced out of every column, so that
+    nothing past a cache's end is read and its rows keep no start alive. A
+    start that only other rows keep reads +inf, so each row is bitwise the
+    one-cache, one-penalty program. Costs are read ahead in blocks of
+    _PELT_BLOCK columns, and a block ends at any cache's end inside a group,
+    where the group's reads move on to a longer cache (see :meth:`_read`).
     """
 
-    def __init__(self, penalties: np.ndarray, min_size: int, windows: int = 1):
+    def __init__(self, penalties: np.ndarray, min_size: int, caches: list[CostCache]):
         self.penalties, self.min_size = penalties, min_size  # penalties ascending, distinct
-        self.windows = windows
+        self.caches, self.solved = caches, len(caches)  # solved: see advance
+        groups: dict = {}
+        for w, cache in enumerate(caches):
+            groups.setdefault(cache.whole or cache, []).append(w)
+        self.groups = sorted(groups.values(), key=lambda ws: ws[-1])
+        self.ends = [[caches[w].n for w in ws] for ws in self.groups]
+        self.row = {w: g * penalties.size for g, ws in enumerate(self.groups) for w in ws}
         # F[r, t] = optimal penalized cost of x[:t] under row r's penalty p;
         # F[r, 0] = -p so each segment contributes +p and the total equals
         # sum costs + p * breaks. candidate[r, s]: s is a start row r still
         # considers.
-        self.F = np.full((windows * penalties.size, min_size), np.inf)
-        self.F[:, 0] = -np.tile(penalties, windows)
+        self.F = np.full((len(self.groups) * penalties.size, caches[-1].n + 1), np.inf)
+        self.F[:, 0] = -np.tile(penalties, len(self.groups))
         self.prev = np.zeros(self.F.shape, dtype=int)
         self.candidate = np.zeros(self.F.shape, dtype=bool)
         self.candidate[:, 0] = True
-        self.alive = np.zeros(1, dtype=int)  # ascending: the starts some row considers
-        self.end = min_size - 1
 
-    def advance(self, caches: list[CostCache]) -> None:
-        """Compute the columns up to the last cache's n, window w's rows over
-        ``caches[w]``. A window whose costs fail to read is dropped with the
-        windows after it; the error propagates if it is the first."""
-        n, width = caches[-1].n, self.F.shape[1]
-        if n <= self.end:
-            return
-        if n >= width:  # room for n and, doubling, for later ends
-            more = ((0, 0), (0, max(n + 1, 2 * width) - width))
-            self.F = np.pad(self.F, more, constant_values=np.inf)
-            self.prev = np.pad(self.prev, more)
-            self.candidate = np.pad(self.candidate, more)
+    def advance(self) -> bool:
+        """Compute the columns up to the longest cache's n, or stop after the
+        first cache by which every penalty has had a breakpoint
+        (``prev[row, n] > 0``), with ``solved`` set past it. If a cache's
+        costs fail to read, returns False with ``solved`` set to its index;
+        the error propagates if it is the first."""
         size, min_size = self.penalties.size, self.min_size
-        lengths = [cache.n for cache in caches[:self.windows]]
+        ns = [cache.n for cache in self.caches]
+        broken = np.zeros(size, dtype=bool)  # the penalties that broke in some cache
+        lengths = [ends[-1] for ends in self.ends]
+        cuts = sorted({n for ends in self.ends for n in ends[:-1]} | {lengths[-1]})
         pen3 = self.penalties[None, :, None]
-        pen2 = 2 * np.tile(self.penalties, self.windows)[:, None]
+        pen2 = 2 * np.tile(self.penalties, len(self.groups))[:, None]
         rows = np.arange(pen2.size)
-        while self.end < lengths[-1]:
-            first = self.end + 1
-            stop = min(first + _PELT_BLOCK, lengths[-1] + 1)
-            done = bisect.bisect_left(lengths, first)  # the windows that end before first
-            costs = self._read(caches, done, first, stop)
-            if len(costs) < self.windows:  # that window failed: drop it and the later ones
-                self.windows = len(costs)
-                kept = self.windows * size
-                self.F, self.prev, self.candidate = (self.F[:kept], self.prev[:kept],
-                                                     self.candidate[:kept])
-                del lengths[self.windows:]
-                continue
-            F, prev, candidate, alive = self.F, self.prev, self.candidate, self.alive
+        F, prev, candidate = self.F, self.prev, self.candidate
+        alive = np.zeros(1, dtype=int)  # ascending: the starts some row considers
+        first = min_size
+        while first <= lengths[-1]:
+            stop = min(first + _PELT_BLOCK, cuts[bisect.bisect_left(cuts, first)] + 1)
+            done = bisect.bisect_left(lengths, first)  # the groups that end before first
+            costs = self._read(alive, done, first, stop)
+            if costs is None:
+                return False
             for t in range(first, stop):
                 done = bisect.bisect_left(lengths, t, done)
-                lo, hi = done * size, F.shape[0]  # the rows of the windows that reach t
+                lo, hi = done * size, F.shape[0]  # the rows of the groups that reach t
                 starts = alive[:np.searchsorted(alive, t - min_size, side="right")]
                 vals = (F[lo:, starts].reshape(-1, size, starts.size)
                         + costs[done:, t - first, starts][:, None, :]
@@ -320,44 +313,48 @@ class _PeltProgram:
                 candidate[lo:, starts] = keep
                 alive = np.concatenate((starts[keep.any(axis=0)], alive[starts.size:], [t]))
                 candidate[:, t] = True
-            self.alive, self.end = alive, stop - 1
+            for w in range(bisect.bisect_left(ns, first), bisect.bisect_left(ns, stop)):
+                broken |= prev[self.row[w]:self.row[w] + size, ns[w]] > 0
+                if broken.all():
+                    self.solved = w + 1
+                    return True
+            first = stop
+        return True
 
-    def _read(self, caches: list[CostCache], done: int, first: int, stop: int) -> np.ndarray:
+    def _read(self, alive: np.ndarray, done: int, first: int, stop: int) -> np.ndarray | None:
         """The costs of the columns first..stop-1 over the starts alive or
-        born by then, read in one ``values`` call per window, its segments
+        born by then, read in one ``values`` call per group, its segments
         column by column (the order in which PELT's l1 queries fill whole
-        diagonals): ``costs[w, t - first, s]`` is window w's C(s, t), for
-        the windows from ``done`` on. Stops before a window whose read fails,
-        or raises if that is the first."""
-        last = stop - 1 - self.min_size  # the latest start the block considers
-        starts = np.concatenate((self.alive[:np.searchsorted(self.alive, last, side="right")],
+        diagonals): ``costs[g, t - first, s]`` is group g's C(s, t), for the
+        groups from ``done`` on, read through the group's shortest cache
+        that holds ``first``. None, with ``solved`` set, when a read fails;
+        raises if that read is the first cache's."""
+        last = stop - 1 - self.min_size  # the latest start the columns consider
+        starts = np.concatenate((alive[:np.searchsorted(alive, last, side="right")],
                                  np.arange(first, last + 1)))
         column, index = np.nonzero(starts <= np.arange(first - self.min_size, last + 1)[:, None])
         seg_starts, seg_ends = starts[index], column + first
-        costs = np.empty((self.windows, stop - first, last + 1))
-        for w in range(done, self.windows):
-            k = np.searchsorted(column, caches[w].n - first, side="right")
+        costs = np.empty((len(self.groups), stop - first, last + 1))
+        for g in range(done, len(self.groups)):
+            w = self.groups[g][bisect.bisect_left(self.ends[g], first)]
+            j = np.searchsorted(column, self.caches[w].n - first, side="right")
             try:
-                costs[w, column[:k], seg_starts[:k]] = caches[w].values(seg_starts[:k],
-                                                                        seg_ends[:k])
+                costs[g, column[:j], seg_starts[:j]] = self.caches[w].values(seg_starts[:j],
+                                                                             seg_ends[:j])
             except Exception:
                 if w == 0:
                     raise
-                return costs[:w]
+                self.solved = w
+                return None
         return costs
 
-    def segmentations(self, penalties: np.ndarray, n: int, window: int = 0) -> list[Segmentation]:
-        """The optimal segmentation of window ``window``, x[:n], under each penalty."""
-        segs = []
-        base = window * self.penalties.size
-        for row in (base + np.searchsorted(self.penalties, penalties)).tolist():
-            breakpoints: list[int] = []
-            t = n
-            while t > 0:
-                s = int(self.prev[row, t])
-                if s > 0:
-                    breakpoints.append(s)
-                t = s
+    def segmentations(self, penalties: np.ndarray, w: int) -> list[Segmentation]:
+        """The optimal segmentation of cache ``w``, x[:n] for its n, under each penalty."""
+        segs, n = [], self.caches[w].n
+        for row in (self.row[w] + np.searchsorted(self.penalties, penalties)).tolist():
+            breakpoints, t = [], n
+            while (t := int(self.prev[row, t])) > 0:
+                breakpoints.append(t)
             segs.append(Segmentation(tuple(reversed(breakpoints)), float(self.F[row, n])))
         return segs
 
@@ -372,7 +369,7 @@ def binseg(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
     survives a penalty iff its gain and the gains of all the splits above
     it exceed that penalty.
     """
-    cache, penalties = _penalized(signal, cost, penalty, min_size)
+    penalties, cache = _penalties(penalty, min_size), _as_cache(signal, cost)
     n = cache.n
     lowest = penalties.min()
     splits: list[tuple[int, float]] = []  # (cut, least gain from the root down to it)
@@ -408,7 +405,7 @@ def bottomup(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
     visited in ascending order: each takes the breakpoints left when the
     cheapest merge first costs more than it.
     """
-    cache, penalties = _penalized(signal, cost, penalty, min_size)
+    penalties, cache = _penalties(penalty, min_size), _as_cache(signal, cost)
     n = cache.n
     bps = list(range(min_size, n, min_size))
     if bps and n - bps[-1] < min_size:
@@ -670,26 +667,25 @@ def detect_with_score(window, config: DetectorConfig) -> tuple[int | None, float
 
 
 def _solve(window, config: DetectorConfig, penalties: list[float],
-           tables: tuple) -> list[Segmentation]:
+           cache: CostCache) -> list[Segmentation]:
     """The window's segmentations under each penalty. In a replay, PELT
-    and KCPD over tables of the window alone solve the replay's next
-    windows in the same pass (see :func:`_batch`), and later windows read
-    their segmentations from the cycle memo."""
-    cache, programs = tables
+    and KCPD solve the replay's later windows in the same pass (see
+    :func:`_batch`), up to the first by which every penalty has fired, and
+    those windows read their segmentations from the cycle memo."""
     if config.method == "BINSEG":
         return binseg(cache, config.cost, penalties, config.min_size)
     if config.method == "BOTTOMUP":
         return bottomup(cache, config.cost, penalties, config.min_size)
     shared = window._cycle_memo if isinstance(window, Window) else None
     caches = cache
-    if shared is not None and programs is None:
+    if shared is not None:
         solved = shared.setdefault(("solved", _solve_key(config)), {})
         done = solved.pop(window.end_index, {})
         if all(p in done for p in penalties):
             return [done[p] for p in penalties]
         caches = _batch(window, config, cache, len(penalties))
     if config.method == "PELT":
-        segs = pelt(caches, config.cost, penalties, config.min_size, programs)
+        segs = pelt(caches, config.cost, penalties, config.min_size)
     else:
         segs = kcpd(caches, penalties, config.min_size, config.cost)
     if caches is cache:
@@ -707,20 +703,22 @@ _BATCH_CELLS = 1 << 22
 
 def _batch(window: Window, config: DetectorConfig, cache: CostCache,
            rows: int) -> list[CostCache]:
-    """The cost tables of the windows one solve at ``window`` covers: the
-    replay's windows from it, the i-th, up to the 2i-th, so that a family
-    whose configs have all fired by the k-th solves at most 2k + 1 windows,
-    while their cells stay within _BATCH_CELLS (it always holds
-    ``window``). The tables are kept in the cycle memo until their window
-    takes them. A window whose tables fail to build ends the batch; its
-    error is raised when the replay reaches it."""
+    """The cost tables of the windows one solve at ``window`` covers (the
+    solve stops after the window by which its configs have all fired). For
+    a cycle-level config, every later window of the replay, each a prefix
+    of the cycle's tables. Otherwise the replay's windows from the i-th,
+    ``window``, up to the 2i-th, within _BATCH_CELLS; their tables wait in
+    the cycle memo for their window, and a window whose tables fail to
+    build ends the batch, its error raised when the replay reaches it."""
     shared, end = window._cycle_memo, window.end_index
     ends = shared.get("ends", [])
     i = bisect.bisect_left(ends, end)
-    later = ends[i + 1:2 * i + 1] if ends[i:i + 1] == [end] else []
+    later = ends[i + 1:] if ends[i:i + 1] == [end] else []
+    if cycle_level(config):
+        return [cache, *map(cache.whole.prefix, later)]
     pending = shared.setdefault(("tables", workspace_key(config)), {})
     caches, cells = [cache], (end + 1) * (end + 1 + rows)
-    for later_end in later:
+    for later_end in later[:i]:
         cells += (later_end + 1) * (later_end + 1 + rows)
         if cells > _BATCH_CELLS:
             break
@@ -745,24 +743,19 @@ def _window_tables(window, config: DetectorConfig, memo: dict) -> CostCache:
     return CostCache(_window_samples(window, config.znorm, memo), config.cost)
 
 
-def _cost_tables(window, config: DetectorConfig, memo: dict) -> tuple:
-    """A window's cost tables and the dict that keeps PELT's programs over
-    them. In a replay (a window with a cycle memo), for a cycle-level
-    config, a prefix of the cycle's tables and the cycle's dict, shared
-    with the replay's other windows; else the window's own tables, built
-    ahead by a batch (see :func:`_batch`) or here, and None."""
+def _cost_tables(window, config: DetectorConfig, memo: dict) -> CostCache:
+    """A window's cost tables. In a replay (a window with a cycle memo), for
+    a cycle-level config, a prefix of the cycle's tables, shared with the
+    replay's other windows; else the window's own tables, built ahead by a
+    batch (see :func:`_batch`) or here."""
     shared = window._cycle_memo if isinstance(window, Window) else None
     key = workspace_key(config)
-    if shared is None or not cycle_level(config):
-        cache = None if shared is None else shared.get(("tables", key), {}).pop(
-            window.end_index, None)
-        if cache is None:
-            cache = _window_tables(window, config, memo)
-        return cache, None
-    if key not in shared:
-        shared[key] = CostCache(window.cycle.samples, config.cost), {}
-    tables, programs = shared[key]
-    return tables.prefix(window.end_index), programs
+    if shared is not None and cycle_level(config):
+        if key not in shared:
+            shared[key] = CostCache(window.cycle.samples, config.cost)
+        return shared[key].prefix(window.end_index)
+    cache = None if shared is None else shared.get(("tables", key), {}).pop(window.end_index, None)
+    return _window_tables(window, config, memo) if cache is None else cache
 
 
 def _solve_key(config: DetectorConfig) -> tuple:

@@ -8,9 +8,9 @@ maintenance, which makes any later alert for the same cycle worthless.
 a whole list of configs, so every config still running on a window shares
 that window's memo (see :class:`~maintseg.core.Window`), and the penalties
 of those configs that share a solver, cost and min_size are solved together.
-The tables that depend on the cycle alone, and PELT's programs over them,
-are kept in one memo for all the cycle's windows, as are the tables and
-segmentations that one batched PELT solve makes ahead for later windows.
+The tables that depend on the cycle alone are kept in one memo for all the
+cycle's windows, as are the tables and segmentations that one batched PELT
+solve makes ahead for later windows.
 """
 
 from __future__ import annotations
@@ -68,14 +68,14 @@ def replay(cycle: LifeCycle, configs: Sequence[DetectorConfig], step: int = 7,
     detection raised (which stops that config only). ``detector`` replaces
     the default dispatch, for instrumentation.
 
-    The windows share a cycle memo. The segmenters whose cost tables
+    The windows share a cycle memo. A PELT or KCPD solve at one window
+    also solves later windows in the same column walk, up to the window by
+    which its configs have all fired, and those windows take their
+    segmentations and tables from the memo. The segmenters whose tables
     depend on the cycle alone (``detectors.cycle_level``) read prefixes of
-    one set of tables over the whole cycle, and PELT resumes one dynamic
-    program from window to window instead of starting each at t = 0. For
-    the others, the first PELT or KCPD solve of a solve key on the i-th
-    window also solves the windows up to the 2i-th in the same column walk,
-    within a stated memory budget; those windows then take their tables and
-    segmentations from the memo. The memo is dropped when the replay
+    one set of tables, so their first solve covers every window; for the
+    others, a solve on the i-th window covers the windows up to the 2i-th,
+    within a stated memory budget. The memo is dropped when the replay
     returns.
     """
     if alert_at not in ALERT_TIMINGS:

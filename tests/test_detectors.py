@@ -5,7 +5,7 @@ import pytest
 
 import maintseg.detectors as detectors_mod
 from maintseg.core import Window, znormalize
-from maintseg.costs import CostCache, SegmentCost, cost_from_label
+from maintseg.costs import PREFIX_KINDS, CostCache, SegmentCost, cost_from_label
 from maintseg.detectors import (
     DetectorConfig,
     Segmentation,
@@ -476,57 +476,92 @@ class TestPenaltyPath:
                 _exactly(kcpd(x, p, min_size, kernel) for p in PENALTY_PATH)
 
     @pytest.mark.parametrize("min_size", [1, 2, 3, 7])
-    @pytest.mark.parametrize("label", ["l1", "l2", "normal"])
-    def test_resumed_program_equals_one_solve_per_prefix(self, label, min_size, rng):
-        # one program resumed over growing prefixes of one cache, as a replay
-        # solves its windows: fewer penalties at later ends, a penalty the
-        # program lacks (it restarts over the union), then an end it has passed
-        spec = cost_from_label(label)
-        x = _shifting_signal(rng, n=80)
-        for signal in (x, np.round(x, 1)):
-            whole, resume = CostCache(signal, spec), {}
-            plan = [(1, PENALTY_PATH), (2 * min_size - 1, PENALTY_PATH),
-                    (2 * min_size, PENALTY_PATH), (17, PENALTY_PATH[4:]),
-                    (30, PENALTY_PATH[9:]), (30, PENALTY_PATH[9:]), (45, [0.25, 3.0]),
-                    (66, PENALTY_PATH[:3]), (79, [3.0]), (80, PENALTY_PATH), (50, [3.0])]
-            for end, penalties in plan:
-                got = pelt(whole.prefix(end), spec, penalties, min_size, resume)
-                assert _exactly(got) == _exactly(pelt(signal[:end], spec, penalties, min_size))
-            assert resume[min_size].end == 80
-            assert set(resume[min_size].penalties) == {*PENALTY_PATH, 0.25, 3.0}
-
-    @pytest.mark.parametrize("min_size", [1, 2, 3, 7])
     @pytest.mark.parametrize("znorm", [False, True], ids=["raw", "znorm"])
     @pytest.mark.parametrize("label", ["l1", "l2", "normal", "rbf", "rbf:0.1"])
     def test_window_rows_equal_one_solve_per_window(self, label, znorm, min_size, rng):
         # one lockstep program over (window, penalty) rows, as a replay's
         # batch solves its windows: each window's own tables (z-normalized
         # per window, or with a median bandwidth of its own), windows
-        # shorter than 2 * min_size, equal lengths and a final partial window
+        # shorter than 2 * min_size, equal lengths and a final partial
+        # window. Where the cost has prefixes, also the prefixes of one
+        # cache, as a replay solves a cycle-level family (whose l1 table the
+        # whole cache's queries may have filled first), and those prefixes
+        # mixed with windows' own tables
         spec = cost_from_label(label)
         x = _shifting_signal(rng, n=47)
-        ends = sorted({1, 2 * min_size - 1, 2 * min_size, 7, 14, 21, 28, 28, 35, 42, 47})
+        ends = sorted([1, 2 * min_size - 1, 2 * min_size, 7, 14, 21, 28, 28, 35, 42, 47])
         for signal in (x, np.round(x, 1)):
             windows = [znormalize(signal[:e]) if znorm else signal[:e] for e in ends]
-            caches = [CostCache(w, spec) for w in windows]
-            got = pelt(caches, spec, PENALTY_PATH, min_size)
-            assert len(got) == len(windows)
-            for w, segs in zip(windows, got):
-                assert _exactly(segs) == _exactly(pelt(CostCache(w, spec), spec, PENALTY_PATH,
-                                                       min_size))
-            # later windows read subsets of the program's penalties
-            long = [c for c in caches if c.n >= 2 * min_size]
-            program = detectors_mod._PeltProgram(np.unique(PENALTY_PATH), min_size, len(long))
-            program.advance(long)
-            for w, cache in enumerate(long):
-                subset = PENALTY_PATH[w % 5::2]
-                assert _exactly(program.segmentations(np.array(subset), cache.n, w)) == \
-                    _exactly(pelt(CostCache(cache.signal, spec), spec, subset, min_size))
+            inputs = [[CostCache(w, spec) for w in windows]]
+            if not znorm and spec.kind in PREFIX_KINDS:
+                fresh, filled = CostCache(signal, spec), CostCache(signal, spec)
+                pelt(filled, spec, PENALTY_PATH[::4], min_size)
+                filled.values(np.arange(47), 47)
+                inputs += [[fresh.prefix(e) for e in ends], [filled.prefix(e) for e in ends],
+                           [CostCache(signal[:e], spec) if k % 3 else fresh.prefix(e)
+                            for k, e in enumerate(ends)]]
+            for caches in inputs:
+                got = pelt(caches, spec, PENALTY_PATH, min_size)
+                assert len(got) == len(windows)
+                for w, segs in zip(windows, got):
+                    assert _exactly(segs) == _exactly(pelt(CostCache(w, spec), spec,
+                                                           PENALTY_PATH, min_size))
+                # later windows read subsets of the program's penalties
+                long = [c for c in caches if c.n >= 2 * min_size]
+                program = detectors_mod._PeltProgram(np.unique(PENALTY_PATH), min_size, long)
+                program.advance()
+                for w, cache in enumerate(long):
+                    subset = PENALTY_PATH[w % 5::2]
+                    assert _exactly(program.segmentations(np.array(subset), w)) == \
+                        _exactly(pelt(CostCache(cache.signal, spec), spec, subset, min_size))
+
+    @pytest.mark.parametrize("min_size", [1, 2, 3, 7])
+    @pytest.mark.parametrize("label", ["l1", "l2", "normal"])
+    def test_prefixes_of_one_cache_equal_one_solve_per_prefix(self, label, min_size, rng):
+        # growing prefixes of one cache, as a replay solves a cycle-level
+        # family: one set of rows, each prefix read only for the segments
+        # that end past the prefix before it, and each prefix under fewer
+        # penalties than the rows hold
+        spec = cost_from_label(label)
+        x = _shifting_signal(rng, n=80)
+        ends = [1, 2 * min_size - 1, 2 * min_size, 17, 30, 30, 45, 66, 79, 80]
+        subsets = [PENALTY_PATH, PENALTY_PATH, PENALTY_PATH, PENALTY_PATH[4:], PENALTY_PATH[9:],
+                   PENALTY_PATH[9:], [0.25, 3.0], PENALTY_PATH[:3], [3.0], PENALTY_PATH]
+        reads: list = []
+
+        class Noted(CostCache):
+            def value(self, a, b):
+                reads.append((self.n, [b]))
+                return super().value(a, b)
+
+            def values(self, starts, stops):
+                reads.append((self.n, np.broadcast_to(stops, np.shape(starts)).tolist()))
+                return super().values(starts, stops)
+
+        for signal in (x, np.round(x, 1)):
+            whole, reads[:] = Noted(signal, spec), []
+            prefixes = [whole.prefix(e) for e in ends]
+            got = pelt(prefixes, spec, PENALTY_PATH, min_size)
+            assert [_exactly(segs) for segs in got] == \
+                [_exactly(pelt(signal[:e], spec, PENALTY_PATH, min_size)) for e in ends]
+            long = sorted({e for e in ends if e >= 2 * min_size})
+            before = dict(zip(long, [0, *long]))  # each long prefix's end -> the one before it
+            for n, stops in reads:
+                assert (before[n] < min(stops) and max(stops) <= n) if n in before \
+                    else stops == [n]
+            program = detectors_mod._PeltProgram(np.unique([*PENALTY_PATH, 0.25, 3.0]),
+                                                 min_size, [c for c in prefixes if c.n in before])
+            program.advance()
+            for w, cache in enumerate(program.caches):
+                subset = subsets[ends.index(cache.n)]
+                assert _exactly(program.segmentations(np.array(subset), w)) == \
+                    _exactly(pelt(signal[:cache.n], spec, subset, min_size))
 
     def test_window_rows_stop_before_a_window_that_fails(self, rng):
         # a window whose costs fail to read ends the result before it; when
         # it is the first, its error propagates. Windows 3 and 19 fail: 3 is
-        # shorter than 2 * min_size and reads one cost, 19 is solved
+        # shorter than 2 * min_size and reads one cost, 19 is solved. The
+        # same holds for prefixes of one cache, which share their rows
         x = _shifting_signal(rng, n=40)
 
         class Failing(CostCache):
@@ -539,20 +574,55 @@ class TestPenaltyPath:
                 return float(self.values(np.array([a]), np.array([b]))[0])
 
         ends = [2, 3, 10, 12, 19, 30, 40]
-        caches = [Failing(x[:e], L2) for e in ends]
-        for windows, solved in ((caches, [2]), (caches[2:], [10, 12]), (caches[:1], [2])):
-            assert [_exactly(segs) for segs in pelt(windows, L2, PENALTY_PATH, 2)] == \
-                [_exactly(pelt(x[:e], L2, PENALTY_PATH, 2)) for e in solved]
-        for first in (caches[1:], caches[4:]):
-            with pytest.raises(RuntimeError, match=f"window {first[0].n}"):
-                pelt(first, L2, PENALTY_PATH, 2)
+        whole = Failing(x, L2)
+        for caches in ([Failing(x[:e], L2) for e in ends], [whole.prefix(e) for e in ends]):
+            for windows, solved in ((caches, [2]), (caches[2:], [10, 12]), (caches[:1], [2])):
+                assert [_exactly(segs) for segs in pelt(windows, L2, PENALTY_PATH, 2)] == \
+                    [_exactly(pelt(x[:e], L2, PENALTY_PATH, 2)) for e in solved]
+            for first in (caches[1:], caches[4:]):
+                with pytest.raises(RuntimeError, match=f"window {first[0].n}"):
+                    pelt(first, L2, PENALTY_PATH, 2)
+
+    @pytest.mark.parametrize("min_size", [1, 3])
+    @pytest.mark.parametrize("label", ["l1", "l2", "normal", "rbf"])
+    def test_window_rows_stop_after_every_penalty_broke(self, label, min_size, rng):
+        # the list form stops after the first entry by which every penalty
+        # has found a breakpoint in some entry; with a penalty that never
+        # breaks, it solves every entry. Prefixes of one cache read no cost
+        # past that entry's end, and windows' own tables at most the rest
+        # of its block of columns
+        spec = cost_from_label(label)
+        x = rng.normal(size=(80, 2))
+        x[50:] += 4.0
+        ends = [2 * min_size - 1, 10, 20, 30, 40, 50, 55, 60, 70, 80]
+        stops: list = []
+
+        class Noted(CostCache):
+            def values(self, starts, ends):
+                stops.append(int(np.max(ends)))
+                return super().values(starts, ends)
+
+        inputs = [(lambda: [Noted(x[:e], spec) for e in ends], detectors_mod._PELT_BLOCK - 1)]
+        if spec.kind in PREFIX_KINDS:
+            inputs.append((lambda: [whole.prefix(e) for whole in [Noted(x, spec)] for e in ends],
+                           0))
+        for penalties in ([0.01, 5.0], [0.01, 5.0, 1e9]):
+            full = [pelt(x[:e], spec, penalties, min_size) for e in ends]
+            broke = np.logical_or.accumulate([[bool(s.breakpoints) for s in segs]
+                                              for segs in full])
+            last = next((k for k, row in enumerate(broke) if row.all()), len(ends) - 1)
+            assert (0 < last < len(ends) - 1) == (len(penalties) == 2)
+            for make, ahead in inputs:
+                stops[:] = []
+                got = pelt(make(), spec, penalties, min_size)
+                assert [_exactly(segs) for segs in got] == \
+                    [_exactly(segs) for segs in full[:last + 1]]
+                assert ends[last] <= max(stops) <= ends[last] + ahead
 
     def test_windows_must_not_shrink(self, rng):
         x = _shifting_signal(rng)
         with pytest.raises(ValueError):
             pelt([x[:20], x[:10]], L2, 1.0, 2)
-        with pytest.raises(ValueError):
-            pelt([x[:10], x[:20]], L2, 1.0, 2, resume={})
 
     def test_one_entry_sequence_is_the_float_form(self, rng):
         x = _shifting_signal(rng)

@@ -233,12 +233,12 @@ class TestReplay:
         batches = []
         real = detectors_mod.pelt
 
-        def noting(signal, cost, penalties, min_size, resume=None):
+        def noting(signal, cost, penalties, min_size):
             if isinstance(signal, list):
                 batches.append([c.n for c in signal])
                 cells = sum((n + 1) * (n + 1 + len(penalties)) for n in batches[-1])
                 assert len(signal) == 1 or cells <= detectors_mod._BATCH_CELLS
-            return real(signal, cost, penalties, min_size, resume)
+            return real(signal, cost, penalties, min_size)
 
         monkeypatch.setattr(detectors_mod, "pelt", noting)
         never = DetectorConfig("PELT", cost=SegmentCost("rbf", gamma=1.0), penalty=1e12,
@@ -247,6 +247,73 @@ class TestReplay:
         assert [n for batch in batches for n in batch] == list(range(1, 301))
         assert max(map(len, batches)) > 8  # doubling, then cut by the budget
         assert batches[-1][-1] == 300 and len(batches[-1]) < 150
+
+    def test_cycle_level_family_is_one_solve_per_cycle(self, monkeypatch):
+        # a cycle-level PELT family is solved once per cycle, at its first
+        # window, over prefixes of the cycle's tables; each prefix is read
+        # only for the segments that end past the window before it, as a
+        # dynamic program advanced window by window reads them
+        spec = SynthSpec(n_days_min=240, n_days_max=240, period_hours=1.0,
+                         change_offset_days=60)
+        (cycle,) = generate_corpus(5, 1, spec)
+        configs = [c for c in DEFAULT_GRID if c.method == "PELT" and cycle_level(c)
+                   and c.penalty in GRID_PENALTIES[2::3]]
+        expected = replay(cycle, configs, 24, detector=_oracle_once)
+        assert None in expected and len({a.step_end_index for a in expected if a}) >= 2
+        ends = [w.end_index for w in prefix_windows(cycle, 24)]
+        reads, solves = [], []
+
+        class Noted(CostCache):
+            def values(self, starts, stops):
+                reads.append((self.n, np.broadcast_to(stops, np.shape(starts)).tolist()))
+                return super().values(starts, stops)
+
+        real = detectors_mod.pelt
+
+        def noting(signal, cost, penalties, min_size):
+            solves.append((cost.label, min_size, [c.n for c in signal]))
+            return real(signal, cost, penalties, min_size)
+
+        monkeypatch.setattr(detectors_mod, "CostCache", Noted)
+        monkeypatch.setattr(detectors_mod, "pelt", noting)
+        assert replay(cycle, configs, 24) == expected
+        keys = {(c.cost.label, c.min_size) for c in configs}
+        assert sorted(solves) == sorted((*key, ends) for key in keys)
+        assert {n for n, _ in reads} == set(ends)
+        before = dict(zip(ends, [0, *ends]))  # each window's end -> the one before it
+        for n, stops in reads:
+            assert before[n] < min(stops) and max(stops) <= n
+
+    def test_cycle_level_solve_stops_at_the_first_alert(self, monkeypatch):
+        # one config that fires early, as `maintseg evaluate` replays it:
+        # its one solve covers every window but reads no cost past the
+        # window it fires on
+        spec = SynthSpec(n_days_min=240, n_days_max=240, period_hours=1.0,
+                         change_offset_days=60)
+        (cycle,) = generate_corpus(5, 1, spec)
+        stops, solves = [], []
+
+        class Noted(CostCache):
+            def values(self, starts, ends):
+                stops.append(int(np.max(ends)))
+                return super().values(starts, ends)
+
+        real = detectors_mod.pelt
+
+        def noting(*args, **kwargs):
+            solves.append(args)
+            return real(*args, **kwargs)
+
+        for label in ("l1", "l2", "normal"):
+            config = DetectorConfig("PELT", cost=SegmentCost(label), penalty=0.01, min_size=2)
+            (expected,) = replay(cycle, [config], 24, detector=_oracle_once)
+            assert expected is not None and expected.step_end_index < cycle.n
+            with monkeypatch.context() as patch:
+                patch.setattr(detectors_mod, "CostCache", Noted)
+                patch.setattr(detectors_mod, "pelt", noting)
+                stops[:], solves[:] = [], []
+                assert replay(cycle, [config], 24) == [expected]
+            assert len(solves) == 1 and max(stops) == expected.step_end_index
 
     @pytest.mark.parametrize("where", ["values", "build"])
     def test_failed_tables_fail_their_window_only(self, where, monkeypatch):
