@@ -7,13 +7,16 @@ check.
 
 from __future__ import annotations
 
+import csv
+import sys
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
-from maintseg.core import LifeCycle
+from maintseg.core import LifeCycle, parse_timestamp
 from maintseg.costs import NORMAL_EPS, SegmentCost
+from maintseg.ingest import EventTable, LogFormat, ParseQualityError, ParseResult
 
 EPOCH = datetime(2021, 6, 1, tzinfo=timezone.utc)
 
@@ -28,6 +31,51 @@ def make_cycle(samples, atm_id="atm1", cycle_index=0, period=24.0,
         atm_id=atm_id, cycle_index=cycle_index, start_time=EPOCH,
         end_time=EPOCH + timedelta(hours=period * samples.shape[0]),
         feature_names=names, samples=samples, period=period)
+
+
+def parse_rows(fh, fmt: LogFormat) -> ParseResult:
+    """Parse a delimited log one row at a time, as maintseg did before it
+    decoded columns: the reference ``parse_event_log`` must match on every
+    column, dtype and count, and in when it raises ParseQualityError.
+
+    Each row's timestamp goes through ``parse_timestamp``; its machine id and
+    code are stripped, its life cycle passed to ``int()``, in that order, and
+    the first failure makes it malformed. Rows of only whitespace are skipped.
+    """
+    reader = csv.reader(fh, delimiter=fmt.delimiter)
+    columns: dict[str, int] = {}
+    if fmt.has_header:
+        header = next(reader, None)
+        if header is not None:
+            columns = {name.strip(): i for i, name in enumerate(header)}
+
+    def index(spec):
+        return spec if isinstance(spec, int) else columns.get(spec, sys.maxsize)
+
+    ts_i, atm_i, code_i = map(index, (fmt.timestamp, fmt.atm_id, fmt.event_code))
+    lc_i = None if fmt.lifecycle_id is None else index(fmt.lifecycle_id)
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    events = []
+    malformed = total = 0
+    for row in reader:
+        if not "".join(row).strip():
+            continue
+        total += 1
+        try:
+            ts = parse_timestamp(row[ts_i])
+            atm = row[atm_i].strip()
+            code = row[code_i].strip()
+            lifecycle = 0 if lc_i is None else int(row[lc_i])
+            if not atm or not code or abs(lifecycle) >= 2**63:
+                raise ValueError("empty field or a life cycle id beyond 64 bits")
+        except (ValueError, IndexError):
+            malformed += 1
+            continue
+        events.append((atm, lifecycle, (ts - epoch) // timedelta(microseconds=1), code))
+    if total > 0 and malformed / total > 0.10:
+        raise ParseQualityError(malformed, total)
+    by_column = list(zip(*events)) or [()] * 4
+    return ParseResult(EventTable(*by_column), malformed, total)
 
 
 def mp_brute_force(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -142,6 +142,22 @@ class TestIngest:
         assert main(["ingest", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o")]) == 1
 
+    def test_log_with_a_byte_order_mark_ingests(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        self.write_log(log)
+        log.write_bytes(b"\xef\xbb\xbf" + log.read_bytes())
+        assert main(["ingest", str(log), "--out", str(tmp_path / "o")]) == 0
+        assert "31 parsed, 0 malformed" in capsys.readouterr().out
+
+    def test_negative_column_index_is_refused_before_the_log_is_read(self, tmp_path, capsys):
+        fmt = tmp_path / "format.json"
+        fmt.write_text(json.dumps({"timestamp": 0, "atm_id": -3, "lifecycle_id": 2,
+                                   "event_code": 3, "has_header": False}))
+        assert main(["ingest", str(tmp_path / "nope.csv"), "--format", str(fmt),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "'atm_id'" in err and "nope.csv" not in err
+
     def test_machine_ids_sharing_a_file_name_are_an_error(self, tmp_path, capsys):
         log = tmp_path / "log.csv"
         log.write_text("timestamp,atm_id,lifecycle_id,event_code\n"
@@ -161,12 +177,14 @@ class TestConfigFiles:
         ("ingest", "--format", {"timestmp": 0}, "'timestmp'"),
         ("ingest", "--format", {"delimiter": 5}, "'delimiter'"),
         ("ingest", "--format", {"timestamp": 1.5}, "'timestamp'"),
+        ("ingest", "--format", {"event_code": -1}, "'event_code'"),
         ("ingest", "--grouping", {"codes": 3, "features": []}, "'codes'"),
         ("ingest", "--grouping", {"codes": {"6000": 3}, "features": []}, "code '6000'"),
         ("ingest", "--grouping", {"codes": {}, "features": [3]}, "features[0]"),
         ("sweep", "--grid", {"FLUS": {"thresholds": [0.5], "ms": [7]}}, "'FLUS'"),
         ("sweep", "--grid", {"PELT": {"costs": ["l2"], "penalty": [1.0]}}, "'penalty'"),
-    ], ids=["format", "format-delimiter-type", "format-column-type", "grouping",
+    ], ids=["format", "format-delimiter-type", "format-column-type", "format-negative-index",
+            "grouping",
             "grouping-code", "grouping-feature", "grid-method", "grid-field"])
     def test_malformed_config_file(self, corpus, tmp_path, capsys, command, flag, doc, named):
         config = tmp_path / "config.json"

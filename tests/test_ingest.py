@@ -6,7 +6,11 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from maintseg import ingest
+from maintseg.core import parse_timestamp
 from maintseg.ingest import (
     CodeGroupingConfig,
     ConfigurationError,
@@ -26,7 +30,7 @@ from maintseg.ingest import (
     save_cycle,
 )
 
-from conftest import make_cycle
+from conftest import make_cycle, parse_rows
 
 UTC = timezone.utc
 T0 = datetime(2019, 3, 1, tzinfo=UTC)
@@ -170,6 +174,18 @@ class TestLogFormat:
         with pytest.raises(ConfigurationError, match=named):
             LogFormat.from_json(text)
 
+    def test_negative_index_in_json_is_a_config_error(self):
+        text = ('{"timestamp": -4, "atm_id": -3, "lifecycle_id": -2, "event_code": -1, '
+                '"has_header": false}')
+        with pytest.raises(ConfigurationError, match="'timestamp'"):
+            LogFormat.from_json(text)
+
+    @pytest.mark.parametrize("key", ["timestamp", "atm_id", "lifecycle_id", "event_code"])
+    def test_negative_index_is_refused_on_construction(self, key):
+        columns = dict(timestamp=0, atm_id=1, lifecycle_id=2, event_code=3)
+        with pytest.raises(ConfigurationError, match=f"'{key}'"):
+            LogFormat(has_header=False, **{**columns, key: -1})
+
 
 class TestParseKeeps:
     """Parse behaviour pinned through the cycles it gives."""
@@ -235,6 +251,218 @@ class TestParseKeeps:
             b = cycle_files(io.StringIO(HEADER + "\n".join(shuffled)), tmp_path, "b" + name,
                             period_hours=period, ii_days=ii)
             assert len(a) == 18 and a == b
+
+
+def parsed_or_refused(parse, text, fmt):
+    try:
+        return parse(io.StringIO(text), fmt)
+    except ParseQualityError as exc:
+        return exc
+
+
+def assert_parses_like_rows(text, fmt=LogFormat()):
+    """parse_event_log and the row-at-a-time reference agree on ``text``:
+    every column with its dtype, both counts, or the ParseQualityError."""
+    want = parsed_or_refused(parse_rows, text, fmt)
+    got = parsed_or_refused(parse_event_log, text, fmt)
+    if isinstance(want, ParseQualityError):
+        assert isinstance(got, ParseQualityError)
+        assert (got.malformed, got.total) == (want.malformed, want.total)
+        return want
+    assert (got.total_rows, got.malformed_count) == (want.total_rows, want.malformed_count)
+    for name in ("atm_id", "lifecycle_id", "time_us", "event_code"):
+        a, b = getattr(got.records, name), getattr(want.records, name)
+        assert (name, a.dtype) == (name, b.dtype)
+        assert a.tolist() == b.tolist(), name
+    return want
+
+
+def filler(n, order=(0, 1, 2, 3), delimiter=","):
+    """n well-formed rows over 5 machines, 3 life cycles and 4 codes, out of
+    time order, with their fields in ``order``."""
+    rows = [(f"2019-03-{1 + k * 11 % 28:02d}T{k % 24:02d}:{k * 7 % 60:02d}:{k % 60:02d}Z",
+             f"m{k % 5}", str(k % 3), f"600{k % 4}") for k in range(n)]
+    return [delimiter.join(row[i] for i in order) for row in rows]
+
+
+def stamped(stamps):
+    return [f"{stamp},atm1,0,6000" for stamp in stamps]
+
+
+# edge rows in the default format; each case is padded with 9 well-formed
+# rows per edge row, so that it stays at or under the 10% gate
+PARITY_CASES = {
+    "quoted-ids-with-the-delimiter": [
+        '2019-03-01T10:00:00Z,"ATM, Paris 1",0,6000',
+        '2019-03-01T11:00:00Z,"ATM, Paris 1",0,"60,01"',
+        '2019-03-01T12:00:00Z,"an ""ATM"", quoted",1,6000'],
+    "blank-and-whitespace-rows": ["", "   ", " , , ,", ",,,", "\t", ",,,,,,", '"",""'],
+    "short-rows": ["2019-03-01T10:00:00Z,atm1,0", "2019-03-01T10:00:00Z,atm1",
+                   "2019-03-01T10:00:00Z", " ,atm1", "x", "not-a-time,atm1"],
+    "stamp-suffixes-and-shapes": stamped([
+        "2019-03-01T10:00:00Z", "2019-03-01T10:00:00z", "2019-03-01T10:00:00+02:00",
+        "2019-03-01T10:00:00-05:30", "2019-03-01T10:00:00+00:00",
+        "2019-03-01T10:00:00.123456Z", "2019-03-01T10:00:00.5", "2019-03-01 10:00:00",
+        "2019-03-01 10:00:00Z", "2019-03-01x10:00:00", "2019-03-01/10:00:00",
+        "2019-03-01t10:00:00", " 2019-03-01T10:00:00Z ", "\t2019-03-01T10:00:00",
+        "2019-03-01T10:00", "2019-03-01", "20190301T100000", "2019-03-01T10:00:00ZZ",
+        "2019-03-01T10:00:00Zx", "2019-03-01T10:00:00 Z", "2019-3-01T10:00:00",
+        "2019-03-01T10:00:00+", "2019-03-01T10:00:00."]),
+    "stamp-ranges": stamped([
+        "2019-03-01T24:00:00Z", "2019-03-01T23:59:60Z", "2019-03-01T23:60:00",
+        "2019-02-29T00:00:00", "2020-02-29T00:00:00", "1900-02-29T00:00:00",
+        "2000-02-29T00:00:00", "0000-01-01T00:00:00", "0001-01-01T00:00:00Z",
+        "9999-12-31T23:59:59Z", "2019-00-10T00:00:00", "2019-13-01T00:00:00",
+        "2019-04-31T00:00:00", "2019-04-30T00:00:00", "2019-01-00T00:00:00",
+        "2019-12-31T23:59:59", "1969-12-31T23:59:59Z", "1970-01-01T00:00:00Z"]),
+    "stamp-characters": stamped([
+        "\uff12\uff10\uff11\uff19-03-01T10:00:00", "2019-03-01T10:00:0\u0663",
+        "2019-03-01T10:00:00\x00", "2019-03-01T10:00:0\x00", "2019-03-01T1\x000:00:00",
+        "2019-03-01\x0010:00:00", "2019-03-01T10:00:00\xa0", "2019\u201003-01T10:00:00"]),
+    "padded-and-empty-ids": [
+        "2019-03-01T10:00:00Z,  atm1  ,0, 6000 ", "2019-03-01T10:00:00Z,\tatm2\t,0,6001",
+        "2019-03-01T10:00:00Z, ,0,6000", "2019-03-01T10:00:00Z,atm1,0,  ",
+        "2019-03-01T10:00:00Z,,0,6000", "2019-03-01T10:00:00Z,atm1,0,"],
+    "lifecycle-values": [f"2019-03-01T10:00:00Z,atm1,{value},6000" for value in (
+        " 12 ", "+3", "1_000", "\u0663", "\u0663\u0663", str(2**63), str(-2**63),
+        str(2**63 - 1), str(-2**63 + 1), "-0", "1.0", "", " ", "0x10", "1e3", "_1")],
+    "longest-id-only-on-malformed-rows": [
+        "not-a-time,an-id-longer-than-any-other,0,6000",
+        "2019-03-01T10:00:00Z,a-long-id-with-a-bad-cycle,x,6000",
+        "bad,atm1,0,a-code-longer-than-any-other"],
+}
+
+
+class TestParseMatchesRowReference:
+    """The column decoder gives what the row-at-a-time parse gives."""
+
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_edge_rows(self, case):
+        lines = PARITY_CASES[case]
+        assert_parses_like_rows(HEADER + "\n".join(lines + filler(9 * len(lines))) + "\n")
+
+    @pytest.mark.parametrize("text", ["", HEADER, HEADER + " \n,,,\n"],
+                             ids=["no-rows", "header-only", "blank-rows-only"])
+    def test_empty_logs(self, text):
+        assert len(assert_parses_like_rows(text).records) == 0
+
+    @pytest.mark.parametrize("good, refused", [(8, False), (7, True)])
+    def test_more_than_10_percent_malformed_is_refused_alike(self, good, refused):
+        want = assert_parses_like_rows(HEADER + "\n".join(
+            stamped(["2019-03-01T24:00:00Z", "2019-03-01T10:00:00Z"]) + filler(good)) + "\n")
+        assert isinstance(want, ParseQualityError) == refused
+
+    def test_header_without_a_mapped_column(self):
+        lines = filler(20, order=(0, 1, 3))
+        want = assert_parses_like_rows("timestamp,atm_id,event_code\n" + "\n".join(lines))
+        assert isinstance(want, ParseQualityError)
+
+    def test_headerless_index_mapping(self):
+        fmt = LogFormat(timestamp=3, atm_id=0, lifecycle_id=2, event_code=1, has_header=False)
+        lines = filler(30, order=(1, 3, 2, 0)) + ["m1,6000,0", "m1,6000,0,bad-time,extra"]
+        assert assert_parses_like_rows("\n".join(lines) + "\n", fmt).malformed_count == 2
+
+    def test_no_lifecycle_column(self):
+        fmt = LogFormat(lifecycle_id=None)
+        lines = filler(30, order=(0, 1, 3)) + ["2019-03-01T10:00:00Z,atm1,x"]
+        assert_parses_like_rows("timestamp,atm_id,event_code\n" + "\n".join(lines), fmt)
+
+    def test_semicolon_delimiter(self):
+        fmt = LogFormat(delimiter=";")
+        lines = filler(30, delimiter=";") + ["2019-03-01T10:00:00Z;atm, 1;0;6000",
+                                             "2019-03-01T10:00:00Z,atm1,0,6000"]
+        assert assert_parses_like_rows(
+            HEADER.replace(",", ";") + "\n".join(lines), fmt).malformed_count == 1
+
+    def test_seeded_log_over_several_chunks(self):
+        """Malformed and blank rows at each chunk's first and last row, an id
+        that first appears in the last chunk, another whose only rows are
+        malformed in one chunk and well-formed in the next."""
+        chunk = ingest._CHUNK_ROWS
+        rng = random.Random(11)
+        lines = []
+        for k in range(3 * chunk + 500):
+            t = T0 + timedelta(seconds=rng.randrange(400 * 86400),
+                               microseconds=rng.choice([0, 0, 0, 250000]))
+            stamp = rng.choice([f"{t:%Y-%m-%dT%H:%M:%S}Z"] * 8 + [f"{t:%Y-%m-%d %H:%M:%S}",
+                                t.astimezone(timezone(timedelta(hours=2))).isoformat()])
+            lines.append(f"{stamp},atm{rng.randrange(40)},{rng.randrange(4)},"
+                         f"{rng.choice(['6000', '6001', '8000', '9999'])}")
+        bad = ["2019-13-45T99:00:00Z,atm0,0,6000", "2019-02-01T00:00:00Z,,0,6000",
+               "2019-02-01T00:00:00Z,atm0,first,6000", "2019-02-01T00:00:00Z,atm0"]
+        for c in (1, 2, 3):
+            edge = c * chunk  # the first data row of a chunk
+            lines[edge - 1], lines[edge] = bad[c], bad[(c + 1) % 4]
+            lines[edge - 2] = lines[edge + 1] = " , ,"
+        lines[chunk + 5] = "2019-02-01T00:00:00Z,split,x,6000"
+        lines[2 * chunk + 5] = "2019-02-01T00:00:00Z,split,1,6000"
+        lines[-3] = "2019-02-01T00:00:00Z,late-machine,0,6000"
+        want = assert_parses_like_rows(HEADER + "\n".join(lines) + "\n")
+        assert (want.total_rows, want.malformed_count) == (len(lines) - 6, 7)
+        assert {"split", "late-machine"} <= set(want.records.atm_id.tolist())
+
+
+BULK_SHAPE = st.tuples(
+    st.integers(0, 9999), st.integers(0, 99), st.integers(0, 99), st.sampled_from("T t"),
+    st.integers(0, 99), st.integers(0, 99), st.integers(0, 99),
+    st.sampled_from(["", "Z", "z", "+00:00", "Z "]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(BULK_SHAPE, min_size=1, max_size=40))
+def test_bulk_times_accept_what_parse_timestamp_accepts(parts):
+    """A string of the bulk shape decodes in bulk exactly when parse_timestamp
+    takes it, to the same microsecond; any other is left to parse_timestamp."""
+    texts = [f"{y:04d}-{mo:02d}-{d:02d}{sep}{h:02d}:{mi:02d}:{s:02d}{tail}"
+             for y, mo, d, sep, h, mi, s, tail in parts]
+    time_us, ok = ingest._bulk_times(texts)
+    for text, t, decoded in zip(texts, time_us.tolist(), ok.tolist()):
+        try:
+            want = (parse_timestamp(text) - EPOCH) // US
+        except ValueError:
+            want = None
+        bulk_shape = text[10] in "T " and text[19:] in ("", "Z", "z")
+        assert decoded == (bulk_shape and want is not None), text
+        if decoded:
+            assert t == want, text
+
+
+def test_only_strings_the_bulk_decoder_leaves_reach_parse_timestamp(monkeypatch):
+    seen = []
+
+    def spy(text):
+        seen.append(text)
+        return parse_timestamp(text)
+
+    monkeypatch.setattr(ingest, "parse_timestamp", spy)
+    log = HEADER + "\n".join(
+        stamped(["2019-03-01T10:00:00+02:00", "2019-03-01T24:00:00Z", "2019-03-01 10:00:00"])
+        + filler(30) + ["   ", "2019-03-01T10:00:00.5Z,atm1,0,6000"])
+    assert parse_event_log(io.StringIO(log)).malformed_count == 1
+    assert seen == ["2019-03-01T10:00:00+02:00", "2019-03-01T24:00:00Z",
+                    "2019-03-01T10:00:00.5Z"]
+
+
+class TestByteOrderMark:
+    """One leading U+FEFF is dropped from a path or a text stream."""
+
+    @pytest.mark.parametrize("as_path", [True, False], ids=["path", "stream"])
+    @pytest.mark.parametrize("header", [True, False], ids=["header", "headerless"])
+    def test_leading_mark_is_dropped(self, tmp_path, as_path, header):
+        fmt = LogFormat() if header else LogFormat(timestamp=0, atm_id=1, lifecycle_id=2,
+                                                   event_code=3, has_header=False)
+        log = (HEADER if header else "") + "\n".join(filler(10)) + "\n"
+        path = tmp_path / "log.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + log.encode())
+        source = path if as_path else io.StringIO(path.read_text(encoding="utf-8"))
+        got = parse_event_log(source, fmt)
+        want = parse_event_log(io.StringIO(log), fmt)
+        assert (got.total_rows, got.malformed_count) == (10, 0)
+        assert as_rows(got.records) == as_rows(want.records)
+
+    def test_quoted_first_field_after_the_mark(self):
+        log = '\ufeff"timestamp",atm_id,lifecycle_id,event_code\n' + "\n".join(filler(3))
+        assert parse_event_log(io.StringIO(log)).malformed_count == 0
 
 
 class TestRemoveInfected:
