@@ -23,6 +23,7 @@ import logging
 import os
 import sys
 from dataclasses import asdict, replace
+from datetime import timedelta
 from pathlib import Path
 
 from . import __version__
@@ -153,7 +154,25 @@ def _write_cycles(cycles, cycle_dir: Path) -> None:
 
 
 def _pp_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+    """The --pp-list values, each refused up front unless it is a valid pp."""
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+        for pp in values:
+            BusinessParams(pp=pp)
+    except ValueError as exc:
+        raise ValueError(f"--pp-list {text!r}: {exc}") from None
+    return values
+
+
+def _check_durations(period_hours: float, ii_days: float) -> None:
+    """Refuse a --period-hours or --ii that is not finite or that no
+    timedelta holds, before the log is read."""
+    for flag, value, unit in (("--period-hours", period_hours, "hours"), ("--ii", ii_days, "days")):
+        try:
+            timedelta(**{unit: value})
+        except (OverflowError, ValueError):
+            raise ValueError(f"{flag} must be a finite number of {unit} that a timedelta "
+                             f"holds, got {value!r}") from None
 
 
 def _print_groups(stats: DatasetStats) -> None:
@@ -169,6 +188,7 @@ def _print_groups(stats: DatasetStats) -> None:
 
 
 def cmd_ingest(args) -> int:
+    _check_durations(args.period_hours, args.ii)
     fmt = (LogFormat.from_json(args.log_format.read_text(encoding="utf-8"))
            if args.log_format else LogFormat())
     grouping = (CodeGroupingConfig.from_json(args.grouping.read_text(encoding="utf-8"))
@@ -231,6 +251,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     params = BusinessParams(rd=args.rd, pp=args.pp, s=args.s)
+    pp_values = _pp_list(args.pp_list)
     cycles = load_cycles(args.cycles)
     spec = (GridSpec.from_json(args.grid.read_text(encoding="utf-8"))
             if args.grid else default_grid())
@@ -245,8 +266,7 @@ def cmd_sweep(args) -> int:
         print(f"warning: {len(table.failures)} pairs failed; results are partial",
               file=sys.stderr)
         return 2
-    entries = sweep_summary(table.records, params, _pp_list(args.pp_list),
-                            table.period_hours)
+    entries = sweep_summary(table.records, params, pp_values, table.period_hours)
     write_json(args.out / "summary.json", entries)
     for entry in entries:
         print(f"pp={entry['pp']:g}: best-per-sample mean E_s = "
@@ -259,12 +279,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
+    BusinessParams(pp=args.pp)  # refuses an out-of-range --pp before any work
+    pp_values = _pp_list(args.pp_list)
     if not args.results.exists():
         print(f"error: results file {args.results} not found", file=sys.stderr)
         return 1
     table = load_results(args.results)
     _write_manifest(args)
-    pp_values = _pp_list(args.pp_list)
     entries = sweep_summary(table.records, table.params, pp_values, table.period_hours)
 
     methods = sorted({r.config_id.split("/")[0] for r in table.records})

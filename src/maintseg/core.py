@@ -36,7 +36,9 @@ DEGENERATE_STD = 1e-8
 def parse_timestamp(value: str) -> datetime:
     """Parse an ISO-8601 timestamp into an aware UTC datetime.
 
-    Accepts a trailing ``Z`` and naive timestamps (assumed UTC).
+    Accepts a trailing ``Z`` and naive timestamps (assumed UTC). Raises
+    ValueError for a timestamp that is not ISO-8601 or whose UTC time lies
+    outside datetime's range.
     """
     text = value.strip()
     if text.endswith(("Z", "z")):
@@ -44,7 +46,10 @@ def parse_timestamp(value: str) -> datetime:
     ts = datetime.fromisoformat(text)
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+    try:
+        return ts.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"timestamp {value!r} lies outside datetime's range in UTC") from None
 
 
 @dataclass(frozen=True)
@@ -119,6 +124,10 @@ class BusinessParams:
     s: float = 0.2
 
     def __post_init__(self) -> None:
+        for name in ("rd", "pp", "ii", "s"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.rd < 0:
             raise ValueError("rd must be >= 0")
         if self.pp <= 0:
@@ -138,17 +147,15 @@ class BusinessParams:
 class Window:
     """A prefix view of a cycle: samples[0..end_index).
 
-    ``_memo`` holds what the detectors derived from the window alone
-    (z-normalized samples, cost tables, FLUSS curves, and each solve with
-    every penalty read off it), so every config evaluated on one window
-    reuses it; the replay clears it before moving to the next window.
+    ``_memo`` holds what was derived for the window: z-normalized samples,
+    cost tables, FLUSS curves, and each solve with every penalty read off
+    it, whether derived on the window or ahead of it by a solve at an
+    earlier window of the same replay. Every config evaluated on the window
+    reuses it, and the replay clears it once the window is done.
     ``_cycle_memo``, which a replay gives each of its windows, holds what
-    they share across windows: the replay's window ends; the cost tables
-    that depend on the cycle alone, of which each window's memo holds a
-    prefix; and the segmentations that a batched PELT solve at an earlier
-    window made ahead for later ones, with the tables it built for them
-    when they are tables of one window alone, each taken by its window when
-    the replay reaches it. Neither memo is part of the window's equality or
+    they share: the cost tables that depend on the cycle alone, of which
+    each window's memo holds a prefix, and under "windows" the replay's
+    windows themselves. Neither memo is part of the window's equality or
     hash.
     """
 
@@ -198,8 +205,8 @@ def znormalize(values: np.ndarray) -> np.ndarray:
 def prefix_windows(cycle: LifeCycle, step: int = 7,
                    cycle_memo: dict | None = None) -> list[Window]:
     """Growing prefix windows ending at step, 2*step, ... and finally n,
-    sharing ``cycle_memo`` (see :class:`Window`), whose "ends" entry is
-    set to their ends.
+    sharing ``cycle_memo``, whose "windows" entry is set to them (see
+    :class:`Window`).
 
     The final partial window is always included so the last few buckets
     before failure are inspected even when n is not a multiple of step.
@@ -210,9 +217,10 @@ def prefix_windows(cycle: LifeCycle, step: int = 7,
     ends = list(range(step, n + 1, step))
     if not ends or ends[-1] != n:
         ends.append(n)
+    windows = [Window(cycle, e, cycle_memo) for e in ends]
     if cycle_memo is not None:
-        cycle_memo["ends"] = ends
-    return [Window(cycle, e, cycle_memo) for e in ends]
+        cycle_memo["windows"] = windows
+    return windows
 
 
 class _Echo:

@@ -656,7 +656,8 @@ def detect_with_score(window, config: DetectorConfig) -> tuple[int | None, float
     solves = memo.setdefault(_solve_key(config), {})
     if solves.get(config.penalty) is None:
         # the first config of a solve key on a window solves every penalty
-        # noted for it (see share_solves), its own among them
+        # noted for it (see share_solves), its own among them, unless a
+        # solve at an earlier window has (see _solve)
         solves[config.penalty] = None
         todo = [p for p, seg in solves.items() if seg is None]
         solves.update(zip(todo, _solve(window, config, todo, memo[key])))
@@ -669,29 +670,23 @@ def detect_with_score(window, config: DetectorConfig) -> tuple[int | None, float
 def _solve(window, config: DetectorConfig, penalties: list[float],
            cache: CostCache) -> list[Segmentation]:
     """The window's segmentations under each penalty. In a replay, PELT
-    and KCPD solve the replay's later windows in the same pass (see
+    and KCPD solve later windows of the replay in the same pass (see
     :func:`_batch`), up to the first by which every penalty has fired, and
-    those windows read their segmentations from the cycle memo."""
+    write their segmentations into those windows' memos."""
     if config.method == "BINSEG":
         return binseg(cache, config.cost, penalties, config.min_size)
     if config.method == "BOTTOMUP":
         return bottomup(cache, config.cost, penalties, config.min_size)
-    shared = window._cycle_memo if isinstance(window, Window) else None
-    caches = cache
-    if shared is not None:
-        solved = shared.setdefault(("solved", _solve_key(config)), {})
-        done = solved.pop(window.end_index, {})
-        if all(p in done for p in penalties):
-            return [done[p] for p in penalties]
-        caches = _batch(window, config, cache, len(penalties))
+    in_replay = isinstance(window, Window) and window._cycle_memo is not None
+    later = _batch(window, config, len(penalties)) if in_replay else []
+    key = workspace_key(config)
+    caches = [cache, *(w._memo[key] for w in later)]
     if config.method == "PELT":
         segs = pelt(caches, config.cost, penalties, config.min_size)
     else:
         segs = kcpd(caches, penalties, config.min_size, config.cost)
-    if caches is cache:
-        return segs
-    for later, later_segs in zip(caches[1:], segs[1:]):
-        solved.setdefault(later.n, {}).update(zip(penalties, later_segs))
+    for w, w_segs in zip(later, segs[1:]):
+        w._memo.setdefault(_solve_key(config), {}).update(zip(penalties, w_segs))
     return segs[0]
 
 
@@ -701,34 +696,31 @@ def _solve(window, config: DetectorConfig, penalties: list[float],
 _BATCH_CELLS = 1 << 22
 
 
-def _batch(window: Window, config: DetectorConfig, cache: CostCache,
-           rows: int) -> list[CostCache]:
-    """The cost tables of the windows one solve at ``window`` covers (the
-    solve stops after the window by which its configs have all fired). For
-    a cycle-level config, every later window of the replay, each a prefix
-    of the cycle's tables. Otherwise the replay's windows from the i-th,
-    ``window``, up to the 2i-th, within _BATCH_CELLS; their tables wait in
-    the cycle memo for their window, and a window whose tables fail to
-    build ends the batch, its error raised when the replay reaches it."""
-    shared, end = window._cycle_memo, window.end_index
-    ends = shared.get("ends", [])
-    i = bisect.bisect_left(ends, end)
-    later = ends[i + 1:] if ends[i:i + 1] == [end] else []
-    if cycle_level(config):
-        return [cache, *map(cache.whole.prefix, later)]
-    pending = shared.setdefault(("tables", workspace_key(config)), {})
-    caches, cells = [cache], (end + 1) * (end + 1 + rows)
-    for later_end in later[:i]:
-        cells += (later_end + 1) * (later_end + 1 + rows)
-        if cells > _BATCH_CELLS:
+def _batch(window: Window, config: DetectorConfig, rows: int) -> list[Window]:
+    """The later windows of the replay that one solve at ``window`` covers
+    (the solve stops after the window by which its configs have all
+    fired), each with its cost tables (and any z-normalized samples
+    they were built from) in its memo. For a cycle-level
+    config, every later window, each holding a prefix of the cycle's
+    tables. Otherwise the replay's windows after the i-th, ``window``, up
+    to the 2i-th, within _BATCH_CELLS; a window whose tables fail to build
+    ends the batch, its error raised when the replay reaches it."""
+    windows, end = window._cycle_memo["windows"], window.end_index
+    first = bisect.bisect_right(windows, end, key=lambda w: w.end_index)  # past window's index
+    per_window = not cycle_level(config)
+    key, cells = workspace_key(config), (end + 1) * (end + 1 + rows)
+    batch = []
+    for later in windows[first:2 * first - 1] if per_window else windows[first:]:
+        cells += (later.end_index + 1) * (later.end_index + 1 + rows)
+        if per_window and cells > _BATCH_CELLS:
             break
-        if later_end not in pending:
+        if key not in later._memo:
             try:
-                pending[later_end] = _window_tables(Window(window.cycle, later_end), config, {})
+                later._memo[key] = _cost_tables(later, config, later._memo)
             except Exception:
                 break
-        caches.append(pending[later_end])
-    return caches
+        batch.append(later)
+    return batch
 
 
 def cycle_level(config: DetectorConfig) -> bool:
@@ -739,23 +731,17 @@ def cycle_level(config: DetectorConfig) -> bool:
             and config.cost.kind in costs.PREFIX_KINDS)
 
 
-def _window_tables(window, config: DetectorConfig, memo: dict) -> CostCache:
-    return CostCache(_window_samples(window, config.znorm, memo), config.cost)
-
-
 def _cost_tables(window, config: DetectorConfig, memo: dict) -> CostCache:
-    """A window's cost tables. In a replay (a window with a cycle memo), for
+    """A window's cost tables: in a replay (a window with a cycle memo), for
     a cycle-level config, a prefix of the cycle's tables, shared with the
-    replay's other windows; else the window's own tables, built ahead by a
-    batch (see :func:`_batch`) or here."""
+    replay's other windows; else the window's own."""
     shared = window._cycle_memo if isinstance(window, Window) else None
-    key = workspace_key(config)
     if shared is not None and cycle_level(config):
+        key = workspace_key(config)
         if key not in shared:
             shared[key] = CostCache(window.cycle.samples, config.cost)
         return shared[key].prefix(window.end_index)
-    cache = None if shared is None else shared.get(("tables", key), {}).pop(window.end_index, None)
-    return _window_tables(window, config, memo) if cache is None else cache
+    return CostCache(_window_samples(window, config.znorm, memo), config.cost)
 
 
 def _solve_key(config: DetectorConfig) -> tuple:

@@ -535,7 +535,11 @@ def build_features(counts: np.ndarray, code_universe: Sequence[str],
         den = np.maximum(counts[:, den_cols].sum(axis=1), 1)
         feats[:, j] = num / den
     start = start_time or EPOCH
-    end = start + timedelta(hours=period_hours * counts.shape[0])
+    try:
+        end = start + timedelta(hours=period_hours * counts.shape[0])
+    except OverflowError:
+        raise ValueError(f"{counts.shape[0]} buckets of {period_hours!r} hours from {start} "
+                         f"end past datetime's range") from None
     return LifeCycle(atm_id=atm_id, cycle_index=cycle_index, start_time=start,
                      end_time=end, feature_names=config.feature_names,
                      samples=feats, period=period_hours)

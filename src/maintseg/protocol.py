@@ -9,8 +9,8 @@ a whole list of configs, so every config still running on a window shares
 that window's memo (see :class:`~maintseg.core.Window`), and the penalties
 of those configs that share a solver, cost and min_size are solved together.
 The tables that depend on the cycle alone are kept in one memo for all the
-cycle's windows, as are the tables and segmentations that one batched PELT
-solve makes ahead for later windows.
+cycle's windows; the tables and segmentations that one batched PELT solve
+makes ahead for a later window go into that window's own memo.
 """
 
 from __future__ import annotations
@@ -70,13 +70,14 @@ def replay(cycle: LifeCycle, configs: Sequence[DetectorConfig], step: int = 7,
 
     The windows share a cycle memo. A PELT or KCPD solve at one window
     also solves later windows in the same column walk, up to the window by
-    which its configs have all fired, and those windows take their
-    segmentations and tables from the memo. The segmenters whose tables
-    depend on the cycle alone (``detectors.cycle_level``) read prefixes of
-    one set of tables, so their first solve covers every window; for the
-    others, a solve on the i-th window covers the windows up to the 2i-th,
-    within a stated memory budget. The memo is dropped when the replay
-    returns.
+    which its configs have all fired, and writes their segmentations and
+    tables into their memos. The segmenters whose tables depend on the
+    cycle alone (``detectors.cycle_level``) read prefixes of one set of
+    tables, kept in the cycle memo, so their first solve covers every
+    window; for the others, a solve on the i-th window covers the windows
+    up to the 2i-th, within a stated memory budget. Each window's memo is
+    cleared once the window is done, and the cycle memo, with what it
+    holds for the windows not reached, when the replay returns or raises.
     """
     if alert_at not in ALERT_TIMINGS:
         raise ValueError(f"alert_at must be one of {ALERT_TIMINGS}")
@@ -84,23 +85,25 @@ def replay(cycle: LifeCycle, configs: Sequence[DetectorConfig], step: int = 7,
     outcomes: list[Union[Alert, None, Exception]] = [None] * len(configs)
     running = list(range(len(configs)))
     cycle_memo: dict = {}
-    for window in prefix_windows(cycle, step, cycle_memo):
-        if not running:
-            break
-        end = window.end_index
-        share_solves(window, [configs[i] for i in running])
-        for i in running:
-            try:
-                cp = run(window, configs[i])
-                if cp is not None:
-                    cp = int(cp)
-                    outcomes[i] = Alert(step_end_index=end, change_point_index=cp,
-                                        a=end if alert_at == "window-end" else cp)
-            except Exception as exc:  # the other configs go on
-                outcomes[i] = exc
-        window._memo.clear()
-        running = [i for i in running if outcomes[i] is None]
-    cycle_memo.clear()  # a failure's traceback may hold a window, and so the memo
+    try:
+        for window in prefix_windows(cycle, step, cycle_memo):
+            end = window.end_index
+            share_solves(window, [configs[i] for i in running])
+            for i in running:
+                try:
+                    cp = run(window, configs[i])
+                    if cp is not None:
+                        cp = int(cp)
+                        outcomes[i] = Alert(step_end_index=end, change_point_index=cp,
+                                            a=end if alert_at == "window-end" else cp)
+                except Exception as exc:  # the other configs go on
+                    outcomes[i] = exc
+            window._memo.clear()
+            running = [i for i in running if outcomes[i] is None]
+            if not running:  # before the next window, which may hold tables
+                break
+    finally:  # the windows and the cycle memo link each other; a traceback may hold them
+        cycle_memo.clear()
     return outcomes
 
 

@@ -158,6 +158,25 @@ class TestIngest:
         err = capsys.readouterr().err
         assert "'atm_id'" in err and "nope.csv" not in err
 
+    def test_timestamp_outside_the_calendar_is_a_malformed_row(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        self.write_log(log)
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write("0001-01-01T00:00:00+01:00,atm1,0,6000\n")  # year 0 in UTC
+        assert main(["ingest", str(log), "--out", str(tmp_path / "o")]) == 0
+        assert "31 parsed, 1 malformed" in capsys.readouterr().out
+
+    def test_period_past_the_calendar_is_an_error(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        self.write_log(log)
+        # a timedelta holds 1e8 hours, but a cycle of one such bucket from
+        # 2019 ends past year 9999
+        assert main(["ingest", str(log), "--period-hours", "1e8",
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "range" in err[0]
+        assert not (tmp_path / "o").exists()
+
     def test_machine_ids_sharing_a_file_name_are_an_error(self, tmp_path, capsys):
         log = tmp_path / "log.csv"
         log.write_text("timestamp,atm_id,lifecycle_id,event_code\n"
@@ -214,6 +233,36 @@ class TestConfigFiles:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
         assert not (out / "results.csv").exists()
+
+
+class TestValuesOutOfRange:
+    """A non-finite or out-of-range scoring or ingest value is one ``error:``
+    line naming it, exit 1, before any input is read or output written."""
+
+    @pytest.mark.parametrize("command, flags, named", [
+        ("sweep", ["--pp", "nan"], "pp must be finite"),
+        ("sweep", ["--pp-list", "7,nan"], "--pp-list '7,nan'"),
+        ("sweep", ["--pp-list", "7,0"], "--pp-list '7,0'"),
+        ("sweep", ["--rd", "inf"], "rd must be finite"),
+        ("sweep", ["--s=-inf"], "s must be finite"),
+        ("evaluate", ["--s", "inf"], "s must be finite"),
+        ("report", ["--pp", "inf"], "pp must be finite"),
+        ("report", ["--pp-list", "nan"], "--pp-list 'nan'"),
+        ("ingest", ["--period-hours", "inf"], "--period-hours"),
+        ("ingest", ["--period-hours", "1e20"], "--period-hours"),
+        ("ingest", ["--ii", "inf"], "--ii"),
+        ("ingest", ["--ii", "1e10"], "--ii"),
+    ], ids=["sweep-pp-nan", "sweep-pp-list-nan", "sweep-pp-list-zero", "sweep-rd-inf",
+            "sweep-s-minus-inf", "evaluate-s-inf", "report-pp-inf", "report-pp-list-nan",
+            "ingest-period-inf", "ingest-period-1e20", "ingest-ii-inf", "ingest-ii-1e10"])
+    def test_refused_before_any_work(self, tmp_path, capsys, command, flags, named):
+        source = tmp_path / "missing"  # never read: reading it would be another error
+        extra = ["--config", "PELT/l2/5.0/2/-/0/-"] if command == "evaluate" else []
+        assert main([command, str(source), *extra, *flags,
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+        assert not (tmp_path / "o").exists()
 
 
 class TestEvaluate:

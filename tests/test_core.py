@@ -1,4 +1,5 @@
 import csv
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from maintseg.core import (
     BusinessParams,
     Window,
     csv_line,
+    parse_timestamp,
     prefix_windows,
     write_whole,
     znormalize,
@@ -135,6 +137,12 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             BusinessParams(ii=-0.5)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["rd", "pp", "ii", "s"])
+    def test_business_params_refuse_non_finite_values(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            BusinessParams(**{field: value})
+
     def test_params_to_samples(self):
         rd, pp = BusinessParams(rd=1.0, pp=14.0).to_samples(period_hours=24.0)
         assert (rd, pp) == (1.0, 14.0)
@@ -153,6 +161,18 @@ class TestDomainTypes:
         cycle = make_cycle(np.ones(4))
         with pytest.raises(ValueError):
             cycle.samples[0, 0] = 2.0
+
+
+class TestParseTimestamp:
+    @pytest.mark.parametrize("text", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"])
+    def test_utc_time_outside_datetime_range_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="outside datetime's range"):
+            parse_timestamp(text)
+
+    def test_calendar_ends_in_utc_parse(self):
+        assert parse_timestamp("0001-01-01T01:00:00+01:00") == datetime(1, 1, 1, tzinfo=timezone.utc)
+        assert parse_timestamp("9999-12-31T22:59:59-01:00") == \
+            datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc)
 
 
 class TestWriteWhole:

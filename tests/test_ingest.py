@@ -315,6 +315,9 @@ PARITY_CASES = {
         "9999-12-31T23:59:59Z", "2019-00-10T00:00:00", "2019-13-01T00:00:00",
         "2019-04-31T00:00:00", "2019-04-30T00:00:00", "2019-01-00T00:00:00",
         "2019-12-31T23:59:59", "1969-12-31T23:59:59Z", "1970-01-01T00:00:00Z"]),
+    "stamp-offsets-at-the-calendar-ends": stamped([
+        "0001-01-01T00:00:00+01:00", "0001-01-01T01:00:00+01:00",
+        "9999-12-31T23:59:59-01:00", "9999-12-31T22:59:59-01:00"]),
     "stamp-characters": stamped([
         "\uff12\uff10\uff11\uff19-03-01T10:00:00", "2019-03-01T10:00:0\u0663",
         "2019-03-01T10:00:00\x00", "2019-03-01T10:00:0\x00", "2019-03-01T1\x000:00:00",

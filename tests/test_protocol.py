@@ -389,8 +389,9 @@ class TestReplay:
                         {**note, PELT_L2.config_id: 28}, note, {**note, PELT_L2.config_id: 35}]
 
     def test_cycle_tables_released_when_replay_returns(self, monkeypatch):
-        # the tables built over the whole cycle are dropped with the replay,
-        # also when a failed config's traceback outlives it
+        # the tables built over the whole cycle, and those a batch built
+        # ahead for windows the replay never reaches, are dropped with the
+        # replay, also when a failed config's traceback outlives it
         cycle = two_regime_cycle(n=35, change=26)
         built = []
 
@@ -406,6 +407,8 @@ class TestReplay:
             return cp
 
         monkeypatch.setattr(detectors_mod, "CostCache", Noted)
+        rbf = DetectorConfig("PELT", cost=SegmentCost("rbf", gamma=1.0), penalty=1.0,
+                             min_size=2)
         gc.disable()  # a reference cycle through the traceback must not matter
         try:
             outcomes = replay(cycle, [PELT_L2, NEVER_FIRES,
@@ -414,6 +417,14 @@ class TestReplay:
             assert isinstance(outcomes[0], RuntimeError) and outcomes[1:] == [None, None]
             assert [n for n, _ in built] == [35, 35]  # one per cost, over the cycle
             assert [ref() for _, ref in built] == [None, None]
+            built.clear()
+            # a per-window family that fires early: its last batch, windows
+            # 16..31 of a step-1 replay, built tables past the firing window
+            outcomes = replay(cycle, [PELT_L2, rbf], 1, detector=failing)
+            assert isinstance(outcomes[0], RuntimeError)
+            assert outcomes[1] == alert_at_window(28, 26)
+            assert [n for n, _ in built] == [35, *range(1, 32)]
+            assert [ref() for _, ref in built] == [None] * 32
         finally:
             gc.enable()
 
