@@ -52,6 +52,7 @@ from .sweep import (
     rescore,
     run_sweep,
     score_alert,
+    shared_period,
     sweep_summary,
 )
 from .synth import SynthSpec, generate_corpus
@@ -224,7 +225,7 @@ def cmd_evaluate(args) -> int:
     params = BusinessParams(rd=args.rd, pp=args.pp, s=args.s)
     cycles = load_cycles(args.cycles)
     config = DetectorConfig.from_id(args.config)
-    period = cycles[0].period
+    period = shared_period(cycles)
     step = _step_buckets(args.step, period)
     _write_manifest(args)
 
@@ -256,7 +257,7 @@ def cmd_sweep(args) -> int:
     spec = (GridSpec.from_json(args.grid.read_text(encoding="utf-8"))
             if args.grid else default_grid())
     configs = build_grid(spec)
-    step = _step_buckets(args.step, cycles[0].period)
+    step = _step_buckets(args.step, shared_period(cycles))
     _write_manifest(args, {"n_configs": len(configs), "n_cycles": len(cycles)})
     results_path = args.out / "results.csv"
     table = run_sweep(cycles, configs, params, step=step, workers=args.workers,

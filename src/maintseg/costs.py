@@ -119,12 +119,12 @@ def rbf_bandwidth_median(signal: np.ndarray) -> float:
 class CostCache:
     """Per-signal tables answering segment cost queries.
 
-    ``values(starts, ends)`` returns the cost of each segment
-    [starts[i], ends[i]); either argument may be a scalar shared by every
-    segment. ``value(a, b)`` is the cost of one segment as a float. The
-    prefix-sum and Gram tables of the cost kind are built in the
-    constructor; the l1 table fills as segments are queried. ``prefix(end)``
-    is the cache of the signal's first ``end`` samples over the same tables.
+    ``values(starts, ends)``, its one query, returns the cost of each
+    segment [starts[i], ends[i]) as an array; either argument may be a
+    scalar shared by every segment. The prefix-sum and Gram tables of the
+    cost kind are built in the constructor; the l1 table fills as segments
+    are queried. ``prefix(end)`` is the cache of the signal's first ``end``
+    samples over the same tables.
     """
 
     # the cache that a prefix view was cut from; None for a cache of its own
@@ -174,11 +174,6 @@ class CostCache:
         view = object.__new__(type(self))  # not the constructor: the tables are kept
         view.__dict__.update(vars(self), n=end, signal=self.signal[:end], whole=self.whole or self)
         return view
-
-    def value(self, a: int, b: int) -> float:
-        if not 0 <= a < b <= self.n:
-            raise ValueError(f"invalid segment [{a}, {b}) for signal of length {self.n}")
-        return float(self._COSTS[self.spec.kind](self, np.array([a]), np.array([b]))[0])
 
     def values(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         starts = np.asarray(starts, dtype=int)

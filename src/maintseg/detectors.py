@@ -215,7 +215,8 @@ def pelt(signal: np.ndarray | CostCache | list, cost: SegmentCost | None = None,
         for cache in caches:
             if cache.n >= 2 * min_size:
                 break
-            out.append([Segmentation((), cache.value(0, cache.n))] * penalties.size)
+            whole = float(cache.values([0], [cache.n])[0])
+            out.append([Segmentation((), whole)] * penalties.size)
         long = caches[len(out):]
         while long:  # again over the caches before one whose costs failed to read
             program = _PeltProgram(np.unique(penalties), min_size, long)
@@ -367,7 +368,8 @@ def binseg(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
     A segment's best split does not depend on the penalty, so the split
     tree is grown once, at the smallest penalty of a sequence. A split
     survives a penalty iff its gain and the gains of all the splits above
-    it exceed that penalty.
+    it exceed that penalty. A node [a, b) reads its whole segment, every
+    [cut, b) and every [a, cut) in one ``values`` call.
     """
     penalties, cache = _penalties(penalty, min_size), _as_cache(signal, cost)
     n = cache.n
@@ -378,11 +380,13 @@ def binseg(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
         a, b, above = pending.pop()
         if b - a < 2 * min_size:
             continue
-        whole = cache.value(a, b)
         cuts = np.arange(a + min_size, b - min_size + 1)
-        both = cache.values(cuts, b) + cache.values(np.full(cuts.size, a), cuts)
+        k = cuts.size
+        costs = cache.values(np.concatenate(([a], cuts, np.full(k, a))),
+                             np.concatenate(([b], np.full(k, b), cuts)))
+        both = costs[1:k + 1] + costs[k + 1:]
         best = int(np.argmin(both))  # smallest index on ties
-        gain = whole - both[best]
+        gain = costs[0] - both[best]
         if gain > lowest:
             cut = int(cuts[best])
             least = min(gain, above)
@@ -403,17 +407,16 @@ def bottomup(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
     whose merges all cost something. The merge order does not depend on
     the penalty, so a sequence of penalties is read off one merge run,
     visited in ascending order: each takes the breakpoints left when the
-    cheapest merge first costs more than it.
+    cheapest merge first costs more than it. The state is one list of the
+    segments' ends, 0, the grid points left and n; a merge reads the three
+    segments of each neighbour's new merge delta in one ``values`` call.
     """
     penalties, cache = _penalties(penalty, min_size), _as_cache(signal, cost)
     n = cache.n
-    bps = list(range(min_size, n, min_size))
-    if bps and n - bps[-1] < min_size:
-        bps.pop()
+    bounds = [0, *range(min_size, n - min_size + 1, min_size), n]
 
     def merge_deltas(idx: list[int]) -> list[float]:
-        """The cost change of removing breakpoint bps[i], for each i in idx."""
-        bounds = [0, *bps, n]
+        """The cost change of removing breakpoint bounds[i + 1], for each i in idx."""
         left = [bounds[i] for i in idx]
         mid = [bounds[i + 1] for i in idx]
         right = [bounds[i + 2] for i in idx]
@@ -421,18 +424,18 @@ def bottomup(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
         merged, lhs, rhs = costs.reshape(3, -1)
         return (merged - lhs - rhs).tolist()
 
-    deltas = merge_deltas(list(range(len(bps))))
+    deltas = merge_deltas(list(range(len(bounds) - 2)))
     found: list[tuple[int, ...]] = [()] * penalties.size
     ascending = np.argsort(penalties, kind="stable").tolist()
-    while ascending and bps:
+    while ascending and deltas:
         best = int(np.argmin(deltas))  # smallest breakpoint on ties
         if deltas[best] > penalties[ascending[0]]:
-            found[ascending.pop(0)] = tuple(bps)
+            found[ascending.pop(0)] = tuple(bounds[1:-1])
             continue
-        bps.pop(best)
+        del bounds[best + 1]
         deltas.pop(best)
         # removing a breakpoint only changes its neighbors' merge costs
-        idx = [i for i in (best - 1, best) if 0 <= i < len(bps)]
+        idx = [i for i in (best - 1, best) if 0 <= i < len(deltas)]
         for i, delta in zip(idx, merge_deltas(idx)):
             deltas[i] = delta
 

@@ -148,20 +148,34 @@ class CodeGroupingConfig:
                                          f"{'object' if kind is dict else 'array'}")
         codes, features = {}, []
         for code, entry in doc["codes"].items():
-            try:
-                codes[code] = (entry["group"], entry["severity"])
-            except (KeyError, TypeError) as exc:
-                raise ConfigurationError(
-                    f"malformed grouping config: code {code!r}: {exc}") from exc
+            where = f"code {code!r}"
+            codes[code] = (_config_field(entry, "group", where),
+                           _config_field(entry, "severity", where))
         for i, f in enumerate(doc["features"]):
-            try:
-                features.append(FeatureRecipe(name=f["name"], groups=tuple(f["groups"]),
-                                              numerator=tuple(f["numerator"]),
-                                              denominator=f.get("denominator", "OK")))
-            except (KeyError, TypeError) as exc:
-                raise ConfigurationError(
-                    f"malformed grouping config: features[{i}]: {exc}") from exc
+            name = _config_field(f, "name", f"features[{i}]")
+            where = f"feature {name!r}"
+            features.append(FeatureRecipe(name, _config_field(f, "groups", where, list),
+                                          _config_field(f, "numerator", where, list),
+                                          _config_field(f, "denominator", where, default="OK")))
         return cls(codes=codes, features=tuple(features))
+
+
+def _config_field(entry, key: str, where: str, kind: type = str, default=None):
+    """``entry[key]`` of a grouping config, a string, or with ``kind=list`` a
+    list of strings (as a tuple); ``default`` when the key is absent."""
+    if not isinstance(entry, dict):
+        raise ConfigurationError(f"malformed grouping config: {where} is not a JSON object")
+    if key not in entry and default is None:
+        raise ConfigurationError(f"malformed grouping config: {where}: missing {key!r}")
+    value = entry.get(key, default)
+    if kind is list:
+        if isinstance(value, list) and all(isinstance(v, str) for v in value):
+            return tuple(value)
+    elif isinstance(value, str):
+        return value
+    raise ConfigurationError(f"malformed grouping config: {where}: {key!r} must be "
+                             f"{'a list of strings' if kind is list else 'a string'}, "
+                             f"got {value!r}")
 
 
 def default_grouping() -> CodeGroupingConfig:

@@ -43,6 +43,7 @@ __all__ = [
     "ResultsTable",
     "SweepFailure",
     "run_sweep",
+    "shared_period",
     "rescore",
     "score_alert",
     "sweep_summary",
@@ -69,6 +70,13 @@ class GridSpecError(ValueError):
 GRID_FIELDS = {method: ("znorm", "thresholds", "ms", "channel_rules") if method == "FLUSS"
                else ("znorm", "costs", "penalties", "min_sizes") for method in METHODS}
 
+# the JSON type of each field's values; a bool, which Python counts as an
+# int, is refused where a number is meant
+_FIELD_TYPES = {"znorm": ("a boolean", bool), "costs": ("a string", str),
+                "channel_rules": ("a string", str), "min_sizes": ("an integer", int),
+                "ms": ("an integer", int), "penalties": ("a number", (int, float)),
+                "thresholds": ("a number", (int, float))}
+
 
 @dataclass(frozen=True)
 class MethodGrid:
@@ -89,7 +97,8 @@ class GridSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "GridSpec":
-        """Raises :class:`GridSpecError` naming an unknown method or field."""
+        """Raises :class:`GridSpecError` naming an unknown method or field,
+        or a value whose JSON type is not its field's."""
         doc = json.loads(text)
         if not isinstance(doc, dict) or not all(isinstance(p, dict) for p in doc.values()):
             raise GridSpecError("a grid spec is a JSON object of method -> object of lists")
@@ -102,6 +111,13 @@ class GridSpec:
             if bad:
                 raise GridSpecError(f"grid spec {method}: {bad[0]!r} is not one of its "
                                     f"lists {GRID_FIELDS[method]}")
+            for key, values in params.items():
+                kind, types = _FIELD_TYPES[key]
+                wrong = [v for v in values
+                         if not isinstance(v, types) or isinstance(v, bool) != (types is bool)]
+                if wrong:
+                    raise GridSpecError(f"grid spec {method}: {key} value {wrong[0]!r} "
+                                        f"is not {kind}")
         return cls({method: MethodGrid(**{k: tuple(v) for k, v in params.items()})
                     for method, params in doc.items()})
 
@@ -217,6 +233,14 @@ def _evaluate_family(task) -> list[EvaluationRecord | str]:
     return out
 
 
+def shared_period(cycles: Sequence[LifeCycle]) -> float:
+    """The resampling period in hours that every cycle shares."""
+    period_hours = cycles[0].period
+    if any(c.period != period_hours for c in cycles):
+        raise ValueError("cycles must share one resampling period")
+    return period_hours
+
+
 def run_sweep(cycles: Sequence[LifeCycle], configs: Sequence[DetectorConfig],
               params: BusinessParams, step: int = 7, workers: int = 1,
               alert_at: str = "window-end",
@@ -234,11 +258,11 @@ def run_sweep(cycles: Sequence[LifeCycle], configs: Sequence[DetectorConfig],
         raise ValueError("no cycles to evaluate")
     if step < 1:
         raise ValueError("step must be >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if alert_at not in ALERT_TIMINGS:
         raise ValueError(f"alert_at must be one of {ALERT_TIMINGS}")
-    period_hours = cycles[0].period
-    if any(c.period != period_hours for c in cycles):
-        raise ValueError("cycles must share one resampling period")
+    period_hours = shared_period(cycles)
     table = ResultsTable(records=[], config_ids=tuple(c.config_id for c in configs),
                          fingerprint=corpus_fingerprint(cycles), params=params,
                          step=step, alert_at=alert_at, period_hours=period_hours)
@@ -307,6 +331,7 @@ def run_sweep(cycles: Sequence[LifeCycle], configs: Sequence[DetectorConfig],
 
 
 def _run_tasks(tasks, workers: int) -> Iterable:
+    workers = min(workers, len(tasks))  # a pool forks all its workers up front
     if workers <= 1:
         for task in tasks:
             yield _evaluate_family(task)

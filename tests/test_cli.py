@@ -200,11 +200,17 @@ class TestConfigFiles:
         ("ingest", "--grouping", {"codes": 3, "features": []}, "'codes'"),
         ("ingest", "--grouping", {"codes": {"6000": 3}, "features": []}, "code '6000'"),
         ("ingest", "--grouping", {"codes": {}, "features": [3]}, "features[0]"),
+        ("ingest", "--grouping",
+         {"codes": {"6000": {"group": ["dist"], "severity": "OK"}}, "features": []},
+         "code '6000': 'group' must be a string"),
         ("sweep", "--grid", {"FLUS": {"thresholds": [0.5], "ms": [7]}}, "'FLUS'"),
         ("sweep", "--grid", {"PELT": {"costs": ["l2"], "penalty": [1.0]}}, "'penalty'"),
+        ("sweep", "--grid", {"PELT": {"costs": ["l2"], "penalties": [1.0], "min_sizes": [2],
+                                      "znorm": ["false"]}}, "znorm value 'false'"),
     ], ids=["format", "format-delimiter-type", "format-column-type", "format-negative-index",
             "grouping",
-            "grouping-code", "grouping-feature", "grid-method", "grid-field"])
+            "grouping-code", "grouping-feature", "grouping-group-type", "grid-method",
+            "grid-field", "grid-value-type"])
     def test_malformed_config_file(self, corpus, tmp_path, capsys, command, flag, doc, named):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc))
@@ -316,7 +322,39 @@ class TestEvaluate:
         assert "not a whole number of 5-hour buckets" in capsys.readouterr().err
 
 
+class TestMixedPeriods:
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_mixed_periods_are_refused_before_any_work(self, tmp_path, capsys, command):
+        # a daily cycle and a 480-bucket hourly one: no step or scoring
+        # window in buckets fits both
+        from dataclasses import replace
+        from maintseg.ingest import save_cycle
+        cycles = bucket_corpus(tmp_path, 24.0, 60)
+        hourly = SynthSpec(n_days_min=480, n_days_max=480, period_hours=1.0,
+                           change_offset_days=96)
+        save_cycle(replace(generate_corpus(5, 1, hourly)[0], atm_id="hourly"), cycles)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"PELT": TINY_GRID["PELT"]}))
+        flags = (["--config", "PELT/l2/5.0/2/-/0/-"] if command == "evaluate"
+                 else ["--grid", str(grid)])
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main([command, str(cycles), *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: cycles must share one resampling period\n"
+        assert not out.exists()
+
+
 class TestSweepCommand:
+    def test_workers_below_one_refused(self, corpus, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(TINY_GRID))
+        for workers in ("0", "-2"):
+            out = tmp_path / f"w{workers}"
+            assert main(["sweep", str(corpus), "--grid", str(grid), "--workers", workers,
+                         "--out", str(out)]) == 1
+            assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+            assert not (out / "results.csv").exists()
+
     def test_step_is_days_at_any_period(self, tmp_path):
         cycles = bucket_corpus(tmp_path, 1.0, 240)
         grid = tmp_path / "grid.json"

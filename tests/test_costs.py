@@ -11,33 +11,33 @@ from conftest import direct_cost
 class TestCostValues:
     def test_l2_constant_segment_is_zero(self):
         cache = CostCache(np.full(6, 3.3), SegmentCost("l2"))
-        assert cache.value(0, 6) == pytest.approx(0.0, abs=1e-12)
+        assert cache.values([0], [6])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_l2_hand_value(self):
         # mean 2, sum (x-2)^2 = 4 * 4
         cache = CostCache(np.array([0.0, 0.0, 4.0, 4.0]), SegmentCost("l2"))
-        assert cache.value(0, 4) == pytest.approx(16.0)
+        assert cache.values([0], [4])[0] == pytest.approx(16.0)
 
     def test_l1_hand_value(self):
         # median 1, sum |x - 1| = 1 + 0 + 0 + 9
         x = np.array([0.0, 1.0, 1.0, 10.0])
-        assert CostCache(x, SegmentCost("l1")).value(0, 4) == pytest.approx(10.0)
+        assert CostCache(x, SegmentCost("l1")).values([0], [4])[0] == pytest.approx(10.0)
 
     def test_rbf_single_point_is_zero(self):
         cache = CostCache(np.array([2.5]), SegmentCost("rbf", gamma=1.0))
-        assert cache.value(0, 1) == pytest.approx(0.0)
+        assert cache.values([0], [1])[0] == pytest.approx(0.0)
 
     def test_rbf_hand_value(self):
         # two points at distance 2, gamma=1: 2 - (2 + 2 e^-4)/2
         x = np.array([0.0, 2.0])
         expected = 2.0 - (2.0 + 2.0 * np.exp(-4.0)) / 2.0
         cache = CostCache(x, SegmentCost("rbf", gamma=1.0))
-        assert cache.value(0, 2) == pytest.approx(expected, abs=1e-12)
+        assert cache.values([0], [2])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_normal_matches_direct_formula(self, rng):
         x = rng.normal(size=(12, 3))
         spec = SegmentCost("normal")
-        got = CostCache(x, spec).value(2, 10)
+        got = CostCache(x, spec).values([2], [10])[0]
         seg = x[2:10]
         cov = np.cov(seg.T, bias=True) + 1e-6 * np.eye(3)
         expected = 8 * np.log(np.linalg.det(cov))
@@ -48,7 +48,7 @@ class TestCostValues:
         cache = CostCache(x, SegmentCost("l2"))
         for a, b in [(2, 2), (3, 1), (-1, 2), (0, 6)]:
             with pytest.raises(ValueError):
-                cache.value(a, b)
+                cache.values([a], [b])
         for empty in (np.zeros(0), np.zeros((6, 0))):
             with pytest.raises(ValueError, match="non-empty"):
                 CostCache(empty, SegmentCost("l1"))
@@ -111,21 +111,27 @@ class TestCacheAgreesWithDirectEvaluation:
             a = int(rng.integers(0, 39))
             b = int(rng.integers(a + 1, 41))
             direct = direct_cost(x, a, b, spec)
-            assert cache.value(a, b) == pytest.approx(direct, rel=1e-9, abs=1e-9)
+            assert cache.values([a], [b])[0] == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
-    @pytest.mark.parametrize("kind", ["l1", "l2", "normal", "rbf"])
-    def test_vectorized_matches_scalar(self, kind, rng):
-        x = rng.normal(size=(30, 3))
-        cache = CostCache(x, SegmentCost(kind))
+    @pytest.mark.parametrize("label", ["l1", "l2", "normal", "rbf", "rbf:0.1"])
+    def test_vectorized_matches_scalar(self, label, rng):
+        # a segment's cost is bitwise the same read alone or inside any
+        # batch; the one-segment reads go to a fresh cache, so that the l1
+        # table is filled in another order than by the batch
+        x = np.round(rng.normal(size=(30, 3)), 1)
+        spec = cost_from_label(label)
         starts = rng.integers(0, 29, size=40)
         ends = starts + rng.integers(1, 31 - starts)
-        vals = cache.values(starts, ends)
-        assert vals.shape == (40,)
-        for a, b, v in zip(starts, ends, vals):
-            assert v == cache.value(int(a), int(b))
-        # a scalar start or end is shared by every segment
-        assert list(cache.values(starts, 30)) == [cache.value(int(a), 30) for a in starts]
-        assert list(cache.values(0, ends)) == [cache.value(0, int(b)) for b in ends]
+        cuts = np.arange(3, 25)  # a split node's reads, as binseg makes them
+        batches = [(starts, ends), (starts, 30), (0, ends),
+                   (np.concatenate(([2], cuts, np.full(cuts.size, 2))),
+                    np.concatenate(([27], np.full(cuts.size, 27), cuts)))]
+        for batch_starts, batch_ends in batches:
+            vals = CostCache(x, spec).values(batch_starts, batch_ends)
+            alone = CostCache(x, spec)
+            pairs = np.broadcast_arrays(batch_starts, batch_ends)
+            assert vals.shape == pairs[0].shape
+            assert vals.tolist() == [alone.values([a], [b])[0] for a, b in zip(*pairs)]
 
     def test_l1_table_answers_as_a_fresh_cache(self, rng):
         # the lazily filled l1 table returns bitwise the median it would
@@ -227,7 +233,7 @@ class TestPrefix:
             assert list(view.prefix(w).values(starts, stops)) == \
                 list(whole.values(starts, stops))
             with pytest.raises(ValueError):
-                view.value(0, w + 1)
+                view.values([0], [w + 1])
 
     def test_l1_entries_filled_through_a_prefix_serve_the_whole(self, rng):
         x = np.round(rng.normal(size=(60, 2)), 1)
@@ -263,12 +269,13 @@ class TestCostProperties:
             a = int(rng.integers(0, n - 2))
             b = int(rng.integers(a + 2, n + 1))
             m = int(rng.integers(a + 1, b))
-            assert cache.value(a, m) + cache.value(m, b) <= cache.value(a, b) + 1e-9
+            left, right, whole = cache.values([a, m, a], [m, b, b])
+            assert left + right <= whole + 1e-9
 
     @pytest.mark.parametrize("kind", ["l1", "l2", "normal", "rbf"])
     def test_order_reversal_invariance(self, kind, rng):
         x = rng.normal(size=(15, 2))
         spec = SegmentCost(kind, gamma=1.0 if kind == "rbf" else None)
-        forward = CostCache(x, spec).value(3, 12)
-        backward = CostCache(x[::-1], spec).value(15 - 12, 15 - 3)
+        forward = CostCache(x, spec).values([3], [12])[0]
+        backward = CostCache(x[::-1], spec).values([15 - 12], [15 - 3])[0]
         assert forward == pytest.approx(backward, rel=1e-9)

@@ -530,10 +530,6 @@ class TestPenaltyPath:
         reads: list = []
 
         class Noted(CostCache):
-            def value(self, a, b):
-                reads.append((self.n, [b]))
-                return super().value(a, b)
-
             def values(self, starts, stops):
                 reads.append((self.n, np.broadcast_to(stops, np.shape(starts)).tolist()))
                 return super().values(starts, stops)
@@ -569,9 +565,6 @@ class TestPenaltyPath:
                 if self.n in (3, 19):
                     raise RuntimeError(f"window {self.n}")
                 return super().values(starts, ends)
-
-            def value(self, a, b):
-                return float(self.values(np.array([a]), np.array([b]))[0])
 
         ends = [2, 3, 10, 12, 19, 30, 40]
         whole = Failing(x, L2)

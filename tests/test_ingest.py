@@ -609,6 +609,30 @@ class TestGroupingConfig:
         with pytest.raises(ConfigurationError, match=named):
             CodeGroupingConfig.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("where, key, value, expected", [
+        ("code", "group", ["dist"], "code '6000': 'group' must be a string, got ['dist']"),
+        ("code", "severity", 1, "code '6000': 'severity' must be a string, got 1"),
+        ("feature", "name", None, "features[0]: 'name' must be a string, got None"),
+        ("feature", "groups", "dist", "feature 'f': 'groups' must be a list of strings, "
+                                      "got 'dist'"),
+        ("feature", "numerator", "Error", "feature 'f': 'numerator' must be a list of "
+                                          "strings, got 'Error'"),
+        ("feature", "numerator", ["Error", 1], "feature 'f': 'numerator' must be a list of "
+                                               "strings, got ['Error', 1]"),
+        ("feature", "denominator", ["OK"], "feature 'f': 'denominator' must be a string, "
+                                           "got ['OK']"),
+    ], ids=["group-list", "severity-number", "name-null", "groups-string", "numerator-string",
+            "numerator-item", "denominator-list"])
+    def test_field_of_the_wrong_type_named(self, where, key, value, expected):
+        # refused, not iterated: "dist" would read as the groups d, i, s, t
+        doc = {"codes": {"6000": {"group": "dist", "severity": "OK"},
+                         "6001": {"group": "dist", "severity": "Error"}},
+               "features": [{"name": "f", "groups": ["dist"], "numerator": ["Error"]}]}
+        (doc["codes"]["6000"] if where == "code" else doc["features"][0])[key] = value
+        with pytest.raises(ConfigurationError) as raised:
+            CodeGroupingConfig.from_json(json.dumps(doc))
+        assert str(raised.value) == f"malformed grouping config: {expected}"
+
     def test_unknown_severity_rejected(self):
         with pytest.raises(ConfigurationError):
             CodeGroupingConfig(codes={"6000": ("distribution", "CRITICAL")}, features=())

@@ -78,7 +78,25 @@ class TestBuildGrid:
         ({"PELT": {"costs": "l2", "penalties": [1.0], "min_sizes": [2]}}, "'costs'"),
         ({"PELT": [1.0]}, "JSON object"),
         ([], "JSON object"),
-    ], ids=["method", "field", "other-method-field", "not-a-list", "not-an-object", "list"])
+        # a value of the wrong JSON type is refused, not coerced
+        ({"PELT": {"costs": ["l2"], "penalties": [1.0], "min_sizes": [2], "znorm": ["false"]}},
+         "PELT: znorm value 'false' is not a boolean"),
+        ({"BINSEG": {"costs": ["l2"], "penalties": [1.0], "min_sizes": [2.7]}},
+         "BINSEG: min_sizes value 2.7 is not an integer"),
+        ({"BOTTOMUP": {"costs": ["l2"], "penalties": [1.0], "min_sizes": [True]}},
+         "BOTTOMUP: min_sizes value True is not an integer"),
+        ({"FLUSS": {"thresholds": [0.5], "ms": [7.5]}}, "FLUSS: ms value 7.5 is not an integer"),
+        ({"PELT": {"costs": ["l2"], "penalties": [True], "min_sizes": [2]}},
+         "PELT: penalties value True is not a number"),
+        ({"FLUSS": {"thresholds": ["0.5"], "ms": [7]}},
+         "FLUSS: thresholds value '0.5' is not a number"),
+        ({"KCPD": {"costs": [1], "penalties": [1.0], "min_sizes": [2]}},
+         "KCPD: costs value 1 is not a string"),
+        ({"FLUSS": {"thresholds": [0.5], "ms": [7], "channel_rules": [None]}},
+         "FLUSS: channel_rules value None is not a string"),
+    ], ids=["method", "field", "other-method-field", "not-a-list", "not-an-object", "list",
+            "znorm-string", "min-size-float", "min-size-bool", "m-float", "penalty-bool",
+            "threshold-string", "cost-number", "channel-rule-null"])
     def test_malformed_spec_named(self, doc, named):
         with pytest.raises(GridSpecError, match=named):
             GridSpec.from_json(json.dumps(doc))
@@ -142,6 +160,43 @@ class TestRunSweep:
         t2 = run_sweep(cycles, configs, PARAMS, workers=2)
         assert t1.records == t2.records
         assert t1.fingerprint == t2.fingerprint
+
+    @pytest.mark.parametrize("n_cycles, workers, pools", [(3, 64, [3]), (1, 8, [])])
+    def test_pool_forks_at_most_one_worker_per_task(self, monkeypatch, n_cycles, workers, pools):
+        # a pool forks all its workers at the first submit; this one records
+        # its size and runs each task in-process, so no process starts. A
+        # single task runs serially, without a pool
+        import concurrent.futures
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        cycles = small_corpus(n_cycles)
+        serial = run_sweep(cycles, [NEVER, TUNED], PARAMS)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        table = run_sweep(cycles, [NEVER, TUNED], PARAMS, workers=workers)
+        assert made == pools
+        assert table.records == serial.records
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_refused(self, tmp_path, workers):
+        path = tmp_path / "results.csv"
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_sweep(small_corpus(2), [NEVER], PARAMS, workers=workers, results_path=path)
+        assert not path.exists()
 
     def test_complete_grid(self):
         cycles = small_corpus()
