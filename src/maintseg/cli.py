@@ -253,15 +253,19 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     params = BusinessParams(rd=args.rd, pp=args.pp, s=args.s)
     pp_values = _pp_list(args.pp_list)
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     cycles = load_cycles(args.cycles)
     spec = (GridSpec.from_json(args.grid.read_text(encoding="utf-8"))
             if args.grid else default_grid())
     configs = build_grid(spec)
     step = _step_buckets(args.step, shared_period(cycles))
-    _write_manifest(args, {"n_configs": len(configs), "n_cycles": len(cycles)})
     results_path = args.out / "results.csv"
+    # the manifest once run_sweep has accepted any results file it resumes
     table = run_sweep(cycles, configs, params, step=step, workers=args.workers,
-                      alert_at=args.alert_at, results_path=results_path)
+                      alert_at=args.alert_at, results_path=results_path,
+                      on_start=lambda: _write_manifest(
+                          args, {"n_configs": len(configs), "n_cycles": len(cycles)}))
     print(f"results written to {results_path}")
     if table.partial:  # no summary over an incomplete grid; a re-run resumes the sweep
         print(f"warning: {len(table.failures)} pairs failed; results are partial",

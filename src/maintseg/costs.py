@@ -16,11 +16,11 @@ or rows give the median), kept in a lazily filled (n+1)^2 table so that no
 segment's median is taken twice. l1 segments are computed in batches of
 one length (one diagonal b - a of the table): a missed segment whose
 diagonal neighbour [a-1, b-1) is known fills the rest of its diagonal in
-one sort, as PELT's column-by-column walk asks for it next; any other miss
-is computed alone. Either way each cost is bitwise
-``np.abs(seg - np.median(seg, axis=0)).sum()``. A cache holds no state but
-these tables, so the detectors share one across every config evaluated on
-a window (see ``detectors.detect_with_score``). The l1, l2 and normal
+one sort and one subtraction per channel, as PELT's column-by-column walk
+asks for it next; any other miss is computed alone. Either way each cost
+is bitwise ``np.abs(seg - np.median(seg, axis=0)).sum()``. A cache holds
+no state but these tables, so the detectors share one across every config
+evaluated on a window (see ``detectors.detect_with_score``). The l1, l2 and normal
 tables of a segment [a, b) read only the samples before b, so a replay
 builds them once over the whole cycle and hands each window a
 :meth:`CostCache.prefix` of them, which PELT solves as one set of rows
@@ -155,9 +155,8 @@ class CostCache:
         elif kind == "l1":
             # _l1_table[a, b] = cost of [a, b), NaN until first asked for
             self._l1_table = np.full((self.n + 1, self.n + 1), np.nan)
-            # the samples flat in row order and channel by channel, which
-            # _fill_l1 views as batches of segments
-            self._l1_by_row = np.ascontiguousarray(x).ravel()
+            # the samples flat channel by channel, which _fill_l1 views as
+            # batches of segments
             self._l1_by_channel = np.ascontiguousarray(x.T).ravel()
 
     def prefix(self, end: int) -> "CostCache":
@@ -210,7 +209,9 @@ class CostCache:
         Each cost is bitwise ``np.abs(seg - np.median(seg, axis=0)).sum()``:
         the median is the middle row, or the mean of the two middle rows, of
         the sorted segment, and each segment's deviations are summed as one
-        C-ordered (length, d) block, as numpy sums a single segment.
+        C-ordered (length, d) block, as numpy sums a single segment. A batch
+        of segments subtracts each channel's medians in one call, whose
+        inner loops run along the segments.
         """
         mid = length // 2
         if stop - first == 1:  # one segment: fewest numpy calls
@@ -222,25 +223,23 @@ class CostCache:
         # the whole signal's length, also in a prefix: the table and the
         # flat samples are the whole signal's
         n, d = self._l1_table.shape[0] - 1, self.signal.shape[1]
-        by_row, by_channel, item = self._l1_by_row, self._l1_by_channel, self.signal.itemsize
+        by_channel, item = self._l1_by_channel, self.signal.itemsize
         # the table's cells [a, a + length) lie n + 2 apart in its flat view
         cells = self._l1_table.reshape(-1)[length::n + 2]
         step = max(1, _L1_BLOCK // (length * d))  # bounds the temporaries' size
         for lo in range(first, stop, step):
             k = min(step, stop - lo)
-            # views of the samples (numpy checks that they stay inside the
+            # a view of the samples (numpy checks that it stays inside the
             # buffer; cheaper to make than sliding_window_view's): channel c
             # of segment lo + i at [c, i] of a (d, k, length) array, so that
-            # the sort copies whole runs, and segment lo + i at [i] of a
-            # (k, length, d) one
+            # the sort and each channel's subtraction run along whole runs
             channels = np.ndarray((d, k, length), float, by_channel, lo * item,
                                   (n * item, item, item))
-            segs = np.ndarray((k, length, d), float, by_row, lo * d * item,
-                              (d * item, d * item, item))
             ranked = np.sort(channels, axis=2)
             med = ranked[:, :, mid] if length % 2 else (ranked[:, :, mid - 1] + ranked[:, :, mid]) / 2
             dev = np.empty((k, length, d))
-            np.subtract(segs, med.T[:, None, :], out=dev)
+            for c in range(d):  # one channel per call: inner loops of length, not of d
+                np.subtract(channels[c], med[c][:, None], out=dev[:, :, c])
             np.abs(dev, out=dev)
             cells[lo:lo + k] = dev.sum(axis=(1, 2))
 

@@ -141,10 +141,10 @@ class DetectorConfig:
 
 def workspace_key(config: DetectorConfig) -> tuple:
     """What a config shares with others on one window: the segmenters'
-    cost tables depend on (cost label, znorm) and FLUSS's per-channel curves
-    on (m, znorm), whatever the penalty, min_size, threshold or channel
-    rule. ``detect_with_score`` keys a window's memo with it, and the sweep
-    replays the configs of one key together."""
+    cost tables depend on (cost label, znorm) and FLUSS's curve minima, one
+    per channel rule, on (m, znorm), whatever the penalty, min_size,
+    threshold or channel rule. ``detect_with_score`` keys a window's memo
+    with it, and the sweep replays the configs of one key together."""
     if config.method == "FLUSS":
         return ("FLUSS", config.m, config.znorm)
     return ("segments", config.cost.label, config.znorm)
@@ -246,15 +246,18 @@ class _PeltProgram:
     give each of them its result at its own n; any other cache is a group
     of its own.
 
-    A start t is born once column t is final, whatever the groups' lengths:
-    it is first considered at t + min_size. The groups are in
-    non-decreasing order of their longest caches, and each group's rows
-    stop there: from then on they are sliced out of every column, so that
-    nothing past a cache's end is read and its rows keep no start alive. A
-    start that only other rows keep reads +inf, so each row is bitwise the
-    one-cache, one-penalty program. Costs are read ahead in blocks of
-    _PELT_BLOCK columns, and a block ends at any cache's end inside a group,
-    where the group's reads move on to a longer cache (see :meth:`_read`).
+    The state is F, prev and G, a copy of F in which each row's pruned
+    starts read +inf, so that a column is a few passes over whole rows of
+    starts 0..t - min_size. A start t is born once column t is final,
+    whatever the groups' lengths: it is first considered at t + min_size.
+    The groups are in non-decreasing order of their longest caches, and
+    each group's rows stop there: from then on they are sliced out of
+    every column, so that nothing past a cache's end is read and its rows
+    keep no start alive. A start that only other rows keep reads +inf, so
+    each row is bitwise the one-cache, one-penalty program. Costs are read
+    ahead in blocks of _PELT_BLOCK columns, and a block ends at any cache's
+    end inside a group, where the group's reads move on to a longer cache
+    (see :meth:`_read`).
     """
 
     def __init__(self, penalties: np.ndarray, min_size: int, caches: list[CostCache]):
@@ -268,13 +271,12 @@ class _PeltProgram:
         self.row = {w: g * penalties.size for g, ws in enumerate(self.groups) for w in ws}
         # F[r, t] = optimal penalized cost of x[:t] under row r's penalty p;
         # F[r, 0] = -p so each segment contributes +p and the total equals
-        # sum costs + p * breaks. candidate[r, s]: s is a start row r still
-        # considers.
+        # sum costs + p * breaks. G[r, s] = F[r, s] while row r still
+        # considers start s, +inf once it has pruned s.
         self.F = np.full((len(self.groups) * penalties.size, caches[-1].n + 1), np.inf)
         self.F[:, 0] = -np.tile(penalties, len(self.groups))
         self.prev = np.zeros(self.F.shape, dtype=int)
-        self.candidate = np.zeros(self.F.shape, dtype=bool)
-        self.candidate[:, 0] = True
+        self.G = self.F.copy()
 
     def advance(self) -> bool:
         """Compute the columns up to the longest cache's n, or stop after the
@@ -290,30 +292,28 @@ class _PeltProgram:
         pen3 = self.penalties[None, :, None]
         pen2 = 2 * np.tile(self.penalties, len(self.groups))[:, None]
         rows = np.arange(pen2.size)
-        F, prev, candidate = self.F, self.prev, self.candidate
-        alive = np.zeros(1, dtype=int)  # ascending: the starts some row considers
-        first = min_size
+        F, prev, G = self.F, self.prev, self.G
+        first, done = min_size, 0  # done: the groups that end before the last column
         while first <= lengths[-1]:
             stop = min(first + _PELT_BLOCK, cuts[bisect.bisect_left(cuts, first)] + 1)
-            done = bisect.bisect_left(lengths, first)  # the groups that end before first
+            # ascending: the starts that a row reaching column first - 1 still considers
+            alive = np.flatnonzero((G[done * size:, :first] < np.inf).any(axis=0))
+            done = bisect.bisect_left(lengths, first, done)  # the groups that end before first
             costs = self._read(alive, done, first, stop)
             if costs is None:
                 return False
             for t in range(first, stop):
                 done = bisect.bisect_left(lengths, t, done)
                 lo, hi = done * size, F.shape[0]  # the rows of the groups that reach t
-                starts = alive[:np.searchsorted(alive, t - min_size, side="right")]
-                vals = (F[lo:, starts].reshape(-1, size, starts.size)
-                        + costs[done:, t - first, starts][:, None, :]
-                        + pen3).reshape(-1, starts.size)
-                vals[~candidate[lo:, starts]] = np.inf
+                m = t - min_size + 1  # the starts 0..t - min_size
+                vals = (G[lo:, :m].reshape(-1, size, m) + costs[done:, t - first, :m][:, None, :]
+                        + pen3).reshape(-1, m)
                 best = np.argmin(vals, axis=1)  # first minimum -> smallest start on ties
                 F[lo:, t] = vals[rows[:hi - lo], best]
-                prev[lo:, t] = starts[best]
-                keep = vals <= F[lo:, t, None] + pen2[lo:hi]  # F[s]+C(s,t) <= F[t]+penalty
-                candidate[lo:, starts] = keep
-                alive = np.concatenate((starts[keep.any(axis=0)], alive[starts.size:], [t]))
-                candidate[:, t] = True
+                prev[lo:, t] = best
+                # F[s]+C(s,t) > F[t]+penalty: row r never takes s again
+                np.copyto(G[lo:, :m], np.inf, where=vals > F[lo:, t, None] + pen2[lo:hi])
+                G[lo:, t] = F[lo:, t]
             for w in range(bisect.bisect_left(ns, first), bisect.bisect_left(ns, stop)):
                 broken |= prev[self.row[w]:self.row[w] + size, ns[w]] > 0
                 if broken.all():
@@ -328,14 +328,15 @@ class _PeltProgram:
         column by column (the order in which PELT's l1 queries fill whole
         diagonals): ``costs[g, t - first, s]`` is group g's C(s, t), for the
         groups from ``done`` on, read through the group's shortest cache
-        that holds ``first``. None, with ``solved`` set, when a read fails;
-        raises if that read is the first cache's."""
+        that holds ``first``. Any other cost is 0, so that a start that G
+        holds at +inf stays +inf. None, with ``solved`` set, when a read
+        fails; raises if that read is the first cache's."""
         last = stop - 1 - self.min_size  # the latest start the columns consider
         starts = np.concatenate((alive[:np.searchsorted(alive, last, side="right")],
                                  np.arange(first, last + 1)))
         column, index = np.nonzero(starts <= np.arange(first - self.min_size, last + 1)[:, None])
         seg_starts, seg_ends = starts[index], column + first
-        costs = np.empty((len(self.groups), stop - first, last + 1))
+        costs = np.zeros((len(self.groups), stop - first, last + 1))
         for g in range(done, len(self.groups)):
             w = self.groups[g][bisect.bisect_left(self.ends[g], first)]
             j = np.searchsorted(column, self.caches[w].n - first, side="right")
@@ -428,7 +429,7 @@ def bottomup(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
     found: list[tuple[int, ...]] = [()] * penalties.size
     ascending = np.argsort(penalties, kind="stable").tolist()
     while ascending and deltas:
-        best = int(np.argmin(deltas))  # smallest breakpoint on ties
+        best = deltas.index(min(deltas))  # smallest breakpoint on ties
         if deltas[best] > penalties[ascending[0]]:
             found[ascending.pop(0)] = tuple(bounds[1:-1])
             continue
@@ -598,6 +599,8 @@ def _fluss_curves(x: np.ndarray, m: int) -> list[np.ndarray]:
 
 
 def _fluss_best(curves: list[np.ndarray]) -> tuple[int, float]:
+    """The lowest point of the curves, (position, value): the first curve's
+    first minimum on ties."""
     best_val = np.inf
     best_pos = 0
     for curve in curves:
@@ -647,12 +650,10 @@ def detect_with_score(window, config: DetectorConfig) -> tuple[int | None, float
         excl = (config.m + 1) // 2
         if n < config.m + excl + 1:
             return None, 1.0
-        if key not in memo:
-            memo[key] = _fluss_curves(x, config.m)
-        curves = memo[key]
-        if config.channel_rule == "sum":
-            curves = [np.mean(curves, axis=0)]
-        pos, val = _fluss_best(curves)
+        if key not in memo:  # each rule's minimum, which every threshold compares
+            curves = _fluss_curves(x, config.m)
+            memo[key] = {"any": _fluss_best(curves), "sum": _fluss_best([np.mean(curves, axis=0)])}
+        pos, val = memo[key][config.channel_rule]
         return (pos if val < config.threshold else None), val
     if key not in memo:
         memo[key] = _cost_tables(window, config, memo)
@@ -695,7 +696,8 @@ def _solve(window, config: DetectorConfig, penalties: list[float],
 
 # Most cells one batch of windows holds: each window's (n + 1)^2 cost table
 # (rbf's Gram prefix sums, l1's medians) and its (n + 1) columns per
-# penalty row of the program. 2^22 cells of 8 bytes are 32 MB.
+# penalty row of the program, where a cell is 8 bytes in each of F, prev
+# and G. 2^22 cells of 8 bytes are 32 MB.
 _BATCH_CELLS = 1 << 22
 
 

@@ -24,7 +24,7 @@ import traceback
 from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import __version__
 from .core import BusinessParams, LifeCycle, csv_line, write_csv, write_json
@@ -244,12 +244,15 @@ def shared_period(cycles: Sequence[LifeCycle]) -> float:
 def run_sweep(cycles: Sequence[LifeCycle], configs: Sequence[DetectorConfig],
               params: BusinessParams, step: int = 7, workers: int = 1,
               alert_at: str = "window-end",
-              results_path: Optional[Path] = None) -> ResultsTable:
+              results_path: Optional[Path] = None,
+              on_start: Optional[Callable[[], None]] = None) -> ResultsTable:
     """Evaluate every (cycle, config) pair through the streaming protocol.
 
     Deterministic regardless of worker count (records come back canonically
     sorted). With ``results_path`` records are persisted incrementally, and
     an existing file is resumed if its sidecar's settings equal this run's.
+    ``on_start`` is called once the arguments and any file to resume are
+    accepted, before the first pair runs.
     A failing pair, or each pair of a task whose worker died, is recorded
     with its reason and the run continues; more than 1% failed pairs is
     reported as a run-level error summary.
@@ -283,6 +286,8 @@ def run_sweep(cycles: Sequence[LifeCycle], configs: Sequence[DetectorConfig],
         # the sidecar, then the records so far (without a torn last line);
         # from here on the run only appends
         save_results(table, results_path)
+    if on_start is not None:
+        on_start()
 
     done = {(r.atm_id, r.cycle_index, r.config_id) for r in table.records}
     tasks = []

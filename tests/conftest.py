@@ -7,6 +7,7 @@ check.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import sys
 from datetime import datetime, timedelta, timezone
@@ -16,6 +17,7 @@ import pytest
 
 from maintseg.core import LifeCycle, parse_timestamp
 from maintseg.costs import NORMAL_EPS, SegmentCost
+from maintseg.detectors import _PELT_BLOCK, _PeltProgram
 from maintseg.ingest import EventTable, LogFormat, ParseQualityError, ParseResult
 
 EPOCH = datetime(2021, 6, 1, tzinfo=timezone.utc)
@@ -144,6 +146,88 @@ def mp_diagonal_sweep(series: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarra
         profile[j[upd]] = d[upd]
         index[j[upd]] = i[upd]
     return profile, index
+
+
+class GatheredPeltProgram(_PeltProgram):
+    """PELT's program as maintseg walked it before it kept a masked copy of
+    F: the reference the dense column step must match bit for bit, in F,
+    prev, the segmentations and every cost read.
+
+    Each row keeps a boolean candidate set; a column gathers F and the
+    candidate flags over the ascending array of starts some row still
+    considers, masks the pruned entries with +inf, scatters the rows' new
+    flags back, and rebuilds that array from their union. The costs of a
+    block of columns are read over the array at the block's first column
+    and the starts born inside it. It shares the program's constructor
+    (the groups and their rows) and its backtrack, which the dense step
+    left as they were.
+    """
+
+    def __init__(self, penalties, min_size, caches):
+        super().__init__(penalties, min_size, caches)
+        self.candidate = np.zeros(self.F.shape, dtype=bool)
+        self.candidate[:, 0] = True
+
+    def advance(self) -> bool:
+        size, min_size = self.penalties.size, self.min_size
+        ns = [cache.n for cache in self.caches]
+        broken = np.zeros(size, dtype=bool)
+        lengths = [ends[-1] for ends in self.ends]
+        cuts = sorted({n for ends in self.ends for n in ends[:-1]} | {lengths[-1]})
+        pen3 = self.penalties[None, :, None]
+        pen2 = 2 * np.tile(self.penalties, len(self.groups))[:, None]
+        rows = np.arange(pen2.size)
+        F, prev, candidate = self.F, self.prev, self.candidate
+        alive = np.zeros(1, dtype=int)
+        first = min_size
+        while first <= lengths[-1]:
+            stop = min(first + _PELT_BLOCK, cuts[bisect.bisect_left(cuts, first)] + 1)
+            done = bisect.bisect_left(lengths, first)
+            costs = self._gathered_read(alive, done, first, stop)
+            if costs is None:
+                return False
+            for t in range(first, stop):
+                done = bisect.bisect_left(lengths, t, done)
+                lo, hi = done * size, F.shape[0]
+                starts = alive[:np.searchsorted(alive, t - min_size, side="right")]
+                vals = (F[lo:, starts].reshape(-1, size, starts.size)
+                        + costs[done:, t - first, starts][:, None, :]
+                        + pen3).reshape(-1, starts.size)
+                vals[~candidate[lo:, starts]] = np.inf
+                best = np.argmin(vals, axis=1)
+                F[lo:, t] = vals[rows[:hi - lo], best]
+                prev[lo:, t] = starts[best]
+                keep = vals <= F[lo:, t, None] + pen2[lo:hi]
+                candidate[lo:, starts] = keep
+                alive = np.concatenate((starts[keep.any(axis=0)], alive[starts.size:], [t]))
+                candidate[:, t] = True
+            for w in range(bisect.bisect_left(ns, first), bisect.bisect_left(ns, stop)):
+                broken |= prev[self.row[w]:self.row[w] + size, ns[w]] > 0
+                if broken.all():
+                    self.solved = w + 1
+                    return True
+            first = stop
+        return True
+
+    def _gathered_read(self, alive, done, first, stop):
+        last = stop - 1 - self.min_size
+        starts = np.concatenate((alive[:np.searchsorted(alive, last, side="right")],
+                                 np.arange(first, last + 1)))
+        column, index = np.nonzero(starts <= np.arange(first - self.min_size, last + 1)[:, None])
+        seg_starts, seg_ends = starts[index], column + first
+        costs = np.empty((len(self.groups), stop - first, last + 1))
+        for g in range(done, len(self.groups)):
+            w = self.groups[g][bisect.bisect_left(self.ends[g], first)]
+            j = np.searchsorted(column, self.caches[w].n - first, side="right")
+            try:
+                costs[g, column[:j], seg_starts[:j]] = self.caches[w].values(seg_starts[:j],
+                                                                             seg_ends[:j])
+            except Exception:
+                if w == 0:
+                    raise
+                self.solved = w
+                return None
+        return costs
 
 
 def direct_cost(x: np.ndarray, a: int, b: int, spec: SegmentCost) -> float:

@@ -353,7 +353,24 @@ class TestSweepCommand:
             assert main(["sweep", str(corpus), "--grid", str(grid), "--workers", workers,
                          "--out", str(out)]) == 1
             assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
-            assert not (out / "results.csv").exists()
+            assert not out.exists()  # no manifest of a run that did no work
+
+    @pytest.mark.parametrize("change", ["settings", "corpus"])
+    def test_refused_resume_leaves_the_manifest(self, corpus, tmp_path, capsys, change):
+        # a results file of other settings or of another corpus is refused,
+        # and the manifest of the run that wrote it stays as it was
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(TINY_GRID))
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(corpus), "--grid", str(grid), "--out", str(out)]) == 0
+        before = dir_snapshot(out)
+        cycles, flags = ((corpus, ["--step", "14"]) if change == "settings"
+                         else (bucket_corpus(tmp_path, 24.0, 60), []))
+        capsys.readouterr()
+        assert main(["sweep", str(cycles), "--grid", str(grid), *flags,
+                     "--out", str(out)]) == 1
+        assert "existing results" in capsys.readouterr().err
+        assert dir_snapshot(out) == before
 
     def test_step_is_days_at_any_period(self, tmp_path):
         cycles = bucket_corpus(tmp_path, 1.0, 240)

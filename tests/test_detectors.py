@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -20,8 +21,8 @@ from maintseg.detectors import (
 )
 from maintseg.sweep import default_grid
 
-from conftest import (exhaustive_segmentation, make_cycle, mp_brute_force, mp_diagonal_sweep,
-                      two_regime_series)
+from conftest import (GatheredPeltProgram, exhaustive_segmentation, make_cycle, mp_brute_force,
+                      mp_diagonal_sweep, two_regime_series)
 
 STEP_FIXTURE = np.array([0.0] * 5 + [10.0] * 5)
 TWO_STEP_FIXTURE = np.array([0.0] * 5 + [10.0] * 5 + [0.0] * 5)
@@ -631,6 +632,82 @@ class TestPenaltyPath:
                 solver(STEP_FIXTURE, L2, penalty, 1)
         with pytest.raises(ValueError):
             kcpd(STEP_FIXTURE, penalty, 1)
+
+
+def _noted(reads: list, fails_at: int | None = None):
+    """A cache class that notes each read (n, starts, ends) in ``reads`` and
+    raises on any read of a cache of n = ``fails_at``."""
+    class Noted(CostCache):
+        def values(self, starts, ends):
+            if self.n == fails_at:
+                raise RuntimeError(f"window {self.n}")
+            reads.append((self.n, np.asarray(starts).tolist(), np.asarray(ends).tolist()))
+            return super().values(starts, ends)
+    return Noted
+
+
+class TestPeltProgram:
+    @pytest.mark.parametrize("min_size", [1, 2, 3, 7])
+    @pytest.mark.parametrize("label", ["l1", "l2", "normal", "rbf", "rbf:0.1"])
+    def test_dense_step_is_bitwise_the_gathered_walk(self, label, min_size, rng):
+        # F, prev, each segmentation and every cost read equal the gathered
+        # column walk's (conftest.GatheredPeltProgram) on continuous,
+        # 1/8-quantized and partly flat signals; over one cache, the
+        # prefixes of one cache, per-window caches of different n (a
+        # replay's batch) and the two mixed; under penalties from 0 to above
+        # the whole signal's cost. A cache whose reads fail partway down the
+        # list stops both programs at the same cache and column
+        spec = cost_from_label(label)
+        x = _shifting_signal(rng, n=70)
+        flat = x.copy()
+        flat[12:30], flat[45:] = flat[12], 2.0
+        # windows of their own are z-normalized, as in a replay's batch of
+        # znorm windows, every other one reversed in time, so that their
+        # rows keep different starts; each min_size has a window that ends
+        # a column before a block of columns starts
+        ends = [2 * min_size, 19, 33, 33, 38, 50, 64, 70]
+
+        def own(make, signal, k, e):
+            return make(znormalize(signal[:e][::1 - 2 * (k % 2)]))
+
+        shapes = {"one": lambda make, signal: [make(signal)],
+                  "own": lambda make, signal: [own(make, signal, k, e)
+                                               for k, e in enumerate(ends)],
+                  # a quiet window that ends a column before a block starts
+                  # keeps starts that the window after it has pruned: the
+                  # block still reads them
+                  "quiet": lambda make, signal: [make(0.1 * signal[:min_size + 15]),
+                                                 make(signal)]}
+        if spec.kind in PREFIX_KINDS:
+            shapes["prefixes"] = lambda make, signal: [
+                whole.prefix(e) for whole in [make(signal)] for e in ends]
+            shapes["mixed"] = lambda make, signal: [
+                own(make, signal, k, e) if k % 3 else whole.prefix(e)
+                for whole in [make(signal)] for k, e in enumerate(ends)]
+        stopped = 0  # the runs that a failed read stopped
+        for signal in (x, np.round(x * 8) / 8, flat):
+            whole_cost = float(CostCache(signal, spec).values([0], [signal.shape[0]])[0])
+            wide = np.unique([0.0, 0.01, 0.5, 2.0, 10.0, 2 * abs(whole_cost) + 1])
+            for (name, shape), fails_at in itertools.product(shapes.items(), (None, 50)):
+                # a penalty above the whole cost keeps every start alive
+                for penalties in (wide, np.array([2.0, 4.0])):
+                    runs = []
+                    for kind in (detectors_mod._PeltProgram, GatheredPeltProgram):
+                        reads: list = []
+                        program = kind(penalties, min_size,
+                                       shape(_noted(reads, fails_at), signal))
+                        runs.append((program.advance(), program.solved, reads, program))
+                    (ok, solved, reads, dense), (old_ok, old_solved, old_reads, old) = runs
+                    assert (ok, solved) == (old_ok, old_solved), name
+                    assert ok or solved == ends.index(fails_at), name
+                    stopped += not ok
+                    assert reads == old_reads, name
+                    assert dense.F.tobytes() == old.F.tobytes(), name
+                    assert dense.prev.tobytes() == old.prev.tobytes(), name
+                    for w in range(solved):
+                        assert _exactly(dense.segmentations(penalties, w)) == \
+                            _exactly(old.segmentations(penalties, w)), name
+        assert stopped > 0
 
 
 class TestSegmentationType:
