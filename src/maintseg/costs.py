@@ -17,8 +17,11 @@ segment's median is taken twice. l1 segments are computed in batches of
 one length (one diagonal b - a of the table): a missed segment whose
 diagonal neighbour [a-1, b-1) is known fills the rest of its diagonal in
 one sort and one subtraction per channel, as PELT's column-by-column walk
-asks for it next; any other miss is computed alone. Either way each cost
-is bitwise ``np.abs(seg - np.median(seg, axis=0)).sum()``. A cache holds
+asks for it next; any other miss is computed alone. A batch sorts the
+samples' integer ranks within their channel, ranked once per signal,
+rather than the samples, and reads its medians from the sorted channels.
+Either way each cost is bitwise
+``np.abs(seg - np.median(seg, axis=0)).sum()``. A cache holds
 no state but these tables, so the detectors share one across every config
 evaluated on a window (see ``detectors.detect_with_score``). The l1, l2 and normal
 tables of a segment [a, b) read only the samples before b, so a replay
@@ -122,8 +125,9 @@ class CostCache:
     ``values(starts, ends)``, its one query, returns the cost of each
     segment [starts[i], ends[i]) as an array; either argument may be a
     scalar shared by every segment. The prefix-sum and Gram tables of the
-    cost kind are built in the constructor; the l1 table fills as segments
-    are queried. ``prefix(end)`` is the cache of the signal's first ``end``
+    cost kind are built in the constructor, and for l1 each channel's
+    sample ranks and sorted samples; the l1 table fills as segments are
+    queried. ``prefix(end)`` is the cache of the signal's first ``end``
     samples over the same tables.
     """
 
@@ -156,8 +160,15 @@ class CostCache:
             # _l1_table[a, b] = cost of [a, b), NaN until first asked for
             self._l1_table = np.full((self.n + 1, self.n + 1), np.nan)
             # the samples flat channel by channel, which _fill_l1 views as
-            # batches of segments
+            # batches of segments; each sample's stable rank in its channel,
+            # offset by channel * n, laid out alike; and the samples in rank
+            # order, so that the rank of channel c is an index into it
             self._l1_by_channel = np.ascontiguousarray(x.T).ravel()
+            order = np.argsort(self._l1_by_channel.reshape(d, self.n), axis=1, kind="stable")
+            order += np.arange(0, d * self.n, self.n)[:, None]
+            self._l1_sorted = self._l1_by_channel[order.ravel()]
+            self._l1_rank = np.empty(d * self.n, dtype=np.int32)
+            self._l1_rank[order.ravel()] = np.arange(d * self.n, dtype=np.int32)
 
     def prefix(self, end: int) -> "CostCache":
         """The cache of ``signal[:end]``: a copy with ``n = end`` that shares
@@ -210,8 +221,12 @@ class CostCache:
         the median is the middle row, or the mean of the two middle rows, of
         the sorted segment, and each segment's deviations are summed as one
         C-ordered (length, d) block, as numpy sums a single segment. A batch
-        of segments subtracts each channel's medians in one call, whose
-        inner loops run along the segments.
+        of segments sorts the samples' int32 ranks instead of the samples
+        and reads the middle ranks' samples with one ``take`` from the
+        sorted channels: order statistics are exact, so only the sign of a
+        zero median may differ from the float sort's, which no absolute
+        deviation sees. It subtracts each channel's medians in one call,
+        whose inner loops run along the segments.
         """
         mid = length // 2
         if stop - first == 1:  # one segment: fewest numpy calls
@@ -220,10 +235,12 @@ class CostCache:
             med = ranked[mid] if length % 2 else (ranked[mid - 1] + ranked[mid]) / 2
             self._l1_table[first, first + length] = np.abs(seg - med).sum()
             return
-        # the whole signal's length, also in a prefix: the table and the
-        # flat samples are the whole signal's
+        # the whole signal's length, also in a prefix: the table, the flat
+        # samples and their ranks are the whole signal's
         n, d = self._l1_table.shape[0] - 1, self.signal.shape[1]
         by_channel, item = self._l1_by_channel, self.signal.itemsize
+        rank, sorted_samples = self._l1_rank, self._l1_sorted
+        middle = slice(mid - 1 + length % 2, mid + 1)  # the middle rank or two
         # the table's cells [a, a + length) lie n + 2 apart in its flat view
         cells = self._l1_table.reshape(-1)[length::n + 2]
         step = max(1, _L1_BLOCK // (length * d))  # bounds the temporaries' size
@@ -235,8 +252,9 @@ class CostCache:
             # the sort and each channel's subtraction run along whole runs
             channels = np.ndarray((d, k, length), float, by_channel, lo * item,
                                   (n * item, item, item))
-            ranked = np.sort(channels, axis=2)
-            med = ranked[:, :, mid] if length % 2 else (ranked[:, :, mid - 1] + ranked[:, :, mid]) / 2
+            ranks = np.ndarray((d, k, length), np.int32, rank, lo * 4, (n * 4, 4, 4))
+            med = sorted_samples.take(np.sort(ranks, axis=2)[:, :, middle])
+            med = med[:, :, 0] if length % 2 else (med[:, :, 0] + med[:, :, 1]) / 2
             dev = np.empty((k, length, d))
             for c in range(d):  # one channel per call: inner loops of length, not of d
                 np.subtract(channels[c], med[c][:, None], out=dev[:, :, c])

@@ -127,16 +127,20 @@ class DetectorConfig:
 
     @classmethod
     def from_id(cls, config_id: str) -> "DetectorConfig":
+        """Inverse of :attr:`config_id`; a ValueError names the id."""
         parts = config_id.split("/")
         if len(parts) != 7:
             raise ValueError(f"malformed config id {config_id!r}")
         method, cost_label, value, min_size, m, znorm, rule = parts
-        znorm_flag = bool(int(znorm))
-        if method == "FLUSS":
-            return cls(method=method, threshold=float(value), m=int(m),
-                       znorm=znorm_flag, channel_rule=rule)
-        return cls(method=method, cost=cost_from_label(cost_label),
-                   penalty=float(value), min_size=int(min_size), znorm=znorm_flag)
+        try:
+            znorm_flag = bool(int(znorm))
+            if method == "FLUSS":
+                return cls(method=method, threshold=float(value), m=int(m),
+                           znorm=znorm_flag, channel_rule=rule)
+            return cls(method=method, cost=cost_from_label(cost_label),
+                       penalty=float(value), min_size=int(min_size), znorm=znorm_flag)
+        except ValueError as exc:
+            raise ValueError(f"malformed config id {config_id!r}: {exc}") from None
 
 
 def workspace_key(config: DetectorConfig) -> tuple:

@@ -2,14 +2,18 @@
 
 :func:`parse_event_log` reads the log into one :class:`EventTable`, numpy
 columns sorted once by (machine, life cycle, time). It decodes the log by
-column, a fixed-size chunk of rows at a time: each distinct machine id,
-event code and life cycle string is converted once, and timestamps of the
-common ``YYYY-MM-DDTHH:MM:SS[Z]`` shape are decoded in bulk with numpy,
-leaving only the others to :func:`parse_timestamp`. :func:`build_cycles`
-then works on slices of that table: :func:`remove_infected` drops the
-post-failure infected intervals, :func:`resample` counts each cycle's
-events per bucket, and :func:`build_features` turns the counts into
-severity-ratio feature series.
+column, a fixed-size chunk of lines at a time, with no Python list per
+row: a chunk free of quote characters and carriage returns is split in
+bulk (``csv.reader`` reads the rest of the log from the first chunk that
+is not); each distinct machine id, event code and life cycle string is
+converted once; and timestamps of the common ``YYYY-MM-DDTHH:MM:SS[Z]``
+shape are decoded in bulk with numpy, leaving only the others to
+:func:`parse_timestamp`. The table holds machine ids and event codes as
+integer categories. :func:`build_cycles` then works on slices of that
+table: :func:`remove_infected` drops the post-failure infected intervals,
+:func:`resample` counts each cycle's events per bucket, and
+:func:`build_features` turns the counts into severity-ratio feature
+series.
 
 The code grouping (which event codes belong to which machine module at which
 severity) is configuration-driven so a dataset's exact code mapping can be
@@ -231,28 +235,49 @@ class LogFormat:
 class EventTable:
     """Events as numpy columns, sorted by (atm_id, lifecycle_id, time_us).
 
-    ``time_us`` counts microseconds since the epoch, UTC. The constructor
-    sorts once (stably); slicing or masking a table keeps its order.
+    Machine ids and event codes are categories: ``atm_names`` and
+    ``code_names`` hold their sorted distinct names, and each row holds
+    integer indexes into them (``atm_index``, ``code_index``), so rows
+    compare and group by integers. ``atm_id`` and ``event_code`` read the
+    names back row by row, as numpy string columns. ``time_us`` counts
+    microseconds since the epoch, UTC. The constructor takes the names
+    themselves, derives the categories and sorts once (stably); slicing or
+    masking a table keeps its order and its names.
     """
 
+    # the per-row columns; the name arrays are shared by every slice
+    _ROWS = ("atm_index", "lifecycle_id", "time_us", "code_index")
+
     def __init__(self, atm_id, lifecycle_id, time_us, event_code):
-        atm_id = np.asarray(atm_id, dtype=str)
+        atm_names, atm_index = np.unique(np.asarray(atm_id, dtype=str), return_inverse=True)
+        code_names, code_index = np.unique(np.asarray(event_code, dtype=str),
+                                           return_inverse=True)
         lifecycle_id = np.asarray(lifecycle_id, dtype=np.int64)
         time_us = np.asarray(time_us, dtype=np.int64)
-        order = np.lexsort((time_us, lifecycle_id, atm_id))
-        self.atm_id = atm_id[order]
-        self.lifecycle_id = lifecycle_id[order]
-        self.time_us = time_us[order]
-        self.event_code = np.asarray(event_code, dtype=str)[order]
+        order = np.lexsort((time_us, lifecycle_id, atm_index))
+        self.atm_names, self.code_names = atm_names, code_names
+        self.atm_index, self.lifecycle_id, self.time_us, self.code_index = (
+            atm_index[order], lifecycle_id[order], time_us[order], code_index[order])
 
     @classmethod
-    def _presorted(cls, atm_id: np.ndarray, lifecycle_id: np.ndarray, time_us: np.ndarray,
-                  event_code: np.ndarray) -> "EventTable":
-        """A table of columns already in the constructor's order and dtypes."""
+    def _presorted(cls, atm_names: np.ndarray, atm_index: np.ndarray,
+                   lifecycle_id: np.ndarray, time_us: np.ndarray, code_names: np.ndarray,
+                   code_index: np.ndarray) -> "EventTable":
+        """A table of categories and rows already in the constructor's order
+        and dtypes."""
         table = cls.__new__(cls)
-        table.atm_id, table.lifecycle_id, table.time_us, table.event_code = (
-            atm_id, lifecycle_id, time_us, event_code)
+        table.atm_names, table.code_names = atm_names, code_names
+        table.atm_index, table.lifecycle_id, table.time_us, table.code_index = (
+            atm_index, lifecycle_id, time_us, code_index)
         return table
+
+    @property
+    def atm_id(self) -> np.ndarray:
+        return self.atm_names[self.atm_index]
+
+    @property
+    def event_code(self) -> np.ndarray:
+        return self.code_names[self.code_index]
 
     def __len__(self) -> int:
         return self.time_us.size
@@ -260,7 +285,7 @@ class EventTable:
     def __getitem__(self, rows) -> "EventTable":
         """The rows picked by a slice or a boolean mask, still sorted."""
         part = copy.copy(self)
-        part.__dict__.update((name, column[rows]) for name, column in vars(self).items())
+        part.__dict__.update((name, getattr(self, name)[rows]) for name in self._ROWS)
         return part
 
 
@@ -288,7 +313,8 @@ def parse_event_log(source, fmt: LogFormat | None = None) -> ParseResult:
     mark is dropped from either. Rows are decoded by column, a fixed-size
     chunk at a time (see :func:`_parse_stream`). Malformed rows are counted
     and reported, not silently dropped; more than 10% malformed raises
-    :class:`ParseQualityError`.
+    :class:`ParseQualityError`. A field longer than
+    ``csv.field_size_limit()`` raises ValueError naming its log line.
     """
     fmt = fmt or LogFormat()
     if isinstance(source, (str, Path)):
@@ -299,9 +325,10 @@ def parse_event_log(source, fmt: LogFormat | None = None) -> ParseResult:
     return _parse_stream(itertools.chain([first.removeprefix("\ufeff")], lines), fmt)
 
 
-# Rows decoded together: enough that each chunk's numpy calls cost little per
-# row, and few enough that a chunk's row lists (about 1.5 MB) stay small; on
-# the benchmark's log 2^12 parsed faster than 2^13 to 2^16.
+# Lines decoded together: enough that each chunk's numpy calls cost little
+# per row, and few enough that a chunk's strings (about 1.5 MB) stay small.
+# On the benchmark's log, split in bulk, 2^11 and 2^12 parsed alike, 2^10
+# and 2^13 3-6% slower and 2^14 25% slower (2-core Xeon VM, Python 3.11).
 _CHUNK_ROWS = 1 << 12
 
 # YYYY-MM-DD?HH:MM:SS: where its digits and its fixed punctuation stand
@@ -395,22 +422,120 @@ def _lifecycle(text: str) -> int:
     return value
 
 
+def _csv_rows(reader, count: int, before: int) -> list[list[str]]:
+    """The next ``count`` rows of a csv reader that started after ``before``
+    lines of the log. A csv error (a field over ``csv.field_size_limit()``)
+    is a ValueError naming the log line."""
+    try:
+        return list(itertools.islice(reader, count))
+    except csv.Error as exc:
+        raise ValueError(f"log line {before + reader.line_num}: {exc}") from None
+
+
+def _split_chunk(chunk: list[str], text: str, delimiter: str, width: int):
+    """The fields of a chunk of quote-free lines, ``text`` their join, as
+    one flat list of ``stride`` fields per row, and the stride; None if
+    most rows lack a mapped field (index below ``width``) or the lines are
+    not what a text file yields (one line end each, at its end, but for
+    the log's last line).
+
+    The text is split once. The stride is the chunk's most common field
+    count; only the rows of another count are mended, as the csv path
+    reads them: a short row's missing fields are empty and fields past
+    the stride are dropped. An empty line, csv's ``[]``, is one empty
+    field here, which reads the same.
+    """
+    flat = text.replace("\n", delimiter).split(delimiter)
+    if text.endswith("\n"):
+        flat.pop()
+    counts = np.fromiter(map(str.count, chunk, itertools.repeat(delimiter)), dtype=np.intp,
+                         count=len(chunk)) + 1
+    values, times = np.unique(counts, return_counts=True)
+    stride = int(values[times.argmax()])
+    if stride < width or int(counts.sum()) != len(flat):
+        return None
+    odd = np.flatnonzero(counts != stride).tolist()
+    if odd:
+        ends, counts = np.cumsum(counts).tolist(), counts.tolist()
+        for k in reversed(odd):  # from the last, so that earlier rows keep their place
+            # pad a short row with empty fields, or cut a long one at the stride
+            kept = ends[k] - counts[k] + min(counts[k], stride)
+            flat[kept:ends[k]] = [""] * (stride - counts[k])
+    return flat, stride
+
+
+def _field_chunks(lines, delimiter: str, mapped: list[int], before: int):
+    """The rows of ``lines``, the log after its first ``before`` lines,
+    ``_CHUNK_ROWS`` at a time: each chunk as its mapped columns (lists of
+    strings, a field a row lacks read as empty) and a function of a row's
+    index that gives its fields joined without delimiters.
+
+    Chunks of lines that hold no quote character, no carriage return and
+    no line longer than ``csv.field_size_limit()`` are split in bulk (see
+    :func:`_split_chunk`). From the first chunk that fails that test, a
+    ``csv.reader`` over it and the remaining lines reads the rest of the
+    log, so quoting, embedded line ends and CR or CRLF line ends keep
+    csv's meaning, and a field over the limit is csv's error.
+    """
+    width = max(mapped) + 1
+    limit = csv.field_size_limit()
+    while delimiter not in '"\r\n' and (chunk := list(itertools.islice(lines, _CHUNK_ROWS))):
+        text = "".join(chunk)
+        split = None
+        if '"' not in text and "\r" not in text and (len(text) <= limit
+                                                     or max(map(len, chunk)) <= limit):
+            split = _split_chunk(chunk, text, delimiter, width)
+        if split is None:
+            lines = itertools.chain(chunk, lines)
+            break
+        flat, stride = split
+        yield ([flat[i::stride] for i in mapped],
+               lambda k, chunk=chunk: chunk[k].replace(delimiter, ""))
+        before += len(chunk)
+    reader = csv.reader(lines, delimiter=delimiter)
+    while rows := _csv_rows(reader, _CHUNK_ROWS, before):
+        fields = rows
+        short = np.flatnonzero(np.fromiter(map(len, rows), dtype=np.intp,
+                                           count=len(rows)) < width)
+        if short.size:
+            # a short row's missing fields read as empty: a dict of its
+            # mapped fields, indexed like the row
+            fields = rows.copy()
+            for k in short.tolist():
+                row = rows[k]
+                fields[k] = {i: row[i] if i < len(row) else "" for i in mapped}
+        yield [[row[i] for row in fields] for i in mapped], lambda k, rows=rows: "".join(rows[k])
+
+
+def _narrow(ranks: np.ndarray) -> np.ndarray:
+    """Ranks (non-negative integers) in the narrowest unsigned type that
+    holds them: numpy sorts a type of 16 bits or fewer by radix, several
+    times faster than an int64 column."""
+    return ranks.astype(np.min_scalar_type(ranks.max(initial=0)))
+
+
 def _parse_stream(lines, fmt: LogFormat) -> ParseResult:
     """Decode a log's rows by column, ``_CHUNK_ROWS`` rows at a time.
 
+    ``lines`` are the lines of a text file. Chunks free of quotes and
+    carriage returns are split without ``csv.reader``, the others read by
+    it (see :func:`_field_chunks`); either way a row's fields are csv's.
     Each distinct machine id, event code and life cycle string is stripped,
     checked and converted once, the first time a chunk holds it.
     Timestamps of the shape :func:`_bulk_times` reads are decoded in bulk;
     every other one goes to :func:`parse_timestamp`, one string at a time.
     The well-formed rows of all chunks are sorted once, on integer ranks
-    of the machine ids, into the table.
+    of the machine ids and life cycles, into the table, which keeps the
+    machine ranks and the event codes' as its categories: no string
+    column is built.
     """
+    lines = iter(lines)
     reader = csv.reader(lines, delimiter=fmt.delimiter)
     columns: dict[str, int] = {}
     if fmt.has_header:
-        header = next(reader, None)
-        if header is not None:
-            columns = {name.strip(): i for i, name in enumerate(header)}
+        header = _csv_rows(reader, 1, 0)
+        if header:
+            columns = {name.strip(): i for i, name in enumerate(header[0])}
 
     def index(spec: str | int) -> int:
         # a column the header lacks gets an index no row reaches, so every
@@ -420,29 +545,19 @@ def _parse_stream(lines, fmt: LogFormat) -> ParseResult:
     mapped = [index(spec) for spec in (fmt.timestamp, fmt.atm_id, fmt.event_code)]
     if fmt.lifecycle_id is not None:
         mapped.append(index(fmt.lifecycle_id))
-    width = max(mapped) + 1
     machines, codes = _Distinct(_name, ""), _Distinct(_name, "")
     lifecycles = _Distinct(_lifecycle, 0)
 
     parts = []
     total = malformed = 0
-    while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
-        n = len(rows)
-        fields = rows
-        short = np.flatnonzero(np.fromiter(map(len, rows), dtype=np.intp, count=n) < width)
-        if short.size:
-            # a short row's missing fields read as empty: a dict of its
-            # mapped fields, indexed like the row
-            fields = rows.copy()
-            for k in short.tolist():
-                row = rows[k]
-                fields[k] = {i: row[i] if i < len(row) else "" for i in mapped}
-        stamps, atm, code, *lifecycle = ([row[i] for row in fields] for i in mapped)
+    for (stamps, atm, code, *lifecycle), joined in _field_chunks(
+            lines, fmt.delimiter, mapped, reader.line_num):
+        n = len(stamps)
         atm_ids, ok = machines.encode(atm)
         # a blank row has only whitespace, so its machine id is empty
         blank = np.zeros(n, dtype=bool)
         for k in np.flatnonzero(~ok).tolist():
-            blank[k] = not "".join(rows[k]).strip()
+            blank[k] = not joined(k).strip()
         code_ids, code_ok = codes.encode(code)
         ok &= code_ok
         if lifecycle:
@@ -468,12 +583,14 @@ def _parse_stream(lines, fmt: LogFormat) -> ParseResult:
     empty = np.zeros(0, dtype=np.intp)
     atm_ids, lifecycle_ids, time_us, code_ids = (
         np.concatenate(column) for column in zip((empty,) * 4, *parts))
-    lifecycle_id = np.array(lifecycles.values or [0], dtype=np.int64)[lifecycle_ids]
+    values = np.array(lifecycles.values or [0], dtype=np.int64)
+    lifecycle_id = values[lifecycle_ids]
+    lifecycle_rank = np.unique(values, return_inverse=True)[1][lifecycle_ids]
     atm_names, atm_rank = machines.names(atm_ids)
     code_names, code_at = codes.names(code_ids)
-    order = np.lexsort((time_us, lifecycle_id, atm_rank))
-    records = EventTable._presorted(atm_names[atm_rank[order]], lifecycle_id[order],
-                                   time_us[order], code_names[code_at[order]])
+    order = np.lexsort((time_us, _narrow(lifecycle_rank), _narrow(atm_rank)))
+    records = EventTable._presorted(atm_names, atm_rank[order], lifecycle_id[order],
+                                   time_us[order], code_names, code_at[order])
     return ParseResult(records, malformed, total)
 
 
@@ -491,7 +608,7 @@ def remove_infected(events: EventTable, ii_days: float) -> EventTable:
         return events
     ii_us = timedelta(days=ii_days) // _MICROSECOND
     infected = np.zeros(len(events), dtype=bool)
-    for lo, hi in _runs(events.atm_id):
+    for lo, hi in _runs(events.atm_index):
         t = events.time_us[lo:hi]
         cycle = events.lifecycle_id[lo:hi]
         for first, last in _runs(cycle):
@@ -507,7 +624,8 @@ def resample(events: EventTable, period_hours: float,
     Buckets of ``period_hours`` start at the first event; rows with no
     events are explicit zeros. An event landing exactly on the final bucket
     boundary is counted in the last bucket. Every event code must be in
-    ``code_universe``.
+    ``code_universe``: each of the table's code names is looked up there
+    once.
     """
     if period_hours <= 0:
         raise ValueError("period must be positive")
@@ -519,9 +637,13 @@ def resample(events: EventTable, period_hours: float,
     buckets = np.minimum((offset_s / bucket_s).astype(np.int64), rows - 1)
     universe = np.asarray(code_universe, dtype=str)
     order = np.argsort(universe)
-    columns = order[np.searchsorted(universe, events.event_code, sorter=order)]
+    # a name past the universe's end is one that no row of a slice may use
+    at = order[np.searchsorted(universe, events.code_names, sorter=order).clip(
+        max=universe.size - 1)]
+    if (universe[at] != events.code_names)[events.code_index].any():
+        raise ValueError("an event code is not in code_universe")
     counts = np.zeros((rows, universe.size), dtype=int)
-    np.add.at(counts, (buckets, columns), 1)
+    np.add.at(counts, (buckets, at[events.code_index]), 1)
     return counts
 
 
@@ -628,14 +750,15 @@ def build_cycles(records: EventTable, config: CodeGroupingConfig,
     :func:`remove_infected`), keep the grouped codes, resample each cycle."""
     kept = remove_infected(records, ii_days)
     codes = config.relevant_codes
-    grouped = kept[np.isin(kept.event_code, codes)]
+    grouped = kept[np.isin(kept.code_names, codes)[kept.code_index]]
     withdrawals = [codes.index(c) for c in config.codes_in_group("withdrawal")]
     cycles: list[LifeCycle] = []
     withdrawal_daily: dict[tuple[str, int], float] = {}
-    for lo, hi in _runs(grouped.atm_id, grouped.lifecycle_id):
+    for lo, hi in _runs(grouped.atm_index, grouped.lifecycle_id):
         events = grouped[lo:hi]
         counts = resample(events, period_hours, codes)
-        cycle = build_features(counts, codes, config, atm_id=str(events.atm_id[0]),
+        atm_id = str(events.atm_names[events.atm_index[0]])
+        cycle = build_features(counts, codes, config, atm_id=atm_id,
                                cycle_index=int(events.lifecycle_id[0]),
                                start_time=EPOCH + int(events.time_us[0]) * _MICROSECOND,
                                period_hours=period_hours)
@@ -643,9 +766,9 @@ def build_cycles(records: EventTable, config: CodeGroupingConfig,
         if withdrawals:
             total = float(counts[:, withdrawals].sum())
             withdrawal_daily[cycle.key] = total / cycle.duration_days()
-    n_groups = len(_runs(records.atm_id, records.lifecycle_id))
+    n_groups = len(_runs(records.atm_index, records.lifecycle_id))
     return IngestResult(cycles=cycles, withdrawal_daily=withdrawal_daily,
-                        n_codes_seen=np.unique(records.event_code).size,
+                        n_codes_seen=np.count_nonzero(np.bincount(records.code_index)),
                         n_records=len(records), n_removed_infected=len(records) - len(kept),
                         n_skipped_groups=n_groups - len(cycles))
 

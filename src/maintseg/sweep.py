@@ -63,12 +63,15 @@ TRACEBACK_FRAMES = 4
 
 
 class GridSpecError(ValueError):
-    """A grid spec is malformed or expands to duplicate config identifiers."""
+    """A grid spec is malformed, expands to no config or expands to
+    duplicate config identifiers."""
 
 
-# the MethodGrid fields a grid spec may give for each method
+# the MethodGrid fields a grid spec may give for each method; all but
+# znorm and channel_rules, which have defaults, must be given
 GRID_FIELDS = {method: ("znorm", "thresholds", "ms", "channel_rules") if method == "FLUSS"
                else ("znorm", "costs", "penalties", "min_sizes") for method in METHODS}
+_DEFAULTED = ("znorm", "channel_rules")
 
 # the JSON type of each field's values; a bool, which Python counts as an
 # int, is refused where a number is meant
@@ -98,10 +101,14 @@ class GridSpec:
     @classmethod
     def from_json(cls, text: str) -> "GridSpec":
         """Raises :class:`GridSpecError` naming an unknown method or field,
-        or a value whose JSON type is not its field's."""
+        a missing or empty field (so that every method named expands to at
+        least one config), or a value whose JSON type is not its field's.
+        A spec that names no method is refused too."""
         doc = json.loads(text)
         if not isinstance(doc, dict) or not all(isinstance(p, dict) for p in doc.values()):
             raise GridSpecError("a grid spec is a JSON object of method -> object of lists")
+        if not doc:
+            raise GridSpecError(f"grid spec names no method, expected some of {METHODS}")
         for method, params in doc.items():
             if method not in GRID_FIELDS:
                 raise GridSpecError(f"grid spec: unknown method {method!r}, "
@@ -111,6 +118,11 @@ class GridSpec:
             if bad:
                 raise GridSpecError(f"grid spec {method}: {bad[0]!r} is not one of its "
                                     f"lists {GRID_FIELDS[method]}")
+            for key in GRID_FIELDS[method]:
+                if key not in params and key not in _DEFAULTED:
+                    raise GridSpecError(f"grid spec {method}: missing {key!r}")
+                if params.get(key) == []:
+                    raise GridSpecError(f"grid spec {method}: {key!r} is empty")
             for key, values in params.items():
                 kind, types = _FIELD_TYPES[key]
                 wrong = [v for v in values
@@ -259,6 +271,8 @@ def run_sweep(cycles: Sequence[LifeCycle], configs: Sequence[DetectorConfig],
     """
     if not cycles:
         raise ValueError("no cycles to evaluate")
+    if not configs:
+        raise ValueError("no configs to evaluate")
     if step < 1:
         raise ValueError("step must be >= 1")
     if workers < 1:

@@ -177,6 +177,21 @@ class TestIngest:
         assert len(err) == 1 and err[0].startswith("error: ") and "range" in err[0]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("quoted", [False, True], ids=["quote-free", "quoted"])
+    def test_field_over_the_csv_limit_is_one_error_line(self, tmp_path, capsys, quoted):
+        log = tmp_path / "log.csv"
+        self.write_log(log)
+        lines = log.read_text(encoding="utf-8").splitlines()
+        lines[5] = lines[5].replace("atm1", "x" * 200_000)
+        if quoted:
+            lines[2] = lines[2].replace("atm1", '"atm1"')
+        log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["ingest", str(log), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: log line 6: field larger than field limit (131072)"]
+        assert not out.exists()
+
     def test_machine_ids_sharing_a_file_name_are_an_error(self, tmp_path, capsys):
         log = tmp_path / "log.csv"
         log.write_text("timestamp,atm_id,lifecycle_id,event_code\n"
@@ -281,6 +296,15 @@ class TestEvaluate:
         assert "recall: 0.0000" in printed
         assert "mean E_s: 0.0000" in printed
 
+    def test_malformed_config_id_is_named(self, corpus, tmp_path, capsys):
+        out = tmp_path / "eval"
+        assert main(["evaluate", str(corpus), "--config", "PELT/l2/5.0/two/-/0/-",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: malformed config id 'PELT/l2/5.0/two/-/0/-': invalid literal "
+                       "for int() with base 10: 'two'"]
+        assert not out.exists()
+
     def test_trace_rows_count_windows(self, corpus, tmp_path):
         out = tmp_path / "eval"
         assert main(["evaluate", str(corpus), "--config", "PELT/l2/1e+300/2/-/0/-",
@@ -354,6 +378,24 @@ class TestSweepCommand:
                          "--out", str(out)]) == 1
             assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
             assert not out.exists()  # no manifest of a run that did no work
+
+    @pytest.mark.parametrize("doc, named", [
+        ({}, "names no method"),
+        ({"PELT": {"costs": ["l2"], "min_sizes": [2]}}, "PELT: missing 'penalties'"),
+        ({"PELT": {"costs": ["l2"], "penalties": [1.0], "min_sizes": [2]},
+          "BINSEG": {"costs": ["l2"], "min_sizes": [2]}}, "BINSEG: missing 'penalties'"),
+        ({"FLUSS": {"thresholds": [0.5], "ms": [7], "znorm": []}}, "FLUSS: 'znorm' is empty"),
+    ], ids=["empty", "missing-axis", "missing-axis-beside-a-valid-method", "empty-axis"])
+    def test_grid_that_expands_to_nothing_is_refused(self, corpus, tmp_path, capsys, doc,
+                                                     named):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["sweep", str(corpus), "--grid", str(grid), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: grid spec") and named in err[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("change", ["settings", "corpus"])
     def test_refused_resume_leaves_the_manifest(self, corpus, tmp_path, capsys, change):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maintseg import costs
 from maintseg.costs import CostCache, SegmentCost, cost_from_label, rbf_bandwidth_median
 
 from conftest import direct_cost
@@ -153,19 +154,28 @@ class TestCacheAgreesWithDirectEvaluation:
         assert list(shared.values(a, b)) == list(CostCache(x, SegmentCost("l1")).values(a, b))
 
     @pytest.mark.parametrize("order", ["one-batch", "column-walk", "rows-and-columns"])
-    @pytest.mark.parametrize("data", ["rounded", "three-valued", "exponential"])
+    @pytest.mark.parametrize("data", ["rounded", "three-valued", "exponential",
+                                      "signed-zeros", "flat-channel"])
     @pytest.mark.parametrize("n,d", [(1, 1), (2, 2), (9, 1), (40, 3), (64, 4)])
     def test_l1_table_is_bitwise_the_segment_median_cost(self, n, d, data, order, rng):
         # every segment of the signal: odd and even lengths, ties within
-        # segments (rounded values, or only three values in all), and
-        # values over many orders of magnitude. The table is first filled
+        # segments (rounded values, or only three values in all), values
+        # over many orders of magnitude, -0.0 beside 0.0 (medians of
+        # either sign) and a constant channel. The table is first filled
         # in the order a solver asks: PELT's walk over the ends, each with
         # the starts it still considers (a known diagonal neighbour fills
         # the rest of the diagonal at once), or BINSEG's rows and columns
         # of a few segments; then every segment is asked for again.
+        def flat_channel():
+            x = np.round(rng.normal(size=(n, d)), 1)
+            x[:, d // 2] = 0.25
+            return x
+
         x = {"rounded": lambda: np.round(rng.normal(size=(n, d)), 1),
              "three-valued": lambda: rng.integers(0, 3, size=(n, d)) / 3,
-             "exponential": lambda: rng.exponential(size=(n, d)) ** 8}[data]()
+             "exponential": lambda: rng.exponential(size=(n, d)) ** 8,
+             "signed-zeros": lambda: rng.choice([-0.0, 0.0, 0.0, -0.5, 1.0], size=(n, d)),
+             "flat-channel": flat_channel}[data]()
         cache = CostCache(x, SegmentCost("l1"))
         if order == "column-walk":
             for t in range(1, n + 1):
@@ -176,6 +186,23 @@ class TestCacheAgreesWithDirectEvaluation:
                 if b - a > 1:
                     cache.values(np.arange(a + 1, b), b)
                     cache.values(a, np.arange(a + 1, b))
+        a, b = np.triu_indices(n + 1, k=1)
+        got = cache.values(a, b)
+        assert list(got) == [np.abs(x[s:e] - np.median(x[s:e], axis=0)).sum()
+                             for s, e in zip(a, b)]
+
+    def test_l1_diagonals_over_several_batches_are_bitwise_the_median_cost(self, rng):
+        # at d = 8, PELT's column walk fills diagonals of more segments than
+        # one batch of _L1_BLOCK samples holds; signed zeros and a constant
+        # channel among them
+        n, d = 260, 8
+        x = rng.choice([-0.0, 0.0, 0.0, -0.5, 1.0, 2.5], size=(n, d))
+        x[:, 3] = 0.25
+        lengths = np.arange(1, n + 1)
+        assert ((n - lengths + 1) > costs._L1_BLOCK // (lengths * d)).sum() > 50
+        cache = CostCache(x, SegmentCost("l1"))
+        for t in range(1, n + 1):
+            cache.values(np.arange(t), t)
         a, b = np.triu_indices(n + 1, k=1)
         got = cache.values(a, b)
         assert list(got) == [np.abs(x[s:e] - np.median(x[s:e], axis=0)).sum()

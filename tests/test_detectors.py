@@ -74,6 +74,18 @@ class TestDetectorConfig:
     def test_id_round_trip_is_exact(self, cfg):
         assert DetectorConfig.from_id(cfg.config_id) == cfg
 
+    @pytest.mark.parametrize("config_id, reason", [
+        ("PELT/l2/5.0/two/-/0/-", "invalid literal for int"),
+        ("FLUSS/-/0.3/-/seven/1/any", "invalid literal for int"),
+        ("PELT/l3/5.0/2/-/0/-", "unknown cost kind 'l3'"),
+        ("PELT/l2/5.0/2/-/x/-", "invalid literal for int"),
+        ("PELT/l2/-1.0/2/-/0/-", "finite penalty"),
+        ("PELT/l2/5.0/2/-/0", ""),
+    ])
+    def test_malformed_id_is_named(self, config_id, reason):
+        with pytest.raises(ValueError, match=rf"^malformed config id '{config_id}'.*{reason}"):
+            DetectorConfig.from_id(config_id)
+
     def test_id_field_layout(self):
         cfg = DetectorConfig("PELT", penalty=5.0, min_size=2)
         assert cfg.config_id == "PELT/l2/5.0/2/-/0/-"

@@ -254,8 +254,8 @@ class TestParseKeeps:
 
 
 def parsed_or_refused(parse, text, fmt):
-    try:
-        return parse(io.StringIO(text), fmt)
+    try:  # lines split as in a log file opened by path: at "\n", "\r" or "\r\n"
+        return parse(io.StringIO(text, newline=""), fmt)
     except ParseQualityError as exc:
         return exc
 
@@ -333,6 +333,11 @@ PARITY_CASES = {
         "not-a-time,an-id-longer-than-any-other,0,6000",
         "2019-03-01T10:00:00Z,a-long-id-with-a-bad-cycle,x,6000",
         "bad,atm1,0,a-code-longer-than-any-other"],
+    "quote-free-short-long-empty-and-blank-rows": [
+        "", "", "   ", "\t", " , , ,", ",,,", ",,,,,,", "2019-03-01T10:00:00Z,atm1,0",
+        "2019-03-01T10:00:00Z,atm1", "2019-03-01T10:00:00Z", "x",
+        "2019-03-01T10:00:00Z,atm1,0,6000,extra", "2019-03-01T10:00:00Z,atm2,1,6001,,,,,",
+        "2019-03-01T10:00:00Z,atm3,0,6000,a,b,c,d,e,f,g,h"],
 }
 
 
@@ -404,6 +409,109 @@ class TestParseMatchesRowReference:
         assert (want.total_rows, want.malformed_count) == (len(lines) - 6, 7)
         assert {"split", "late-machine"} <= set(want.records.atm_id.tolist())
 
+    @pytest.mark.parametrize("delimiter", ["\t", ";", "\u00a7", "|"],
+                             ids=["tab", "semicolon", "section-sign", "bar"])
+    def test_other_delimiters(self, delimiter):
+        fmt = LogFormat(delimiter=delimiter)
+        lines = filler(40, delimiter=delimiter) + [
+            delimiter.join(["2019-03-01T10:00:00Z", "atm, 1", "0", "6000"]),
+            "2019-03-01T10:00:00Z,atm1,0,6000", delimiter * 3]
+        want = assert_parses_like_rows(HEADER.replace(",", delimiter) + "\n".join(lines), fmt)
+        assert (want.total_rows, want.malformed_count) == (42, 1)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    @pytest.mark.parametrize("last", ["\n", ""], ids=["ended", "unended"])
+    def test_line_ends(self, end, last):
+        lines = filler(2 * ingest._CHUNK_ROWS + 7) + ["2019-03-01T10:00:00Z,atm1", ""]
+        text = (HEADER + "\n".join(lines[:-1]) + last).replace("\n", end)
+        want = assert_parses_like_rows(text)
+        assert (want.total_rows, want.malformed_count) == (len(lines) - 1, 1)
+
+    @pytest.mark.parametrize("at", [0, 1, 2], ids=["first-chunk", "second-chunk", "third-chunk"])
+    def test_first_quote_after_whole_chunks(self, at):
+        """Rows past the first chunk holding a quote are csv's, quoted
+        delimiters, doubled quotes and a line end inside quotes included."""
+        chunk = ingest._CHUNK_ROWS
+        lines = filler(3 * chunk + 100)
+        k = at * chunk + 17
+        lines[k] = '2019-03-01T10:00:00Z,"ATM, ""Paris""\n1",0,6000'
+        lines[k + 40] = "2019-03-01T10:00:00Z,atm1,0"  # short, after the first quote
+        lines[k - 40 if k >= 40 else k + 41] = ",,"
+        want = assert_parses_like_rows(HEADER + "\n".join(lines) + "\n")
+        assert 'ATM, "Paris"\n1' in want.records.atm_id.tolist()
+
+
+class TestBulkSplit:
+    """Quote-free chunks are split without csv.reader, into csv's fields."""
+
+    def test_quote_free_log_never_reaches_csv_reader_past_its_header(self, monkeypatch):
+        rows = []
+        csv_reader = ingest.csv.reader
+
+        class Counting:
+            def __init__(self, lines, **kwargs):
+                self.reader = csv_reader(lines, **kwargs)
+                self.line_num = 0
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                rows.append(next(self.reader))
+                self.line_num = self.reader.line_num
+                return rows[-1]
+
+        monkeypatch.setattr(ingest.csv, "reader", Counting)
+        lines = filler(3 * ingest._CHUNK_ROWS)
+        lines[5:5] = ["", "2019-03-01T10:00:00Z,atm1", ",,,"]
+        got = parse_event_log(io.StringIO(HEADER + "\n".join(lines) + "\n"))
+        assert (got.total_rows, got.malformed_count) == (len(lines) - 2, 1)
+        assert rows == [HEADER.strip().split(",")]
+
+    def test_seeded_log_with_a_late_quote_and_crlf(self):
+        """The same rows read alike as LF lines, as CRLF lines and with a
+        quoted field after more than one chunk."""
+        lines = filler(ingest._CHUNK_ROWS + 500)
+        plain = HEADER + "\n".join(lines) + "\n"
+        quoted = lines.copy()
+        quoted[ingest._CHUNK_ROWS + 300] = quoted[ingest._CHUNK_ROWS + 300].replace(
+            ",m", ',"m', 1).replace(",", '",', 2).replace('",', ",", 1)
+        assert '"' in quoted[ingest._CHUNK_ROWS + 300]
+        results = [parse_event_log(io.StringIO(text, newline="")) for text in (
+            plain, plain.replace("\n", "\r\n"), HEADER + "\n".join(quoted) + "\n")]
+        for got in results[1:]:
+            assert (got.total_rows, got.malformed_count) == (len(lines), 0)
+            assert as_rows(got.records) == as_rows(results[0].records)
+
+
+class TestFieldSizeLimit:
+    """A field over csv.field_size_limit() is a ValueError naming its log
+    line, whichever path reads it."""
+
+    LONG = "x" * 200_000
+
+    @pytest.mark.parametrize("row", [10, ingest._CHUNK_ROWS + 10], ids=["first-chunk", "later"])
+    @pytest.mark.parametrize("quoted", [False, True], ids=["quote-free", "quoted"])
+    def test_long_field_names_its_line(self, row, quoted):
+        lines = filler(ingest._CHUNK_ROWS + 50)
+        lines[row] = f"2019-03-01T10:00:00Z,{self.LONG},0,6000"
+        if quoted:
+            lines[1] = '2019-03-01T10:00:00Z,"m1",0,6000'
+        with pytest.raises(ValueError, match=rf"^log line {row + 2}: field larger than "
+                                             r"field limit \(131072\)$"):
+            parse_event_log(io.StringIO(HEADER + "\n".join(lines) + "\n"))
+
+    def test_long_header_field(self):
+        with pytest.raises(ValueError, match=r"^log line 1: field larger"):
+            parse_event_log(io.StringIO(self.LONG + "\n" + "\n".join(filler(3))))
+
+    def test_long_line_of_short_fields_is_read(self):
+        """A line over the limit whose fields are all under it goes to csv,
+        which reads it."""
+        lines = filler(20)
+        lines[5] += "," + ",".join(["y" * 1000] * 200)
+        assert_parses_like_rows(HEADER + "\n".join(lines) + "\n")
+
 
 BULK_SHAPE = st.tuples(
     st.integers(0, 9999), st.integers(0, 99), st.integers(0, 99), st.sampled_from("T t"),
@@ -468,6 +576,27 @@ class TestByteOrderMark:
         assert parse_event_log(io.StringIO(log)).malformed_count == 0
 
 
+class TestEventTable:
+    def test_names_are_sorted_categories_that_slices_keep(self):
+        events = table([ev(3, "8000", "b"), ev(1, "6000", "a"), ev(2, "6001", "b", 1),
+                        ev(0, "6000", "b")])
+        assert events.atm_names.tolist() == ["a", "b"]
+        assert events.code_names.tolist() == ["6000", "6001", "8000"]
+        assert events.atm_index.tolist() == [0, 1, 1, 1]
+        assert events.code_index.tolist() == [0, 0, 2, 1]
+        part = events[events.time_us > events.time_us.min()]
+        assert part.atm_names is events.atm_names and part.code_names is events.code_names
+        assert part.atm_id.tolist() == ["a", "b", "b"]
+        assert part.event_code.tolist() == ["6000", "8000", "6001"]
+        assert part.atm_id.dtype == events.atm_id.dtype == np.dtype("<U1")
+
+    def test_parsed_table_equals_the_constructed_one(self):
+        parsed = parse_event_log(io.StringIO(HEADER + "\n".join(filler(50)))).records
+        built = table(as_rows(parsed))
+        for name in ("atm_names", "code_names", *EventTable._ROWS):
+            assert getattr(parsed, name).tolist() == getattr(built, name).tolist(), name
+
+
 class TestRemoveInfected:
     def test_zero_interval_is_identity(self):
         events = table([ev(0), ev(5), ev(5, lc=1)])
@@ -526,6 +655,13 @@ class TestResample:
                   (49, "6000"), (50, "6001"), (51, "6001"), (52, "6000"), (58, "6000")]
         counts = resample(table([ev(h, c) for h, c in events]), 24.0, ["6001", "6000"])
         np.testing.assert_array_equal(counts, [[1, 2], [1, 1], [2, 3]])
+
+    def test_code_outside_the_universe_is_refused(self):
+        events = table([ev(0, "6000"), ev(1, "9999")])
+        with pytest.raises(ValueError, match="not in code_universe"):
+            resample(events, 24.0, ["6000", "6001"])
+        # a slice's rows may leave out names past the universe's end
+        assert resample(events[:1], 24.0, ["6000"]).tolist() == [[1]]
 
     def test_conserves_events(self, rng):
         universe = ["6000", "6001", "6002"]

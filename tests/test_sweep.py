@@ -123,6 +123,26 @@ class TestBuildGrid:
     def test_empty_spec(self):
         assert build_grid(GridSpec({})) == []
 
+    @pytest.mark.parametrize("doc, named", [
+        ({}, "names no method"),
+        ({"PELT": {"costs": ["l2"], "min_sizes": [2]}}, "PELT: missing 'penalties'"),
+        ({"PELT": {"costs": ["l2"], "penalties": [1.0], "min_sizes": [2]},
+          "BINSEG": {"costs": ["l2"], "min_sizes": [2]}}, "BINSEG: missing 'penalties'"),
+        ({"FLUSS": {"ms": [7]}}, "FLUSS: missing 'thresholds'"),
+        ({"KCPD": {"costs": ["rbf"], "penalties": [], "min_sizes": [2]}},
+         "KCPD: 'penalties' is empty"),
+        ({"FLUSS": {"thresholds": [0.5], "ms": [7], "channel_rules": []}},
+         "FLUSS: 'channel_rules' is empty"),
+    ], ids=["no-method", "missing", "missing-beside-a-valid-method", "fluss-missing",
+            "empty", "empty-defaulted"])
+    def test_spec_that_expands_to_nothing_is_refused(self, doc, named):
+        with pytest.raises(GridSpecError, match=named):
+            GridSpec.from_json(json.dumps(doc))
+
+    def test_defaulted_fields_may_be_left_out(self):
+        spec = GridSpec.from_json(json.dumps({"FLUSS": {"thresholds": [0.5], "ms": [7]}}))
+        assert len(build_grid(spec)) == 2  # znorm off and on, channel rule "any"
+
     def test_default_grid_sizes(self):
         configs = build_grid(default_grid())
         per_method = {m: sum(1 for c in configs if c.method == m) for m in METHODS}
@@ -415,6 +435,12 @@ class TestRunSweep:
     def test_empty_cycles_rejected(self):
         with pytest.raises(ValueError):
             run_sweep([], [NEVER], PARAMS)
+
+    def test_empty_configs_rejected_before_any_output(self, tmp_path):
+        cycles = generate_corpus(3, 2, SynthSpec())
+        with pytest.raises(ValueError, match="no configs"):
+            run_sweep(cycles, [], PARAMS, results_path=tmp_path / "results.csv")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.skipif(not os.environ.get("MAINTSEG_RUN_SLOW"),
                         reason="minutes-long property run; set MAINTSEG_RUN_SLOW=1")
