@@ -102,6 +102,13 @@ def rbf_bandwidth_median(signal: np.ndarray) -> float:
     Distances are taken over an evenly spaced subsample capped at 1000
     points so the heuristic stays cheap and deterministic. A zero median
     (all points identical) falls back to gamma = 1.
+
+    The median is read from ``np.partition`` order statistics, with the
+    partition indices ``np.median`` uses: the middle value of an odd count,
+    ``(lo + hi) / 2`` of the two middle values of an even one, and NaN if
+    any distance is NaN (partition puts NaNs last). That is ``np.median``'s
+    value bit for bit, without its first-call import of ``numpy.ma``, which
+    a forked sweep worker would otherwise pay on its first rbf task.
     """
     x = as_signal(signal)
     n = x.shape[0]
@@ -113,7 +120,16 @@ def rbf_bandwidth_median(signal: np.ndarray) -> float:
         n = x.shape[0]
     sq = np.sum(x * x, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    med = float(np.median(d2[np.triu_indices(n, k=1)]))
+    pairs = d2[np.triu_indices(n, k=1)]
+    half = pairs.size // 2
+    kth = [half, -1] if pairs.size % 2 else [half - 1, half, -1]
+    part = np.partition(pairs, kth)
+    if math.isnan(part[-1]):
+        med = float(part[-1])
+    elif pairs.size % 2:
+        med = float(part[half])
+    else:
+        med = (float(part[half - 1]) + float(part[half])) / 2
     if med <= 0.0:
         return 1.0
     return 1.0 / med

@@ -222,8 +222,13 @@ def pelt(signal: np.ndarray | CostCache | list, cost: SegmentCost | None = None,
             whole = float(cache.values([0], [cache.n])[0])
             out.append([Segmentation((), whole)] * penalties.size)
         long = caches[len(out):]
+        # the distinct penalties ascending: np.unique's sort and neighbour
+        # mask, bitwise its array, without its first-call import of numpy.ma
+        # (a forked sweep worker would pay it on its first PELT task)
+        ascending = np.sort(penalties)
+        distinct = ascending[np.concatenate(([True], ascending[1:] != ascending[:-1]))]
         while long:  # again over the caches before one whose costs failed to read
-            program = _PeltProgram(np.unique(penalties), min_size, long)
+            program = _PeltProgram(distinct, min_size, long)
             if program.advance():
                 out.extend(program.segmentations(penalties, w) for w in range(program.solved))
                 break

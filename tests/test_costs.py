@@ -100,6 +100,59 @@ class TestBandwidthHeuristic:
         assert rbf_bandwidth_median(x) > 0
 
 
+def np_median_bandwidth(signal):
+    """The median heuristic as ``np.median`` takes it, over the same
+    subsample and the same Gram-formula squared distances."""
+    x = np.asarray(signal, dtype=float).reshape(len(signal), -1)
+    if len(x) > 1000:
+        x = x[np.linspace(0, len(x) - 1, 1000).astype(int)]
+    sq = np.sum(x * x, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    med = float(np.median(d2[np.triu_indices(len(x), k=1)]))
+    return 1.0 if med <= 0.0 else 1.0 / med
+
+
+def _bandwidth_signals():
+    rng = np.random.default_rng(25)
+    for n in (2, 3, 4, 5, 6, 7, 13, 40, 41):  # 1, 3, 6, 10, 15, 21, 78, 780, 820 pairs
+        for d in (1, 3):
+            yield f"normal-{n}x{d}", rng.normal(size=(n, d))
+            yield f"eighths-{n}x{d}", np.round(rng.normal(size=(n, d)) * 8) / 8
+    yield "flat", np.full((9, 2), 7.25)
+    yield "duplicate-rows", np.repeat(rng.normal(size=(2, 2)), [8, 2], axis=0)
+    # 3 of 6 pairs are zero: the median is (0 + hi) / 2
+    yield "half-zero-even", np.repeat(rng.normal(size=(2, 2)), [3, 1], axis=0)
+    yield "subsampled-1500", rng.normal(size=(1500, 2))
+    yield "subsampled-eighths-1003", np.round(rng.normal(size=(1003, 1)) * 8) / 8
+    # finite samples whose squared norms overflow: one huge row makes its
+    # pairs inf (median inf, gamma 0); two make their pair inf - inf = NaN
+    yield "inf-median-odd", np.array([[1e155], [0.0], [0.0]])
+    yield "inf-median-even", np.array([[1e155], [0.0], [0.0], [1.0]])
+    yield "nan-pair", np.array([[1e155], [2e155], [0.0], [1.0], [2.0]])
+    # one NaN among 4950 pairs, which a partition at the middle alone
+    # leaves away from the end
+    x = rng.normal(size=(100, 2))
+    x[[17, 61]] = [[1e155, 0.0], [2e155, 0.0]]
+    yield "nan-pair-of-4950", x
+
+
+class TestBandwidthIsNumpysMedian:
+    """The partition-based median is ``np.median``'s value bit for bit."""
+
+    @pytest.mark.parametrize("name, x", list(_bandwidth_signals()),
+                             ids=[name for name, _ in _bandwidth_signals()])
+    def test_bitwise(self, name, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = rbf_bandwidth_median(x), np_median_bandwidth(x)
+        assert repr(got) == repr(want)
+        if name.startswith(("flat", "duplicate")):
+            assert got == 1.0
+        if name.startswith("inf-median"):
+            assert got == 0.0
+        if name.startswith("nan-pair"):
+            assert np.isnan(got)
+
+
 class TestCacheAgreesWithDirectEvaluation:
     """The O(1) cached queries are checked against freshly computed costs."""
 

@@ -168,6 +168,28 @@ class TestPelt:
             bounds = [0, *seg.breakpoints, 60]
             assert all(b - a >= min_size for a, b in zip(bounds, bounds[1:]))
 
+    @pytest.mark.parametrize("penalties", [
+        [5.0, 0.5, 2.0, 0.5, 10.0], [3.0, 3.0, 3.0], [0.0, -0.0, 1.0], [-0.0, 0.0, 1.0, -0.0],
+        [0.25], [1e-300, 0.0, 5e-324, 1e300, 1e-300],
+        np.random.default_rng(5).choice([0.0, -0.0, 0.01, 0.5, 7.0, 1e12], size=300)],
+        ids=["unsorted-duplicates", "all-equal", "zero-then-negative-zero",
+             "negative-zero-first", "one", "subnormal-and-huge", "300-signed-zeros"])
+    def test_distinct_penalties_are_np_unique(self, monkeypatch, penalties):
+        # the rows of the program are np.unique's array, signed zero included
+        seen = []
+
+        class Spy(detectors_mod._PeltProgram):
+            def __init__(self, distinct, *args):
+                seen.append(distinct)
+                super().__init__(distinct, *args)
+
+        monkeypatch.setattr(detectors_mod, "_PeltProgram", Spy)
+        segs = pelt(STEP_FIXTURE, L2, list(penalties), 2)
+        want = np.unique(np.asarray(penalties, dtype=float))
+        assert len(seen) == 1 and seen[0].dtype == want.dtype
+        assert seen[0].tobytes() == want.tobytes()
+        assert segs == [pelt(STEP_FIXTURE, L2, float(p), 2) for p in penalties]
+
 
 class TestBinseg:
     def test_single_step(self):

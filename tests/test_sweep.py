@@ -392,6 +392,26 @@ class TestRunSweep:
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "[]"
 
+    def test_replay_imports_nothing(self):
+        # a forked worker starts with its parent's modules; a lazy import on
+        # the replay path (numpy.ma, from np.unique or np.median) would be
+        # paid again in every worker of every run. The cycle and the grid
+        # are built first: synth loads numpy.random
+        env = {**os.environ, "PYTHONPATH": str(Path(maintseg.__file__).resolve().parents[1])}
+        code = (
+            "import sys, maintseg\n"
+            "from maintseg import BusinessParams, SynthSpec, build_grid, default_grid, "
+            "generate_corpus, run_sweep\n"
+            "cycles = generate_corpus(3, 1, SynthSpec(40, 60, 1.0, 24))\n"
+            "configs = build_grid(default_grid())\n"
+            "before = set(sys.modules)\n"
+            "table = run_sweep(cycles, configs, BusinessParams(rd=1.0, pp=14.0, s=0.2))\n"
+            "assert len(table.records) == len(configs) == 1404 and not table.failures\n"
+            "print(sorted(set(sys.modules) - before))\n")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
+
     def test_dead_worker_keeps_the_tasks_that_finished(self, tmp_path, monkeypatch):
         # 4 cycles x 2 families (PELT/l2, FLUSS) = 8 tasks; the first task's
         # worker dies only after the other worker has finished the other 7
