@@ -3,17 +3,17 @@
 :func:`parse_event_log` reads the log into one :class:`EventTable`, numpy
 columns sorted once by (machine, life cycle, time). It decodes the log by
 column, a fixed-size chunk of lines at a time, with no Python list per
-row: a chunk free of quote characters, with LF or CRLF line ends, is
-split in bulk (``csv.reader`` reads the rest of the log from the first
-chunk that is not); each distinct machine id, event code and life cycle
-string is converted once; and timestamps of the common
-``YYYY-MM-DDTHH:MM:SS[Z]`` shape are decoded in bulk with numpy, leaving
-only the others to :func:`parse_timestamp`. The table holds machine ids
-and event codes as integer categories. :func:`build_cycles` then works
-on slices of that table: :func:`remove_infected` drops the post-failure
-infected intervals, :func:`resample` counts each cycle's events per
-bucket, and :func:`build_features` turns the counts into severity-ratio
-feature series.
+row: a chunk free of quote characters and carriage returns is split in
+bulk (``csv.reader`` reads the rest of the log from the first chunk that
+is not); each distinct machine id, event code and life cycle string is
+converted once; and timestamps of the common ``YYYY-MM-DDTHH:MM:SS[Z]``
+shape are decoded in bulk with numpy, leaving only the others to
+:func:`parse_timestamp`. The table holds machine ids and event codes as
+integer categories. :func:`build_cycles` then works on slices of that
+table: :func:`remove_infected` drops the post-failure infected intervals,
+:func:`resample` counts each cycle's events per bucket, and
+:func:`build_features` turns the counts into severity-ratio feature
+series.
 
 The code grouping (which event codes belong to which machine module at which
 severity) is configuration-driven so a dataset's exact code mapping can be
@@ -436,22 +436,17 @@ def _split_chunk(chunk: list[str], text: str, delimiter: str, width: int):
     """The fields of a chunk of quote-free lines, ``text`` their join, as
     one flat list of ``stride`` fields per row, and the stride; None if
     most rows lack a mapped field (index below ``width``) or the lines are
-    not what a text file yields with LF line ends, or with CRLF ones if
-    the text holds a CR (one line end each, at its end, but for the log's
-    last line, and no other CR or LF).
+    not what a text file yields (one line end each, at its end, but for
+    the log's last line).
 
-    The text is split once, its line ends read as delimiters. The stride
-    is the chunk's most common field count; only the rows of another count
-    are mended, as the csv path reads them: a short row's missing fields
-    are empty and fields past the stride are dropped. An empty line,
-    csv's ``[]``, is one empty field here, which reads the same.
+    The text is split once. The stride is the chunk's most common field
+    count; only the rows of another count are mended, as the csv path
+    reads them: a short row's missing fields are empty and fields past
+    the stride are dropped. An empty line, csv's ``[]``, is one empty
+    field here, which reads the same.
     """
-    end = "\r\n" if "\r" in text else "\n"
-    rows = text.replace(end, delimiter)
-    if "\r" in rows or "\n" in rows:
-        return None
-    flat = rows.split(delimiter)
-    if text.endswith(end):
+    flat = text.replace("\n", delimiter).split(delimiter)
+    if text.endswith("\n"):
         flat.pop()
     counts = np.fromiter(map(str.count, chunk, itertools.repeat(delimiter)), dtype=np.intp,
                          count=len(chunk)) + 1
@@ -475,20 +470,20 @@ def _field_chunks(lines, delimiter: str, mapped: list[int], before: int):
     strings, a field a row lacks read as empty) and a function of a row's
     index that gives its fields joined without delimiters.
 
-    Chunks of lines that hold no quote character and no line longer than
-    ``csv.field_size_limit()``, and whose lines all end in LF or all in
-    CRLF, are split in bulk (see :func:`_split_chunk`). From the first
-    chunk that fails that test, a ``csv.reader`` over it and the remaining
-    lines reads the rest of the log, so quoting, embedded line ends, a
-    lone CR (which ends a row) and mixed line ends keep csv's meaning, and
-    a field over the limit is csv's error.
+    Chunks of lines that hold no quote character, no carriage return and
+    no line longer than ``csv.field_size_limit()`` are split in bulk (see
+    :func:`_split_chunk`). From the first chunk that fails that test, a
+    ``csv.reader`` over it and the remaining lines reads the rest of the
+    log, so quoting, embedded line ends and CR or CRLF line ends keep
+    csv's meaning, and a field over the limit is csv's error.
     """
     width = max(mapped) + 1
     limit = csv.field_size_limit()
     while delimiter not in '"\r\n' and (chunk := list(itertools.islice(lines, _CHUNK_ROWS))):
         text = "".join(chunk)
         split = None
-        if '"' not in text and (len(text) <= limit or max(map(len, chunk)) <= limit):
+        if '"' not in text and "\r" not in text and (len(text) <= limit
+                                                     or max(map(len, chunk)) <= limit):
             split = _split_chunk(chunk, text, delimiter, width)
         if split is None:
             lines = itertools.chain(chunk, lines)
@@ -522,8 +517,8 @@ def _narrow(ranks: np.ndarray) -> np.ndarray:
 def _parse_stream(lines, fmt: LogFormat) -> ParseResult:
     """Decode a log's rows by column, ``_CHUNK_ROWS`` rows at a time.
 
-    ``lines`` are the lines of a text file. Chunks free of quotes, with LF
-    or CRLF line ends, are split without ``csv.reader``, the others read by
+    ``lines`` are the lines of a text file. Chunks free of quotes and
+    carriage returns are split without ``csv.reader``, the others read by
     it (see :func:`_field_chunks`); either way a row's fields are csv's.
     Each distinct machine id, event code and life cycle string is stripped,
     checked and converted once, the first time a chunk holds it.

@@ -1,4 +1,3 @@
-import csv
 import io
 import json
 import math
@@ -442,94 +441,32 @@ class TestParseMatchesRowReference:
         assert 'ATM, "Paris"\n1' in want.records.atm_id.tolist()
 
 
-def csv_reader_rows(monkeypatch) -> list:
-    """From now on, every row any csv.reader yields, in a list."""
-    rows = []
-    csv_reader = ingest.csv.reader
-
-    class Counting:
-        def __init__(self, lines, **kwargs):
-            self.reader = csv_reader(lines, **kwargs)
-            self.line_num = 0
-
-        def __iter__(self):
-            return self
-
-        def __next__(self):
-            rows.append(next(self.reader))
-            self.line_num = self.reader.line_num
-            return rows[-1]
-
-    monkeypatch.setattr(ingest.csv, "reader", Counting)
-    return rows
-
-
 class TestBulkSplit:
-    """Quote-free chunks with LF or CRLF line ends are split without
-    csv.reader, into csv's fields."""
+    """Quote-free chunks are split without csv.reader, into csv's fields."""
 
-    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["LF", "CRLF"])
-    def test_quote_free_log_never_reaches_csv_reader_past_its_header(self, monkeypatch, end):
+    def test_quote_free_log_never_reaches_csv_reader_past_its_header(self, monkeypatch):
+        rows = []
+        csv_reader = ingest.csv.reader
+
+        class Counting:
+            def __init__(self, lines, **kwargs):
+                self.reader = csv_reader(lines, **kwargs)
+                self.line_num = 0
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                rows.append(next(self.reader))
+                self.line_num = self.reader.line_num
+                return rows[-1]
+
+        monkeypatch.setattr(ingest.csv, "reader", Counting)
         lines = filler(3 * ingest._CHUNK_ROWS)
-        lines[5:5] = ["", "2019-03-01T10:00:00Z,atm1", ",,,", "  ,\t,"]
-        lines[-1] += " "  # the log's last line, unended
-        text = (HEADER + "\n".join(lines)).replace("\n", end)
-        want = assert_parses_like_rows(text)
-        assert (want.total_rows, want.malformed_count) == (len(lines) - 3, 1)
-        rows = csv_reader_rows(monkeypatch)
-        got = parse_event_log(io.StringIO(text, newline=""))
+        lines[5:5] = ["", "2019-03-01T10:00:00Z,atm1", ",,,"]
+        got = parse_event_log(io.StringIO(HEADER + "\n".join(lines) + "\n"))
+        assert (got.total_rows, got.malformed_count) == (len(lines) - 2, 1)
         assert rows == [HEADER.strip().split(",")]
-        assert (got.total_rows, got.malformed_count) == (want.total_rows, want.malformed_count)
-        assert as_rows(got.records) == as_rows(want.records)
-
-    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["LF", "CRLF"])
-    @pytest.mark.parametrize("at", [0, 1], ids=["first-chunk", "second-chunk"])
-    def test_lone_carriage_return_ends_a_row_as_in_csv(self, monkeypatch, end, at):
-        """A CR that is not part of a CRLF line end sends its chunk and the
-        rest of the log to csv.reader, where it ends a row: here a row cut
-        after its timestamp and a whitespace row cut before its commas."""
-        chunk = ingest._CHUNK_ROWS
-        lines = filler(2 * chunk + 50)
-        k = at * chunk + 30
-        lines[k] = lines[k].replace(",", ",\r", 1)
-        lines[k + 3] = "  \r,,,"
-        # a CRLF line end in the LF log; a CR line end and an empty line in
-        # the CRLF log
-        lines[k + 60] += "\r"
-        text = (HEADER + "\n".join(lines) + "\n").replace("\n", end)
-        want = assert_parses_like_rows(text)
-        # the cut row is two malformed ones, the whitespace row two blank ones
-        assert (want.total_rows, want.malformed_count) == (len(lines), 2)
-        rows = csv_reader_rows(monkeypatch)
-        parse_event_log(io.StringIO(text, newline=""))
-        # the header, then every line from the CR's chunk on, each lone CR
-        # cutting one more
-        assert len(rows) == 1 + len(lines) - at * chunk + 2 + (end == "\r\n")
-
-    @pytest.mark.parametrize("field", ["at\rm1", "at\nm1"], ids=["CR", "LF"])
-    def test_line_end_inside_a_field_of_crlf_lines_is_csvs(self, field):
-        """Lines split at CRLF alone (as a file opened with newline="\\r\\n"
-        yields them) can hold a lone CR or LF inside a field, which csv
-        refuses, and so does the parse, naming the line."""
-        lines = filler(ingest._CHUNK_ROWS + 20)
-        lines[50] = f"2019-03-01T10:00:00Z,{field},0,6000"
-        crlf_lines = [line + "\r\n" for line in [HEADER.strip(), *lines]]
-        with pytest.raises(csv.Error, match="new-line character"):
-            parse_rows(crlf_lines, LogFormat())
-        with pytest.raises(ValueError, match="log line 52: new-line character"):
-            parse_event_log(crlf_lines)
-
-    @pytest.mark.parametrize("last_end", ["\n", "\r"], ids=["LF", "CR"])
-    def test_other_line_end_closing_a_crlf_chunk(self, last_end):
-        """A CRLF chunk whose last line ends in a lone LF or CR, the one
-        place where a line end left by the split would not merge two
-        fields, parses as csv reads it."""
-        chunk = ingest._CHUNK_ROWS
-        lines = filler(chunk + 20, order=(1, 2, 3, 0))
-        text = "atm_id,lifecycle_id,event_code,timestamp\r\n" + "".join(
-            line + (last_end if k == chunk - 1 else "\r\n") for k, line in enumerate(lines))
-        want = assert_parses_like_rows(text)
-        assert (want.total_rows, want.malformed_count) == (len(lines), 0)
 
     def test_seeded_log_with_a_late_quote_and_crlf(self):
         """The same rows read alike as LF lines, as CRLF lines and with a
