@@ -148,10 +148,11 @@ class Window:
     """A prefix view of a cycle: samples[0..end_index).
 
     ``_memo`` holds what was derived for the window: z-normalized samples,
-    cost tables, FLUSS curves, and each solve with every penalty read off
-    it, whether derived on the window or ahead of it by a solve at an
-    earlier window of the same replay. Every config evaluated on the window
-    reuses it, and the replay clears it once the window is done.
+    cost tables and FLUSS curve minima under their workspace key, and per
+    solve key the last breakpoint under each penalty solved, whether
+    derived on the window or ahead of it by a PELT solve at an earlier
+    window of the same replay. Every config evaluated on the window reuses
+    it, and the replay clears it once the window is done.
     ``_cycle_memo``, which a replay gives each of its windows, holds what
     they share: the cost tables that depend on the cycle alone, of which
     each window's memo holds a prefix, and under "windows" the replay's

@@ -23,11 +23,11 @@ rather than the samples, and reads its medians from the sorted channels.
 Either way each cost is bitwise
 ``np.abs(seg - np.median(seg, axis=0)).sum()``. A cache holds
 no state but these tables, so the detectors share one across every config
-evaluated on a window (see ``detectors.detect_with_score``). The l1, l2 and normal
+evaluated on a window (see ``detectors._cost_tables``). The l1, l2 and normal
 tables of a segment [a, b) read only the samples before b, so a replay
 builds them once over the whole cycle and hands each window a
 :meth:`CostCache.prefix` of them, which PELT solves as one set of rows
-(see ``detectors.pelt``); the rbf Gram is built per window (BLAS rounds
+(see ``detectors._PeltProgram``); the rbf Gram is built per window (BLAS rounds
 ``x @ x.T`` differently at different n).
 """
 

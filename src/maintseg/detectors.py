@@ -34,8 +34,8 @@ __all__ = [
     "detect",
     "detect_with_score",
     "workspace_key",
+    "solve_key",
     "cycle_level",
-    "share_solves",
 ]
 
 METHODS = ("PELT", "BINSEG", "BOTTOMUP", "KCPD", "FLUSS")
@@ -147,8 +147,8 @@ def workspace_key(config: DetectorConfig) -> tuple:
     """What a config shares with others on one window: the segmenters'
     cost tables depend on (cost label, znorm) and FLUSS's curve minima, one
     per channel rule, on (m, znorm), whatever the penalty, min_size,
-    threshold or channel rule. ``detect_with_score`` keys a window's memo
-    with it, and the sweep replays the configs of one key together."""
+    threshold or channel rule. A window's memo keeps tables and minima
+    under it, and the sweep replays the configs of one key together."""
     if config.method == "FLUSS":
         return ("FLUSS", config.m, config.znorm)
     return ("segments", config.cost.label, config.znorm)
@@ -180,8 +180,9 @@ def _as_given(penalty, segs: list[Segmentation]) -> Segmentation | list[Segmenta
     return segs if np.ndim(penalty) else segs[0]
 
 
-def pelt(signal: np.ndarray | CostCache | list, cost: SegmentCost | None = None,
-         penalty: float | Sequence[float] = 1.0, min_size: int = 1) -> Segmentation | list:
+def pelt(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
+         penalty: float | Sequence[float] = 1.0,
+         min_size: int = 1) -> Segmentation | list[Segmentation]:
     """Exact minimizer of sum-of-segment-costs + penalty * (#breakpoints).
 
     Pruned dynamic program: a candidate start s is dropped once its partial
@@ -192,52 +193,26 @@ def pelt(signal: np.ndarray | CostCache | list, cost: SegmentCost | None = None,
     ``penalty`` is one float, giving one :class:`Segmentation`, or a
     sequence of them, giving one per entry in the given order. The
     penalties' dynamic programs run in lockstep, one row each with its own
-    candidate set, over shared cost reads (the union of the rows'
-    candidates); each row is bitwise the one-penalty solve.
-
-    Like the other segmenters, ``signal`` may be a prebuilt
+    candidate set, over shared cost reads; each row is bitwise the
+    one-penalty solve (see :class:`_PeltProgram`). Like the other
+    segmenters, ``signal`` may be a prebuilt
     :class:`~maintseg.costs.CostCache` of the cost instead of the signal.
-    It may also be a list of signals or caches of non-decreasing length,
-    such as the prefix windows of one cycle, giving one result per entry
-    up to the first by which every penalty has found a breakpoint in some
-    entry: the streaming replay stops a config at its first alert, so it
-    reads no later window (see ``_batch``). Their programs run in lockstep
-    too, and the columns are walked once, up to the longest (see
-    :class:`_PeltProgram`). Entries cut from one cache by
-    :meth:`~maintseg.costs.CostCache.prefix` share one set of rows, each
-    read at its own n, since column t depends on x[:t] alone. If one
-    entry's costs fail to read, the result stops before it; the error
-    propagates when it is the first.
     """
-    penalties = _penalties(penalty, min_size)
-    caches = [_as_cache(window, cost)
-              for window in (signal if isinstance(signal, list) else [signal])]
-    if any(b.n < a.n for a, b in zip(caches, caches[1:])):
-        raise ValueError("pelt's signals must come in non-decreasing lengths")
-    out: list[list[Segmentation]] = []
-    try:
-        for cache in caches:
-            if cache.n >= 2 * min_size:
-                break
-            whole = float(cache.values([0], [cache.n])[0])
-            out.append([Segmentation((), whole)] * penalties.size)
-        long = caches[len(out):]
-        # the distinct penalties ascending: np.unique's sort and neighbour
-        # mask, bitwise its array, without its first-call import of numpy.ma
-        # (a forked sweep worker would pay it on its first PELT task)
-        ascending = np.sort(penalties)
-        distinct = ascending[np.concatenate(([True], ascending[1:] != ascending[:-1]))]
-        while long:  # again over the caches before one whose costs failed to read
-            program = _PeltProgram(distinct, min_size, long)
-            if program.advance():
-                out.extend(program.segmentations(penalties, w) for w in range(program.solved))
-                break
-            long = long[:program.solved]
-    except Exception:  # in the first signal, or else the result stops before it
-        if not out:
-            raise
-    segs = [_as_given(penalty, window_segs) for window_segs in out]
-    return segs if isinstance(signal, list) else segs[0]
+    penalties, cache = _penalties(penalty, min_size), _as_cache(signal, cost)
+    if cache.n < 2 * min_size:  # one segment under any penalty
+        return _as_given(penalty, [Segmentation((), float(cache.values([0], [cache.n])[0]))]
+                         * penalties.size)
+    program = _PeltProgram(_distinct(penalties), min_size, [cache], [cache.n])
+    program.advance()
+    return _as_given(penalty, program.segmentations(penalties, 0))
+
+
+def _distinct(penalties: np.ndarray) -> np.ndarray:
+    """The distinct penalties ascending: np.unique's sort and neighbour mask,
+    bitwise its array, without its first-call import of numpy.ma (a forked
+    sweep worker would pay it on its first PELT task)."""
+    ascending = np.sort(penalties)
+    return ascending[np.concatenate(([True], ascending[1:] != ascending[:-1]))]
 
 
 # Columns of one cost read: the costs of a block of columns are read in
@@ -247,54 +222,54 @@ _PELT_BLOCK = 16
 
 
 class _PeltProgram:
-    """:func:`pelt`'s dynamic program over a list of caches of non-decreasing
-    length, one row per (group, penalty): the rows of group g are
-    g * P .. g * P + P - 1 for P penalties. The caches cut from one cache
-    by :meth:`~maintseg.costs.CostCache.prefix` are one group, whose column
-    t is read through the shortest of them that holds t, and whose rows
-    give each of them its result at its own n; any other cache is a group
-    of its own.
+    """:func:`pelt`'s dynamic program over entries of non-decreasing n, each
+    a cache read up to its n in ``ns`` (a replay's windows: their own
+    caches, or one cycle's tables up to each window's end), one row per
+    (group, penalty): the rows of group g are g * P .. g * P + P - 1 for P
+    penalties. The entries of one cache, or of its
+    :meth:`~maintseg.costs.CostCache.prefix` views, are one group, whose
+    column t is read through its shortest entry that holds t, and whose
+    rows give each entry its result at its own n; any other cache is a
+    group of its own.
 
     The state is F, prev and G, a copy of F in which each row's pruned
     starts read +inf, so that a column is a few passes over whole rows of
-    starts 0..t - min_size. A start t is born once column t is final,
-    whatever the groups' lengths: it is first considered at t + min_size.
-    The groups are in non-decreasing order of their longest caches, and
-    each group's rows stop there: from then on they are sliced out of
-    every column, so that nothing past a cache's end is read and its rows
-    keep no start alive. A start that only other rows keep reads +inf, so
-    each row is bitwise the one-cache, one-penalty program. Costs are read
-    ahead in blocks of _PELT_BLOCK columns, and a block ends at any cache's
-    end inside a group, where the group's reads move on to a longer cache
-    (see :meth:`_read`).
+    starts 0..t - min_size. A start t is born once column t is final: it is
+    first considered at t + min_size. Each group's rows stop at its last
+    entry: from then on they are sliced out of every column, so nothing
+    past it is read and its rows keep no start alive; a start that only
+    other rows keep reads +inf, so each row is bitwise the one-cache,
+    one-penalty program. Costs are read in blocks of _PELT_BLOCK columns; a
+    block ends where a group's reads move on to its next entry (see
+    :meth:`_read`).
     """
 
-    def __init__(self, penalties: np.ndarray, min_size: int, caches: list[CostCache]):
+    def __init__(self, penalties: np.ndarray, min_size: int, caches: list[CostCache],
+                 ns: list[int]):
         self.penalties, self.min_size = penalties, min_size  # penalties ascending, distinct
-        self.caches, self.solved = caches, len(caches)  # solved: see advance
+        self.caches, self.ns, self.solved = caches, ns, len(caches)  # solved: see advance
         groups: dict = {}
         for w, cache in enumerate(caches):
             groups.setdefault(cache.whole or cache, []).append(w)
         self.groups = sorted(groups.values(), key=lambda ws: ws[-1])
-        self.ends = [[caches[w].n for w in ws] for ws in self.groups]
+        self.ends = [[ns[w] for w in ws] for ws in self.groups]
         self.row = {w: g * penalties.size for g, ws in enumerate(self.groups) for w in ws}
         # F[r, t] = optimal penalized cost of x[:t] under row r's penalty p;
         # F[r, 0] = -p so each segment contributes +p and the total equals
         # sum costs + p * breaks. G[r, s] = F[r, s] while row r still
         # considers start s, +inf once it has pruned s.
-        self.F = np.full((len(self.groups) * penalties.size, caches[-1].n + 1), np.inf)
+        self.F = np.full((len(self.groups) * penalties.size, ns[-1] + 1), np.inf)
         self.F[:, 0] = -np.tile(penalties, len(self.groups))
         self.prev = np.zeros(self.F.shape, dtype=int)
         self.G = self.F.copy()
 
     def advance(self) -> bool:
-        """Compute the columns up to the longest cache's n, or stop after the
-        first cache by which every penalty has had a breakpoint
-        (``prev[row, n] > 0``), with ``solved`` set past it. If a cache's
-        costs fail to read, returns False with ``solved`` set to its index;
-        the error propagates if it is the first."""
-        size, min_size = self.penalties.size, self.min_size
-        ns = [cache.n for cache in self.caches]
+        """Compute the columns up to the last entry's n, or stop after the
+        first entry by which every penalty has had a breakpoint
+        (``prev[row, n] > 0``), with ``solved`` set past it. If an entry's
+        costs fail to read, returns False with ``solved`` set to its index
+        (the error propagates if it is the first)."""
+        size, min_size, ns = self.penalties.size, self.min_size, self.ns
         broken = np.zeros(size, dtype=bool)  # the penalties that broke in some cache
         lengths = [ends[-1] for ends in self.ends]
         cuts = sorted({n for ends in self.ends for n in ends[:-1]} | {lengths[-1]})
@@ -333,13 +308,12 @@ class _PeltProgram:
 
     def _read(self, alive: np.ndarray, done: int, first: int, stop: int) -> np.ndarray | None:
         """The costs of the columns first..stop-1 over the starts alive or
-        born by then, read in one ``values`` call per group, its segments
-        column by column (the order in which PELT's l1 queries fill whole
-        diagonals): ``costs[g, t - first, s]`` is group g's C(s, t), for the
-        groups from ``done`` on, read through the group's shortest cache
-        that holds ``first``. Any other cost is 0, so that a start that G
-        holds at +inf stays +inf. None, with ``solved`` set, when a read
-        fails; raises if that read is the first cache's."""
+        born by then, read in one ``values`` call per group, column by
+        column (the order in which l1 fills whole diagonals):
+        ``costs[g, t - first, s]`` is C(s, t) of group g, from ``done`` on,
+        read through its shortest entry that holds ``first``. Any other cost
+        is 0, so a start that G holds at +inf stays +inf. None, with
+        ``solved`` set, when a read fails; raises if it is the first entry's."""
         last = stop - 1 - self.min_size  # the latest start the columns consider
         starts = np.concatenate((alive[:np.searchsorted(alive, last, side="right")],
                                  np.arange(first, last + 1)))
@@ -348,7 +322,7 @@ class _PeltProgram:
         costs = np.zeros((len(self.groups), stop - first, last + 1))
         for g in range(done, len(self.groups)):
             w = self.groups[g][bisect.bisect_left(self.ends[g], first)]
-            j = np.searchsorted(column, self.caches[w].n - first, side="right")
+            j = np.searchsorted(column, self.ns[w] - first, side="right")
             try:
                 costs[g, column[:j], seg_starts[:j]] = self.caches[w].values(seg_starts[:j],
                                                                              seg_ends[:j])
@@ -359,9 +333,16 @@ class _PeltProgram:
                 return None
         return costs
 
+    def last_breakpoints(self, w: int) -> np.ndarray:
+        """``prev[row, n]`` over entry ``w``'s rows, at its n: the last
+        breakpoint of x[:n] under each of the program's penalties, 0 where
+        there is none. Nothing is backtracked."""
+        row = self.row[w]
+        return self.prev[row:row + self.penalties.size, self.ns[w]].copy()
+
     def segmentations(self, penalties: np.ndarray, w: int) -> list[Segmentation]:
-        """The optimal segmentation of cache ``w``, x[:n] for its n, under each penalty."""
-        segs, n = [], self.caches[w].n
+        """The optimal segmentation of entry ``w``, x[:n] for its n, under each penalty."""
+        segs, n = [], self.ns[w]
         for row in (self.row[w] + np.searchsorted(self.penalties, penalties)).tolist():
             breakpoints, t = [], n
             while (t := int(self.prev[row, t])) > 0:
@@ -381,7 +362,11 @@ def binseg(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
     it exceed that penalty. A node [a, b) reads its whole segment, every
     [cut, b) and every [a, cut) in one ``values`` call.
     """
-    penalties, cache = _penalties(penalty, min_size), _as_cache(signal, cost)
+    return _penalized_segmentations(_binseg, signal, cost, penalty, min_size)
+
+
+def _binseg(cache: CostCache, penalties: np.ndarray, min_size: int) -> list[tuple[int, ...]]:
+    """:func:`binseg`'s breakpoints under each penalty, without their totals."""
     n = cache.n
     lowest = penalties.min()
     splits: list[tuple[int, float]] = []  # (cut, least gain from the root down to it)
@@ -403,8 +388,7 @@ def binseg(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
             splits.append((cut, least))
             pending.append((a, cut, least))
             pending.append((cut, b, least))
-    found = [tuple(sorted(cut for cut, least in splits if least > beta)) for beta in penalties]
-    return _as_given(penalty, _penalized_segmentations(cache, found, penalties))
+    return [tuple(sorted(cut for cut, least in splits if least > beta)) for beta in penalties]
 
 
 def bottomup(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
@@ -421,7 +405,11 @@ def bottomup(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
     segments' ends, 0, the grid points left and n; a merge reads the three
     segments of each neighbour's new merge delta in one ``values`` call.
     """
-    penalties, cache = _penalties(penalty, min_size), _as_cache(signal, cost)
+    return _penalized_segmentations(_bottomup, signal, cost, penalty, min_size)
+
+
+def _bottomup(cache: CostCache, penalties: np.ndarray, min_size: int) -> list[tuple[int, ...]]:
+    """:func:`bottomup`'s breakpoints under each penalty, without their totals."""
     n = cache.n
     bounds = [0, *range(min_size, n - min_size + 1, min_size), n]
 
@@ -448,11 +436,10 @@ def bottomup(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
         idx = [i for i in (best - 1, best) if 0 <= i < len(deltas)]
         for i, delta in zip(idx, merge_deltas(idx)):
             deltas[i] = delta
+    return found
 
-    return _as_given(penalty, _penalized_segmentations(cache, found, penalties))
 
-
-def kcpd(signal: np.ndarray | CostCache | list, penalty: float | Sequence[float] = 1.0,
+def kcpd(signal: np.ndarray | CostCache, penalty: float | Sequence[float] = 1.0,
          min_size: int = 1, kernel: SegmentCost | None = None) -> Segmentation | list:
     """Kernel change-point detection: the exact dynamic program over the rbf
     cost, with :func:`pelt`'s signal and penalty forms."""
@@ -462,15 +449,18 @@ def kcpd(signal: np.ndarray | CostCache | list, penalty: float | Sequence[float]
     return pelt(signal, kernel, penalty, min_size)
 
 
-def _penalized_segmentations(cache: CostCache, found: list[tuple[int, ...]],
-                             penalties: np.ndarray) -> list[Segmentation]:
-    """One segmentation per (breakpoints, penalty) pair. Penalties often share
-    a breakpoint set, so each distinct set's segment costs are summed once."""
-    sums = {}
+def _penalized_segmentations(core, signal, cost: SegmentCost | None, penalty,
+                             min_size: int) -> Segmentation | list[Segmentation]:
+    """A greedy segmenter's public answer: ``core``'s breakpoints under each
+    penalty, each with its penalized total. Penalties often share a
+    breakpoint set, so each distinct set's segment costs are summed once."""
+    penalties, cache = _penalties(penalty, min_size), _as_cache(signal, cost)
+    found, sums = core(cache, penalties, min_size), {}
     for breakpoints in dict.fromkeys(found):
         bounds = np.array([0, *breakpoints, cache.n])
         sums[breakpoints] = sum(cache.values(bounds[:-1], bounds[1:]).tolist())
-    return [Segmentation(b, float(sums[b] + beta * len(b))) for b, beta in zip(found, penalties)]
+    return _as_given(penalty, [Segmentation(b, float(sums[b] + beta * len(b)))
+                               for b, beta in zip(found, penalties)])
 
 
 def matrix_profile(series: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -593,20 +583,6 @@ def fluss_cac(mp_index: np.ndarray, m: int, n_sub: int) -> np.ndarray:
     return cac
 
 
-def _fluss_curves(x: np.ndarray, m: int) -> list[np.ndarray]:
-    """Per-channel corrected arc curves; flat channels yield an all-ones curve."""
-    n_sub = x.shape[0] - m + 1
-    curves = []
-    for c in range(x.shape[1]):
-        series = x[:, c]
-        if series.std() < DEGENERATE_STD:
-            curves.append(np.ones(n_sub))
-            continue
-        _, idx = matrix_profile(series, m)
-        curves.append(fluss_cac(idx, m, n_sub))
-    return curves
-
-
 def _fluss_best(curves: list[np.ndarray]) -> tuple[int, float]:
     """The lowest point of the curves, (position, value): the first curve's
     first minimum on ties."""
@@ -629,6 +605,24 @@ def _window_samples(window, znorm: bool, memo: dict) -> np.ndarray:
     return memo["znorm"]
 
 
+def _fluss_minima(window, m: int, znorm: bool, memo: dict) -> dict | None:
+    """The lowest point of a window's corrected arc curves under each channel
+    rule, ``{rule: (position, value)}``, which every threshold compares; a
+    flat channel's curve is all ones. None for a window too short for the
+    matrix profile. Kept in ``memo`` under the workspace key."""
+    key = ("FLUSS", m, znorm)
+    if key not in memo:
+        x = _window_samples(window, znorm, memo)
+        n_sub = x.shape[0] - m + 1
+        memo[key] = None
+        if x.shape[0] >= m + (m + 1) // 2 + 1:
+            curves = [np.ones(n_sub) if x[:, c].std() < DEGENERATE_STD
+                      else fluss_cac(matrix_profile(x[:, c], m)[1], m, n_sub)
+                      for c in range(x.shape[1])]
+            memo[key] = {"any": _fluss_best(curves), "sum": _fluss_best([np.mean(curves, axis=0)])}
+    return memo[key]
+
+
 def detect(window, config: DetectorConfig) -> int | None:
     """Run the configured method on one window, returning a change-point index or None.
 
@@ -644,7 +638,8 @@ def detect_with_score(window, config: DetectorConfig) -> tuple[int | None, float
     """Like :func:`detect` but also returns a per-window diagnostic score.
 
     For FLUSS the score is the (combined) CAC minimum; for segmentation
-    methods it is the number of breakpoints found.
+    methods it is the number of breakpoints found, from the public solver
+    under the config's own penalty (KCPD is :func:`pelt` over its rbf cost).
 
     FLUSS alerts at the CAC minimum when it lies below the threshold; under
     channel rule "any" the lowest channel wins, under "sum" the channels'
@@ -652,55 +647,70 @@ def detect_with_score(window, config: DetectorConfig) -> tuple[int | None, float
     flat channels (no regime structure) never alert.
     """
     memo = window._memo if isinstance(window, Window) else {}
-    key = workspace_key(config)
     if config.method == "FLUSS":
-        x = _window_samples(window, config.znorm, memo)
-        n = x.shape[0]
-        excl = (config.m + 1) // 2
-        if n < config.m + excl + 1:
+        minima = _fluss_minima(window, config.m, config.znorm, memo)
+        if minima is None:
             return None, 1.0
-        if key not in memo:  # each rule's minimum, which every threshold compares
-            curves = _fluss_curves(x, config.m)
-            memo[key] = {"any": _fluss_best(curves), "sum": _fluss_best([np.mean(curves, axis=0)])}
-        pos, val = memo[key][config.channel_rule]
+        pos, val = minima[config.channel_rule]
         return (pos if val < config.threshold else None), val
-    if key not in memo:
-        memo[key] = _cost_tables(window, config, memo)
-    solves = memo.setdefault(_solve_key(config), {})
-    if solves.get(config.penalty) is None:
-        # the first config of a solve key on a window solves every penalty
-        # noted for it (see share_solves), its own among them, unless a
-        # solve at an earlier window has (see _solve)
-        solves[config.penalty] = None
-        todo = [p for p, seg in solves.items() if seg is None]
-        solves.update(zip(todo, _solve(window, config, todo, memo[key])))
-    seg = solves[config.penalty]
+    solver = {"PELT": pelt, "KCPD": pelt, "BINSEG": binseg, "BOTTOMUP": bottomup}[config.method]
+    seg = solver(_cost_tables(window, config, memo), config.cost, config.penalty, config.min_size)
     if seg.breakpoints:
         return seg.breakpoints[-1], float(len(seg.breakpoints))
     return None, 0.0
 
 
-def _solve(window, config: DetectorConfig, penalties: list[float],
-           cache: CostCache) -> list[Segmentation]:
-    """The window's segmentations under each penalty. In a replay, PELT
-    and KCPD solve later windows of the replay in the same pass (see
-    :func:`_batch`), up to the first by which every penalty has fired, and
-    write their segmentations into those windows' memos."""
-    if config.method == "BINSEG":
-        return binseg(cache, config.cost, penalties, config.min_size)
-    if config.method == "BOTTOMUP":
-        return bottomup(cache, config.cost, penalties, config.min_size)
-    in_replay = isinstance(window, Window) and window._cycle_memo is not None
-    later = _batch(window, config, len(penalties)) if in_replay else []
-    key = workspace_key(config)
-    caches = [cache, *(w._memo[key] for w in later)]
-    if config.method == "PELT":
-        segs = pelt(caches, config.cost, penalties, config.min_size)
+def solve_key(config: DetectorConfig) -> tuple:
+    """What one solve on a window serves: a segmenter's workspace and
+    min_size, whatever the penalty (KCPD is PELT over the rbf cost), or
+    FLUSS's workspace, whatever the threshold and channel rule."""
+    if config.method == "FLUSS":
+        return workspace_key(config)
+    method = "PELT" if config.method == "KCPD" else config.method
+    return (method, config.cost.label, config.znorm, config.min_size)
+
+
+def _change_points(window: Window, config: DetectorConfig, axis: np.ndarray,
+                   sums: np.ndarray) -> np.ndarray:
+    """The change point on a replay window of each running config of
+    ``config``'s solve key, -1 where it does not fire: the last breakpoint
+    under its penalty in ``axis``, or FLUSS's arc-curve minimum under its
+    channel rule ("sum" where ``sums``) if below its threshold in ``axis``."""
+    memo, key = window._memo, solve_key(config)
+    if config.method == "FLUSS":
+        minima = _fluss_minima(window, config.m, config.znorm, memo)
+        if minima is None:
+            return np.full(axis.size, -1)
+        (pos_any, val_any), (pos_sum, val_sum) = minima["any"], minima["sum"]
+        fires = np.where(sums, val_sum, val_any) < axis
+        return np.where(fires, np.where(sums, pos_sum, pos_any), -1)
+    if key not in memo:  # else a PELT solve at an earlier window has put it there
+        _solve(window, config, _distinct(axis))
+    distinct, last = memo[key]
+    last = last[np.searchsorted(distinct, axis)]
+    return np.where(last > 0, last, -1)
+
+
+def _solve(window: Window, config: DetectorConfig, penalties: np.ndarray) -> None:
+    """Solve ``config``'s key on a replay window under the distinct
+    ascending ``penalties`` with the public solvers' code, but no totals or
+    :class:`Segmentation`, and put (penalties, last breakpoints) in its
+    memo. PELT also solves the later windows of :func:`_batch`, up to the
+    first by which every penalty has had a breakpoint, into their memos."""
+    key, min_size = solve_key(config), config.min_size
+    cache = _cost_tables(window, config, window._memo)
+    if config.method in ("BINSEG", "BOTTOMUP"):
+        found = (_binseg if config.method == "BINSEG" else _bottomup)(cache, penalties, min_size)
+        window._memo[key] = penalties, np.array([b[-1] if b else 0 for b in found])
+    elif window.end_index < 2 * min_size:  # one segment under any penalty
+        window._memo[key] = penalties, np.zeros(penalties.size, dtype=int)
     else:
-        segs = kcpd(caches, penalties, config.min_size, config.cost)
-    for w, w_segs in zip(later, segs[1:]):
-        w._memo.setdefault(_solve_key(config), {}).update(zip(penalties, w_segs))
-    return segs[0]
+        batch = [(window, cache), *_batch(window, config, penalties.size)]
+        caches, ns = [c for _, c in batch], [w.end_index for w, _ in batch]
+        while not (program := _PeltProgram(penalties, min_size, caches, ns)).advance():
+            caches, ns = caches[:program.solved], ns[:program.solved]  # before the failed read
+        for w, (later, _) in enumerate(batch[:program.solved]):
+            later._memo[key] = penalties, program.last_breakpoints(w)
 
 
 # Most cells one batch of windows holds: each window's (n + 1)^2 cost table
@@ -710,30 +720,28 @@ def _solve(window, config: DetectorConfig, penalties: list[float],
 _BATCH_CELLS = 1 << 22
 
 
-def _batch(window: Window, config: DetectorConfig, rows: int) -> list[Window]:
-    """The later windows of the replay that one solve at ``window`` covers
-    (the solve stops after the window by which its configs have all
-    fired), each with its cost tables (and any z-normalized samples
-    they were built from) in its memo. For a cycle-level
-    config, every later window, each holding a prefix of the cycle's
-    tables. Otherwise the replay's windows after the i-th, ``window``, up
-    to the 2i-th, within _BATCH_CELLS; a window whose tables fail to build
-    ends the batch, its error raised when the replay reaches it."""
+def _batch(window: Window, config: DetectorConfig,
+           rows: int) -> list[tuple[Window, CostCache]]:
+    """The later windows that one PELT solve at a replay's i-th window,
+    ``window``, covers, each with the cache its costs are read through: for
+    a cycle-level config every later window, through the cycle's tables;
+    otherwise those up to the 2i-th within _BATCH_CELLS, through their own
+    tables, built into their memos. A window whose tables fail to build ends
+    the batch; its error is raised when the replay reaches it."""
     windows, end = window._cycle_memo["windows"], window.end_index
     first = bisect.bisect_right(windows, end, key=lambda w: w.end_index)  # past window's index
-    per_window = not cycle_level(config)
-    key, cells = workspace_key(config), (end + 1) * (end + 1 + rows)
-    batch = []
-    for later in windows[first:2 * first - 1] if per_window else windows[first:]:
+    if cycle_level(config):
+        whole = window._cycle_memo[workspace_key(config)]
+        return [(later, whole) for later in windows[first:]]
+    cells, batch = (end + 1) * (end + 1 + rows), []
+    for later in windows[first:2 * first - 1]:
         cells += (later.end_index + 1) * (later.end_index + 1 + rows)
-        if per_window and cells > _BATCH_CELLS:
+        if cells > _BATCH_CELLS:
             break
-        if key not in later._memo:
-            try:
-                later._memo[key] = _cost_tables(later, config, later._memo)
-            except Exception:
-                break
-        batch.append(later)
+        try:
+            batch.append((later, _cost_tables(later, config, later._memo)))
+        except Exception:
+            break
     return batch
 
 
@@ -746,31 +754,16 @@ def cycle_level(config: DetectorConfig) -> bool:
 
 
 def _cost_tables(window, config: DetectorConfig, memo: dict) -> CostCache:
-    """A window's cost tables: in a replay (a window with a cycle memo), for
-    a cycle-level config, a prefix of the cycle's tables, shared with the
-    replay's other windows; else the window's own."""
-    shared = window._cycle_memo if isinstance(window, Window) else None
-    if shared is not None and cycle_level(config):
-        key = workspace_key(config)
-        if key not in shared:
-            shared[key] = CostCache(window.cycle.samples, config.cost)
-        return shared[key].prefix(window.end_index)
-    return CostCache(_window_samples(window, config.znorm, memo), config.cost)
-
-
-def _solve_key(config: DetectorConfig) -> tuple:
-    """What one solve serves: a segmenter's workspace and min_size, whatever
-    the penalty. KCPD is PELT over the rbf cost, so the two share solves."""
-    method = "PELT" if config.method == "KCPD" else config.method
-    return ("solve", method, workspace_key(config), config.min_size)
-
-
-def share_solves(window: Window, configs: Sequence[DetectorConfig]) -> None:
-    """Note on ``window`` the penalties ``configs`` need per solve key, so that
-    the first of them detected on the window solves them all in one call.
-    :func:`~maintseg.protocol.replay` calls it with the configs still
-    running on each window; a detection without it solves its own penalty.
-    """
-    for config in configs:
-        if config.method != "FLUSS":
-            window._memo.setdefault(_solve_key(config), {}).setdefault(config.penalty, None)
+    """A window's cost tables, kept in ``memo`` under the workspace key: for
+    a cycle-level config on a window with a cycle memo, a prefix of the
+    cycle's tables, kept in the cycle memo; else the window's own."""
+    key = workspace_key(config)
+    if key not in memo:
+        shared = window._cycle_memo if isinstance(window, Window) else None
+        if shared is not None and cycle_level(config):
+            if key not in shared:
+                shared[key] = CostCache(window.cycle.samples, config.cost)
+            memo[key] = shared[key].prefix(window.end_index)
+        else:
+            memo[key] = CostCache(_window_samples(window, config.znorm, memo), config.cost)
+    return memo[key]

@@ -5,22 +5,25 @@ Only the first alert counts; in the field a raised alert triggers
 maintenance, which makes any later alert for the same cycle worthless.
 
 :func:`replay` is the one replay loop. It walks a cycle's windows once for
-a whole list of configs, so every config still running on a window shares
-that window's memo (see :class:`~maintseg.core.Window`), and the penalties
-of those configs that share a solver, cost and min_size are solved together.
-The tables that depend on the cycle alone are kept in one memo for all the
-cycle's windows; the tables and segmentations that one batched PELT solve
-makes ahead for a later window go into that window's own memo.
+a whole list of configs, grouped by solve key (``detectors.solve_key``):
+at each window every key with configs still running makes one call, which
+reads the last breakpoint under each of their penalties (or FLUSS's two
+channel rules' arc-curve minima) and compares the whole penalty or
+threshold axis at once. Configs that fire drop out of the arrays.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .core import LifeCycle, Window, prefix_windows
-from .detectors import DetectorConfig, detect, detect_with_score, share_solves
+import numpy as np
+
+from .core import LifeCycle, prefix_windows
+# detect is not called here; bench/tracing.py times the detector under this name
+from .detectors import (DetectorConfig, _change_points, detect,  # noqa: F401
+                        detect_with_score, solve_key)
 
 __all__ = ["Alert", "Verdict", "ALERT_TIMINGS", "replay", "run_streaming",
            "run_streaming_trace", "classify", "WindowTrace"]
@@ -53,54 +56,50 @@ class Verdict(enum.Enum):
     FN = "FN"
 
 
-Detector = Callable[[Window, DetectorConfig], Optional[int]]
-
-
 def replay(cycle: LifeCycle, configs: Sequence[DetectorConfig], step: int = 7,
-           alert_at: str = "window-end", detector: Optional[Detector] = None,
-           ) -> list[Union[Alert, None, Exception]]:
+           alert_at: str = "window-end") -> list[Union[Alert, None, Exception]]:
     """Evaluate growing prefix windows in order; each config stops at its
-    first alert.
+    first alert. Returns one outcome per config: its first :class:`Alert`,
+    None when no window fired, or the exception its solve key raised on a
+    window (which stops that key's configs only).
 
-    At each window end every config that has not fired yet is detected, in
-    the given order. Returns one outcome per config: its first
-    :class:`Alert`, None when no window fired, or the exception its
-    detection raised (which stops that config only). ``detector`` replaces
-    the default dispatch, for instrumentation.
-
-    The windows share a cycle memo. A PELT or KCPD solve at one window
-    also solves later windows in the same column walk, up to the window by
-    which its configs have all fired, and writes their segmentations and
-    tables into their memos. The segmenters whose tables depend on the
-    cycle alone (``detectors.cycle_level``) read prefixes of one set of
-    tables, kept in the cycle memo, so their first solve covers every
-    window; for the others, a solve on the i-th window covers the windows
-    up to the 2i-th, within a stated memory budget. Each window's memo is
-    cleared once the window is done, and the cycle memo, with what it
-    holds for the windows not reached, when the replay returns or raises.
+    The windows share a cycle memo, which holds the tables that depend on
+    the cycle alone (``detectors.cycle_level``). A PELT or KCPD solve at
+    one window also solves later ones (see ``detectors._batch``) and puts
+    their tables and last breakpoints in their memos. Each window's memo is
+    cleared once the window is done, and the cycle memo, with what it holds
+    for the windows not reached, when the replay returns or raises.
     """
     if alert_at not in ALERT_TIMINGS:
         raise ValueError(f"alert_at must be one of {ALERT_TIMINGS}")
-    run = detector or detect
     outcomes: list[Union[Alert, None, Exception]] = [None] * len(configs)
-    running = list(range(len(configs)))
+    keys: dict[tuple, list[int]] = {}
+    for i, config in enumerate(configs):
+        keys.setdefault(solve_key(config), []).append(i)
+    # per key: one of its configs, and its running configs' indices,
+    # penalties or thresholds, and whether their channel rule is "sum"
+    running = [(family[0], np.array(ids),
+                np.array([c.threshold if c.penalty is None else c.penalty for c in family]),
+                np.array([c.channel_rule == "sum" for c in family]))
+               for ids in keys.values() for family in [[configs[i] for i in ids]]]
     cycle_memo: dict = {}
     try:
         for window in prefix_windows(cycle, step, cycle_memo):
-            end = window.end_index
-            share_solves(window, [configs[i] for i in running])
-            for i in running:
+            end, left = window.end_index, []
+            for config, ids, axis, sums in running:
                 try:
-                    cp = run(window, configs[i])
-                    if cp is not None:
-                        cp = int(cp)
-                        outcomes[i] = Alert(step_end_index=end, change_point_index=cp,
-                                            a=end if alert_at == "window-end" else cp)
-                except Exception as exc:  # the other configs go on
-                    outcomes[i] = exc
+                    cps = _change_points(window, config, axis, sums)
+                except Exception as exc:  # the other keys go on
+                    for i in ids.tolist():
+                        outcomes[i] = exc
+                    continue
+                fired = cps >= 0
+                for i, cp in zip(ids[fired].tolist(), cps[fired].tolist()):
+                    outcomes[i] = Alert(end, cp, end if alert_at == "window-end" else cp)
+                if not fired.all():
+                    left.append((config, ids[~fired], axis[~fired], sums[~fired]))
             window._memo.clear()
-            running = [i for i in running if outcomes[i] is None]
-            if not running:  # before the next window, which may hold tables
+            if not (running := left):  # before the next window, which may hold tables
                 break
     finally:  # the windows and the cycle memo link each other; a traceback may hold them
         cycle_memo.clear()
@@ -108,11 +107,10 @@ def replay(cycle: LifeCycle, configs: Sequence[DetectorConfig], step: int = 7,
 
 
 def run_streaming(cycle: LifeCycle, config: DetectorConfig, step: int = 7,
-                  alert_at: str = "window-end", detector: Optional[Detector] = None,
-                  ) -> Optional[Alert]:
+                  alert_at: str = "window-end") -> Optional[Alert]:
     """:func:`replay` of one config: its first alert, or None when no
     window fires. A failed detection raises."""
-    (outcome,) = replay(cycle, [config], step, alert_at, detector)
+    (outcome,) = replay(cycle, [config], step, alert_at)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -131,16 +129,24 @@ class WindowTrace:
 def run_streaming_trace(cycle: LifeCycle, config: DetectorConfig, step: int = 7,
                         alert_at: str = "window-end",
                         ) -> tuple[Optional[Alert], list[WindowTrace]]:
-    """:func:`run_streaming` with one trace row per evaluated window
-    (so len(trace) = windows evaluated)."""
+    """:func:`run_streaming` with one trace row per evaluated window (so
+    len(trace) = windows evaluated), each detected by
+    :func:`~maintseg.detectors.detect_with_score` over the cycle's tables."""
+    if alert_at not in ALERT_TIMINGS:
+        raise ValueError(f"alert_at must be one of {ALERT_TIMINGS}")
     trace: list[WindowTrace] = []
-
-    def recording(window: Window, cfg: DetectorConfig) -> Optional[int]:
-        cp, score = detect_with_score(window, cfg)
-        trace.append(WindowTrace(window.end_index, cp is not None, cp, score))
-        return cp
-
-    return run_streaming(cycle, config, step, alert_at, detector=recording), trace
+    cycle_memo: dict = {}
+    try:
+        for window in prefix_windows(cycle, step, cycle_memo):
+            cp, score = detect_with_score(window, config)
+            trace.append(WindowTrace(window.end_index, cp is not None, cp, score))
+            window._memo.clear()
+            if cp is not None:
+                end = window.end_index
+                return Alert(end, cp, end if alert_at == "window-end" else cp), trace
+    finally:
+        cycle_memo.clear()
+    return None, trace
 
 
 def classify(alert: Optional[Alert], n: float, pp: float, rd: float) -> Verdict:

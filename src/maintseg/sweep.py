@@ -3,11 +3,12 @@
 The work unit is one (cycle, family) task: the configs of one
 ``detectors.workspace_key`` (segmenters of one cost label and znorm setting,
 FLUSS configs of one m and znorm setting) replayed together over the
-cycle's windows, so they share each window's cost tables or FLUSS curves.
-Records are still one per (cycle, config) pair and failures are recorded
-per pair. Results are appended to disk as each task finishes, and the
-final table is canonically sorted so output is identical at any worker
-count. A results file and its ``.meta.json`` sidecar are one unit: an
+cycle's windows, so they share each window's cost tables or FLUSS curves,
+and the replay solves each of the family's solve keys (method and
+min_size) once per window for all its penalties. Records are still one
+per (cycle, config) pair and failures are recorded per pair. Results are
+appended to disk as each task finishes, and the final table is
+canonically sorted so output is identical at any worker count. A results file and its ``.meta.json`` sidecar are one unit: an
 interrupted run resumes only with its sidecar and the same corpus, grid
 and settings, and another grid needs another results file.
 """

@@ -15,10 +15,11 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from maintseg.core import LifeCycle, parse_timestamp
+from maintseg.core import LifeCycle, Window, parse_timestamp, prefix_windows
 from maintseg.costs import NORMAL_EPS, SegmentCost
-from maintseg.detectors import _PELT_BLOCK, _PeltProgram
+from maintseg.detectors import _PELT_BLOCK, _PeltProgram, detect
 from maintseg.ingest import EventTable, LogFormat, ParseQualityError, ParseResult
+from maintseg.protocol import ALERT_TIMINGS, Alert
 
 EPOCH = datetime(2021, 6, 1, tzinfo=timezone.utc)
 
@@ -33,6 +34,37 @@ def make_cycle(samples, atm_id="atm1", cycle_index=0, period=24.0,
         atm_id=atm_id, cycle_index=cycle_index, start_time=EPOCH,
         end_time=EPOCH + timedelta(hours=period * samples.shape[0]),
         feature_names=names, samples=samples, period=period)
+
+
+def per_window(window, config):
+    """Each (window, config) detected alone on a fresh window, so with the
+    window's own cost tables and a one-penalty solve from t = 0."""
+    return detect(Window(window.cycle, window.end_index), config)
+
+
+def oracle_replay(cycle, configs, step=7, alert_at="window-end", detector=per_window):
+    """The first-alert replay one config at a time, the reference that
+    ``protocol.replay`` must match outcome for outcome: at each window every
+    config that has not fired is detected by ``detector`` in the given
+    order, and stops at its first alert or at the exception its detection
+    raised."""
+    if alert_at not in ALERT_TIMINGS:
+        raise ValueError(f"alert_at must be one of {ALERT_TIMINGS}")
+    outcomes = [None] * len(configs)
+    running = list(range(len(configs)))
+    for window in prefix_windows(cycle, step):
+        end = window.end_index
+        for i in running:
+            try:
+                cp = detector(window, configs[i])
+                if cp is not None:
+                    outcomes[i] = Alert(end, int(cp), end if alert_at == "window-end" else int(cp))
+            except Exception as exc:  # the other configs go on
+                outcomes[i] = exc
+        running = [i for i in running if outcomes[i] is None]
+        if not running:
+            break
+    return outcomes
 
 
 def parse_rows(fh, fmt: LogFormat) -> ParseResult:
@@ -163,14 +195,14 @@ class GatheredPeltProgram(_PeltProgram):
     left as they were.
     """
 
-    def __init__(self, penalties, min_size, caches):
-        super().__init__(penalties, min_size, caches)
+    def __init__(self, penalties, min_size, caches, ns):
+        super().__init__(penalties, min_size, caches, ns)
         self.candidate = np.zeros(self.F.shape, dtype=bool)
         self.candidate[:, 0] = True
 
     def advance(self) -> bool:
         size, min_size = self.penalties.size, self.min_size
-        ns = [cache.n for cache in self.caches]
+        ns = self.ns
         broken = np.zeros(size, dtype=bool)
         lengths = [ends[-1] for ends in self.ends]
         cuts = sorted({n for ends in self.ends for n in ends[:-1]} | {lengths[-1]})
@@ -218,7 +250,7 @@ class GatheredPeltProgram(_PeltProgram):
         costs = np.empty((len(self.groups), stop - first, last + 1))
         for g in range(done, len(self.groups)):
             w = self.groups[g][bisect.bisect_left(self.ends[g], first)]
-            j = np.searchsorted(column, self.caches[w].n - first, side="right")
+            j = np.searchsorted(column, self.ns[w] - first, side="right")
             try:
                 costs[g, column[:j], seg_starts[:j]] = self.caches[w].values(seg_starts[:j],
                                                                              seg_ends[:j])

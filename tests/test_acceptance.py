@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import maintseg.protocol as protocol_mod
 from maintseg.core import BusinessParams, znormalize
 from maintseg.costs import SegmentCost
 from maintseg.detectors import DetectorConfig, detect, matrix_profile, pelt
@@ -130,12 +131,13 @@ def test_criterion_5_first_alert_semantics():
         cycle = make_cycle(np.zeros(70))
         calls = []
 
-        def fires_on_3_and_5(window, config):
+        def fires_on_3_and_5(window, config, axis, sums):
             calls.append(window.end_index)
-            return 1 if len(calls) in (3, 5) else None
+            return np.full(axis.size, 1 if len(calls) in (3, 5) else -1)
 
-        alert = run_streaming(cycle, DetectorConfig("PELT", penalty=1.0),
-                              step=7, detector=fires_on_3_and_5)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(protocol_mod, "_change_points", fires_on_3_and_5)
+            alert = run_streaming(cycle, DetectorConfig("PELT", penalty=1.0), step=7)
         assert alert is not None
         assert alert.step_end_index == 21  # the third window
         assert calls == [7, 14, 21]  # later windows provably not evaluated

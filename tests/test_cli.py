@@ -440,14 +440,14 @@ class TestSweepCommand:
 
     def test_partial_results_exit_code_2(self, corpus, tmp_path, capsys, monkeypatch):
         import maintseg.protocol as protocol_mod
-        real = protocol_mod.detect
+        real = protocol_mod._change_points
 
-        def sabotaged(window, config):
+        def sabotaged(window, config, *args):
             if config.method == "FLUSS":
                 raise RuntimeError("boom")
-            return real(window, config)
+            return real(window, config, *args)
 
-        monkeypatch.setattr(protocol_mod, "detect", sabotaged)
+        monkeypatch.setattr(protocol_mod, "_change_points", sabotaged)
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps(TINY_GRID))
         out = tmp_path / "sweep"
@@ -459,19 +459,19 @@ class TestSweepCommand:
                                                        monkeypatch):
         import os
         import maintseg.protocol as protocol_mod
-        real = protocol_mod.detect
+        real = protocol_mod._change_points
 
-        def dies(window, config):
+        def dies(window, config, *args):
             if config.method == "FLUSS":
                 os._exit(1)
-            return real(window, config)
+            return real(window, config, *args)
 
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps(TINY_GRID))
         args = ["sweep", str(corpus), "--grid", str(grid), "--workers", "2"]
         assert main([*args, "--out", str(tmp_path / "fresh")]) == 0
         with monkeypatch.context() as m:
-            m.setattr(protocol_mod, "detect", dies)
+            m.setattr(protocol_mod, "_change_points", dies)
             assert main([*args, "--out", str(tmp_path / "sweep")]) == 2
         assert "partial" in capsys.readouterr().err
         assert main([*args, "--out", str(tmp_path / "sweep")]) == 0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import maintseg.detectors as detectors_mod
-from maintseg.core import Window, znormalize
+from maintseg.core import znormalize
 from maintseg.costs import PREFIX_KINDS, CostCache, SegmentCost, cost_from_label
 from maintseg.detectors import (
     DetectorConfig,
@@ -18,7 +18,9 @@ from maintseg.detectors import (
     kcpd,
     matrix_profile,
     pelt,
+    solve_key,
 )
+from maintseg.protocol import Alert, replay
 from maintseg.sweep import default_grid
 
 from conftest import (GatheredPeltProgram, exhaustive_segmentation, make_cycle, mp_brute_force,
@@ -427,28 +429,30 @@ class TestDetect:
                     DetectorConfig("FLUSS", threshold=0.45, m=5)):
             assert detect(x, cfg) == detect(x.copy(), cfg)
 
-    def test_kcpd_reads_the_pelt_solve_of_its_window(self, rng, monkeypatch):
+    def test_kcpd_shares_the_pelt_solve_of_its_window(self, rng, monkeypatch):
+        # KCPD is PELT over the rbf cost: one solve key, so a replay solves
+        # both at once; any other penalty is in the same solve, and another
+        # min_size, bandwidth or znorm setting is another key
         x = np.abs(rng.normal(1.0, 0.2, size=(40, 2)))
         x[28:] += 3.0
-        window = Window(make_cycle(x), 40)
-        solves = []
-        real = detectors_mod.kcpd
-        monkeypatch.setattr(detectors_mod, "kcpd",
-                            lambda *args: solves.append(args) or real(*args))
+        cycle = make_cycle(x)
         pelt_rbf = DetectorConfig("PELT", cost=SegmentCost("rbf"), penalty=0.5, min_size=3)
         kcpd_rbf = DetectorConfig("KCPD", penalty=0.5, min_size=3)
-        assert detect(window, pelt_rbf) == detect(window, kcpd_rbf) == 28
-        assert solves == []
-        # another penalty, min_size, bandwidth or znorm setting is another solve
-        others = [replace(kcpd_rbf, penalty=0.6), replace(kcpd_rbf, min_size=2),
-                  replace(kcpd_rbf, cost=SegmentCost("rbf", gamma=1.0)),
-                  replace(kcpd_rbf, znorm=True)]
-        for i, other in enumerate(others, 1):
-            assert detect(window, other) == detect(x, other)
-            assert len(solves) == 2 * i
-        # without a window memo (or on a fresh window) KCPD solves itself
-        assert detect(x, kcpd_rbf) == detect(Window(window.cycle, 40), kcpd_rbf) == 28
-        assert len(solves) == 2 * len(others) + 2
+        assert detect(x, pelt_rbf) == detect(x, kcpd_rbf) == 28
+        others = [replace(kcpd_rbf, min_size=2), replace(kcpd_rbf, znorm=True),
+                  replace(kcpd_rbf, cost=SegmentCost("rbf", gamma=1.0))]
+        assert len({solve_key(c) for c in [pelt_rbf, kcpd_rbf, *others]}) == 1 + len(others)
+        assert solve_key(replace(kcpd_rbf, penalty=0.6)) == solve_key(pelt_rbf)
+        solves = []
+        real = detectors_mod._solve
+        monkeypatch.setattr(detectors_mod, "_solve",
+                            lambda window, config, penalties: solves.append(
+                                (solve_key(config), penalties.tolist()))
+                            or real(window, config, penalties))
+        configs = [pelt_rbf, kcpd_rbf, replace(kcpd_rbf, penalty=0.6), *others]
+        assert replay(cycle, configs, 40) == [Alert(40, 28, 40)] * len(configs)
+        assert solves == [(solve_key(pelt_rbf), [0.5, 0.6]),
+                          *((solve_key(c), [0.5]) for c in others)]
 
     def test_segmenters_accept_a_prebuilt_cache(self, rng):
         x = rng.normal(size=(30, 2))
@@ -515,16 +519,17 @@ class TestPenaltyPath:
     @pytest.mark.parametrize("label", ["l1", "l2", "normal", "rbf", "rbf:0.1"])
     def test_window_rows_equal_one_solve_per_window(self, label, znorm, min_size, rng):
         # one lockstep program over (window, penalty) rows, as a replay's
-        # batch solves its windows: each window's own tables (z-normalized
-        # per window, or with a median bandwidth of its own), windows
-        # shorter than 2 * min_size, equal lengths and a final partial
+        # batch solves its windows (those of at least 2 * min_size samples):
+        # each window's own tables (z-normalized per window, or with a
+        # median bandwidth of its own), equal lengths and a final partial
         # window. Where the cost has prefixes, also the prefixes of one
         # cache, as a replay solves a cycle-level family (whose l1 table the
         # whole cache's queries may have filled first), and those prefixes
         # mixed with windows' own tables
         spec = cost_from_label(label)
         x = _shifting_signal(rng, n=47)
-        ends = sorted([1, 2 * min_size - 1, 2 * min_size, 7, 14, 21, 28, 28, 35, 42, 47])
+        ends = sorted({2 * min_size, *range(7, 47, 7), 47} - set(range(2 * min_size)))
+        ends.insert(ends.index(28), 28)
         for signal in (x, np.round(x, 1)):
             windows = [znormalize(signal[:e]) if znorm else signal[:e] for e in ends]
             inputs = [[CostCache(w, spec) for w in windows]]
@@ -536,19 +541,18 @@ class TestPenaltyPath:
                            [CostCache(signal[:e], spec) if k % 3 else fresh.prefix(e)
                             for k, e in enumerate(ends)]]
             for caches in inputs:
-                got = pelt(caches, spec, PENALTY_PATH, min_size)
-                assert len(got) == len(windows)
-                for w, segs in zip(windows, got):
-                    assert _exactly(segs) == _exactly(pelt(CostCache(w, spec), spec,
-                                                           PENALTY_PATH, min_size))
+                program = detectors_mod._PeltProgram(np.unique(PENALTY_PATH), min_size, caches,
+                                                     [c.n for c in caches])
+                assert program.advance() and program.solved == len(caches)
                 # later windows read subsets of the program's penalties
-                long = [c for c in caches if c.n >= 2 * min_size]
-                program = detectors_mod._PeltProgram(np.unique(PENALTY_PATH), min_size, long)
-                program.advance()
-                for w, cache in enumerate(long):
-                    subset = PENALTY_PATH[w % 5::2]
-                    assert _exactly(program.segmentations(np.array(subset), w)) == \
-                        _exactly(pelt(CostCache(cache.signal, spec), spec, subset, min_size))
+                for w, window in enumerate(windows):
+                    for subset in (PENALTY_PATH, PENALTY_PATH[w % 5::2]):
+                        assert _exactly(program.segmentations(np.array(subset), w)) == \
+                            _exactly(pelt(CostCache(window, spec), spec, subset, min_size))
+                    # the replay's read of the same rows: each last breakpoint
+                    assert program.last_breakpoints(w).tolist() == \
+                        [s.breakpoints[-1] if s.breakpoints else 0
+                         for s in program.segmentations(program.penalties, w)]
 
     @pytest.mark.parametrize("min_size", [1, 2, 3, 7])
     @pytest.mark.parametrize("label", ["l1", "l2", "normal"])
@@ -559,9 +563,10 @@ class TestPenaltyPath:
         # penalties than the rows hold
         spec = cost_from_label(label)
         x = _shifting_signal(rng, n=80)
-        ends = [1, 2 * min_size - 1, 2 * min_size, 17, 30, 30, 45, 66, 79, 80]
-        subsets = [PENALTY_PATH, PENALTY_PATH, PENALTY_PATH, PENALTY_PATH[4:], PENALTY_PATH[9:],
-                   PENALTY_PATH[9:], [0.25, 3.0], PENALTY_PATH[:3], [3.0], PENALTY_PATH]
+        ends = [2 * min_size, 17, 30, 30, 45, 66, 79, 80]
+        subsets = [PENALTY_PATH, PENALTY_PATH[4:], PENALTY_PATH[9:], PENALTY_PATH[9:],
+                   [0.25, 3.0], PENALTY_PATH[:3], [3.0], PENALTY_PATH]
+        distinct = np.unique([*PENALTY_PATH, 0.25, 3.0])
         reads: list = []
 
         class Noted(CostCache):
@@ -572,49 +577,53 @@ class TestPenaltyPath:
         for signal in (x, np.round(x, 1)):
             whole, reads[:] = Noted(signal, spec), []
             prefixes = [whole.prefix(e) for e in ends]
-            got = pelt(prefixes, spec, PENALTY_PATH, min_size)
-            assert [_exactly(segs) for segs in got] == \
-                [_exactly(pelt(signal[:e], spec, PENALTY_PATH, min_size)) for e in ends]
-            long = sorted({e for e in ends if e >= 2 * min_size})
-            before = dict(zip(long, [0, *long]))  # each long prefix's end -> the one before it
+            program = detectors_mod._PeltProgram(distinct, min_size, prefixes, ends)
+            assert program.advance() and program.solved == len(ends)
+            long = sorted(set(ends))
+            before = dict(zip(long, [0, *long]))  # each prefix's end -> the one before it
             for n, stops in reads:
-                assert (before[n] < min(stops) and max(stops) <= n) if n in before \
-                    else stops == [n]
-            program = detectors_mod._PeltProgram(np.unique([*PENALTY_PATH, 0.25, 3.0]),
-                                                 min_size, [c for c in prefixes if c.n in before])
-            program.advance()
-            for w, cache in enumerate(program.caches):
-                subset = subsets[ends.index(cache.n)]
-                assert _exactly(program.segmentations(np.array(subset), w)) == \
-                    _exactly(pelt(signal[:cache.n], spec, subset, min_size))
+                assert before[n] < min(stops) and max(stops) <= n
+            # the same rows read through the whole cache up to each end, as a
+            # replay's cycle-level solve reads them: bitwise the same program
+            through = detectors_mod._PeltProgram(distinct, min_size, [whole] * len(ends), ends)
+            through.advance()
+            assert through.prev.tobytes() == program.prev.tobytes()
+            assert through.F.tobytes() == program.F.tobytes()
+            for w, (e, subset) in enumerate(zip(ends, subsets)):
+                for penalties in (PENALTY_PATH, subset):
+                    assert _exactly(program.segmentations(np.array(penalties), w)) == \
+                        _exactly(pelt(signal[:e], spec, penalties, min_size))
 
     def test_window_rows_stop_before_a_window_that_fails(self, rng):
-        # a window whose costs fail to read ends the result before it; when
-        # it is the first, its error propagates. Windows 3 and 19 fail: 3 is
-        # shorter than 2 * min_size and reads one cost, 19 is solved. The
-        # same holds for prefixes of one cache, which share their rows
+        # a window whose costs fail to read stops the program before it,
+        # with ``solved`` at its index, and the windows before it solve alone
+        # as the replay's retry does; when it is the first, its error
+        # propagates. The same holds for prefixes of one cache
         x = _shifting_signal(rng, n=40)
 
         class Failing(CostCache):
             def values(self, starts, ends):
-                if self.n in (3, 19):
+                if self.n == 19:
                     raise RuntimeError(f"window {self.n}")
                 return super().values(starts, ends)
 
-        ends = [2, 3, 10, 12, 19, 30, 40]
+        ends = [4, 10, 12, 19, 30, 40]
+        distinct = np.unique(PENALTY_PATH)
         whole = Failing(x, L2)
         for caches in ([Failing(x[:e], L2) for e in ends], [whole.prefix(e) for e in ends]):
-            for windows, solved in ((caches, [2]), (caches[2:], [10, 12]), (caches[:1], [2])):
-                assert [_exactly(segs) for segs in pelt(windows, L2, PENALTY_PATH, 2)] == \
-                    [_exactly(pelt(x[:e], L2, PENALTY_PATH, 2)) for e in solved]
-            for first in (caches[1:], caches[4:]):
-                with pytest.raises(RuntimeError, match=f"window {first[0].n}"):
-                    pelt(first, L2, PENALTY_PATH, 2)
+            program = detectors_mod._PeltProgram(distinct, 2, caches, ends)
+            assert not program.advance() and program.solved == 3
+            retry = detectors_mod._PeltProgram(distinct, 2, caches[:3], ends[:3])
+            assert retry.advance() and retry.solved == 3
+            assert [_exactly(retry.segmentations(distinct, w)) for w in range(3)] == \
+                [_exactly(pelt(x[:e], L2, distinct, 2)) for e in ends[:3]]
+            with pytest.raises(RuntimeError, match="window 19"):
+                detectors_mod._PeltProgram(distinct, 2, caches[3:], ends[3:]).advance()
 
     @pytest.mark.parametrize("min_size", [1, 3])
     @pytest.mark.parametrize("label", ["l1", "l2", "normal", "rbf"])
     def test_window_rows_stop_after_every_penalty_broke(self, label, min_size, rng):
-        # the list form stops after the first entry by which every penalty
+        # the program stops after the first entry by which every penalty
         # has found a breakpoint in some entry; with a penalty that never
         # breaks, it solves every entry. Prefixes of one cache read no cost
         # past that entry's end, and windows' own tables at most the rest
@@ -622,7 +631,7 @@ class TestPenaltyPath:
         spec = cost_from_label(label)
         x = rng.normal(size=(80, 2))
         x[50:] += 4.0
-        ends = [2 * min_size - 1, 10, 20, 30, 40, 50, 55, 60, 70, 80]
+        ends = [2 * min_size, 10, 20, 30, 40, 50, 55, 60, 70, 80]
         stops: list = []
 
         class Noted(CostCache):
@@ -639,18 +648,14 @@ class TestPenaltyPath:
             broke = np.logical_or.accumulate([[bool(s.breakpoints) for s in segs]
                                               for segs in full])
             last = next((k for k, row in enumerate(broke) if row.all()), len(ends) - 1)
-            assert (0 < last < len(ends) - 1) == (len(penalties) == 2)
+            assert (last < len(ends) - 1) == (len(penalties) == 2)
             for make, ahead in inputs:
                 stops[:] = []
-                got = pelt(make(), spec, penalties, min_size)
-                assert [_exactly(segs) for segs in got] == \
-                    [_exactly(segs) for segs in full[:last + 1]]
+                program = detectors_mod._PeltProgram(np.array(penalties), min_size, make(), ends)
+                assert program.advance() and program.solved == last + 1
+                assert [_exactly(program.segmentations(np.array(penalties), w))
+                        for w in range(last + 1)] == [_exactly(segs) for segs in full[:last + 1]]
                 assert ends[last] <= max(stops) <= ends[last] + ahead
-
-    def test_windows_must_not_shrink(self, rng):
-        x = _shifting_signal(rng)
-        with pytest.raises(ValueError):
-            pelt([x[:20], x[:10]], L2, 1.0, 2)
 
     def test_one_entry_sequence_is_the_float_form(self, rng):
         x = _shifting_signal(rng)
@@ -715,6 +720,8 @@ class TestPeltProgram:
         if spec.kind in PREFIX_KINDS:
             shapes["prefixes"] = lambda make, signal: [
                 whole.prefix(e) for whole in [make(signal)] for e in ends]
+            # one cache read up to each end, as a replay's cycle-level batch
+            shapes["through"] = lambda make, signal: [make(signal)] * len(ends)
             shapes["mixed"] = lambda make, signal: [
                 own(make, signal, k, e) if k % 3 else whole.prefix(e)
                 for whole in [make(signal)] for k, e in enumerate(ends)]
@@ -728,12 +735,15 @@ class TestPeltProgram:
                     runs = []
                     for kind in (detectors_mod._PeltProgram, GatheredPeltProgram):
                         reads: list = []
-                        program = kind(penalties, min_size,
-                                       shape(_noted(reads, fails_at), signal))
+                        caches = shape(_noted(reads, fails_at), signal)
+                        ns = ends if name == "through" else [c.n for c in caches]
+                        program = kind(penalties, min_size, caches, ns)
                         runs.append((program.advance(), program.solved, reads, program))
                     (ok, solved, reads, dense), (old_ok, old_solved, old_reads, old) = runs
                     assert (ok, solved) == (old_ok, old_solved), name
                     assert ok or solved == ends.index(fails_at), name
+                    for w in range(solved):
+                        assert (dense.last_breakpoints(w) == old.last_breakpoints(w)).all()
                     stopped += not ok
                     assert reads == old_reads, name
                     assert dense.F.tobytes() == old.F.tobytes(), name

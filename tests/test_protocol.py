@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 import maintseg.detectors as detectors_mod
+import maintseg.protocol as protocol_mod
 from maintseg.costs import CostCache, SegmentCost
-from maintseg.core import BusinessParams, Window, prefix_windows
-from maintseg.detectors import METHODS, DetectorConfig, cycle_level, detect, share_solves
+from maintseg.core import BusinessParams, prefix_windows
+from maintseg.detectors import METHODS, DetectorConfig, cycle_level
 from maintseg.protocol import (ALERT_TIMINGS, Alert, Verdict, classify, replay, run_streaming,
                                run_streaming_trace)
 from maintseg.sweep import _evaluate_family, build_grid, default_grid
 from maintseg.synth import SynthSpec, generate_corpus
 
-from conftest import make_cycle, two_regime_series
+from conftest import make_cycle, oracle_replay, per_window, two_regime_series
 
 NEVER_FIRES = DetectorConfig("PELT", penalty=1e12, min_size=2)
 PELT_L2 = DetectorConfig("PELT", cost=SegmentCost("l2"), penalty=1.0, min_size=2)
@@ -34,15 +35,16 @@ class TestRunStreaming:
         cycle = make_cycle(np.zeros(40))
         assert run_streaming(cycle, NEVER_FIRES, 7) is None
 
-    def test_first_fire_window_recorded(self):
+    def test_first_fire_window_recorded(self, monkeypatch):
         cycle = make_cycle(np.zeros(100))
         calls = []
 
-        def stub(window, config):
+        def stub(window, config, axis, sums):
             calls.append(window.end_index)
-            return 3 if window.end_index >= 14 else None
+            return np.full(axis.size, 3 if window.end_index >= 14 else -1)
 
-        alert = run_streaming(cycle, NEVER_FIRES, 7, detector=stub)
+        monkeypatch.setattr(protocol_mod, "_change_points", stub)
+        alert = run_streaming(cycle, NEVER_FIRES, 7)
         assert alert == Alert(step_end_index=14, change_point_index=3, a=14)
         assert calls == [7, 14]  # stopped immediately at the first alert
 
@@ -68,16 +70,17 @@ class TestRunStreaming:
             with pytest.raises(ValueError):
                 run_streaming(cycle, config, 7, alert_at="nonsense")
 
-    def test_window_budget(self):
+    def test_window_budget(self, monkeypatch):
         # at most ceil(n / T) windows are ever evaluated
         cycle = make_cycle(np.zeros(100))
         calls = []
 
-        def stub(window, config):
+        def stub(window, config, axis, sums):
             calls.append(window.end_index)
-            return None
+            return np.full(axis.size, -1)
 
-        assert run_streaming(cycle, NEVER_FIRES, 7, detector=stub) is None
+        monkeypatch.setattr(protocol_mod, "_change_points", stub)
+        assert run_streaming(cycle, NEVER_FIRES, 7) is None
         assert len(calls) == 15  # ceil(100 / 7)
 
     def test_trace_rows_match_windows_evaluated(self):
@@ -90,11 +93,24 @@ class TestRunStreaming:
         _, full_trace = run_streaming_trace(cycle, NEVER_FIRES, 7)
         assert [t.end_index for t in full_trace] == [7, 14, 21, 28, 35]
 
-
-def per_window(window, config):
-    """The oracle: each (window, config) detected alone on a fresh window, so
-    with the window's own cost tables and a one-penalty solve from t = 0."""
-    return detect(Window(window.cycle, window.end_index), config)
+    @pytest.mark.parametrize("alert_at", ALERT_TIMINGS)
+    def test_trace_alerts_equal_the_replay(self, alert_at):
+        # the trace detects each window with detect_with_score, one config
+        # at a time; its alerts are the replay's, its scores the oracle's
+        spec = SynthSpec(n_days_min=90, n_days_max=90, change_offset_days=22)
+        (cycle,) = generate_corpus(90, 1, spec)
+        cycle = make_cycle(np.column_stack([cycle.samples, two_regime_series(90, 60) + 2.0]))
+        configs = DEFAULT_GRID[::29]
+        traced = [run_streaming_trace(cycle, c, 7, alert_at) for c in configs]
+        assert [alert for alert, _ in traced] == replay(cycle, configs, 7, alert_at)
+        assert {c.method for c, (alert, _) in zip(configs, traced) if alert} == set(METHODS)
+        windows = {w.end_index: w for w in prefix_windows(cycle, 7)}
+        for config, (_, trace) in zip(configs, traced):
+            for row in trace:
+                cp, score = detectors_mod.detect_with_score(windows[row.end_index], config)
+                assert (row.change_point, row.score) == (cp, score)
+        with pytest.raises(ValueError):
+            run_streaming_trace(cycle, configs[0], 7, alert_at="nonsense")
 
 
 _ORACLE: dict = {}
@@ -140,7 +156,7 @@ class TestReplay:
     @pytest.mark.parametrize("alert_at", ALERT_TIMINGS)
     @pytest.mark.parametrize("hourly,step,every", [(False, 7, 11), (True, 48, 23)],
                              ids=["daily", "hourly"])
-    def test_equals_one_run_per_config(self, hourly, step, every, alert_at):
+    def test_equals_one_run_per_config(self, hourly, step, every, alert_at, monkeypatch):
         n = 240 if hourly else 90
         spec = SynthSpec(n_days_min=n, n_days_max=n, period_hours=1.0 if hourly else 24.0,
                          change_offset_days=n // 4)
@@ -150,13 +166,16 @@ class TestReplay:
                                                 two_regime_series(n, 60) + 2.0]))
         configs = DEFAULT_GRID[::every]
         detected = []
+        real = protocol_mod._change_points
 
-        def noting(window, config):
+        def noting(window, config, axis, sums):
             detected.append((window.end_index, config))
-            return detect(window, config)
+            return real(window, config, axis, sums)
 
-        expected = replay(cycle, configs, step, alert_at, detector=per_window)
-        assert replay(cycle, configs, step, alert_at, detector=noting) == expected
+        expected = oracle_replay(cycle, configs, step, alert_at)
+        monkeypatch.setattr(protocol_mod, "_change_points", noting)
+        assert replay(cycle, configs, step, alert_at) == expected
+        monkeypatch.undo()
         assert [run_streaming(cycle, c, step, alert_at) for c in configs] == expected
         assert {c.method for c, alert in zip(configs, expected) if alert} == set(METHODS)
         assert None in expected
@@ -175,12 +194,27 @@ class TestReplay:
                    if c.method != "FLUSS" and c.cost.label in ("l1", "rbf")
                    or c.method == "KCPD" and c.cost.label == "rbf:0.1"]
         assert len(configs) == 4 * 2 * 12 * 3 * 2
-        expected = replay(cycle, configs, 7, alert_at, detector=per_window)
+        expected = oracle_replay(cycle, configs, 7, alert_at)
         assert replay(cycle, configs, 7, alert_at) == expected
         assert [run_streaming(cycle, c, 7, alert_at) for c in configs] == expected
         # configs stop at different windows, so later windows solve fewer penalties
         assert len({alert.step_end_index for alert in expected if alert}) >= 3
         assert None in expected
+
+    @pytest.mark.parametrize("alert_at", ALERT_TIMINGS)
+    def test_zero_and_repeated_penalties_equal_one_run_per_config(self, alert_at):
+        # a key's penalty axis unsorted, with 0.0, -0.0 and repeats: each
+        # config reads its own penalty's last breakpoint
+        spec = SynthSpec(n_days_min=60, n_days_max=60, change_offset_days=20)
+        (cycle,) = generate_corpus(9, 1, spec)
+        configs = [DetectorConfig(method, cost=SegmentCost(label), penalty=p, min_size=2,
+                                  znorm=znorm)
+                   for method, label in (("PELT", "l2"), ("BINSEG", "l1"), ("BOTTOMUP", "l2"),
+                                         ("KCPD", "rbf"), ("PELT", "rbf"))
+                   for znorm in (False, True) for p in (5.0, 0.0, 1e9, -0.0, 0.5, 5.0, 0.0)]
+        expected = oracle_replay(cycle, configs, 7, alert_at)
+        assert replay(cycle, configs, 7, alert_at) == expected
+        assert None in expected and len({a.step_end_index for a in expected if a}) >= 2
 
     @pytest.mark.parametrize("alert_at", ALERT_TIMINGS)
     def test_batched_windows_equal_one_run_per_config(self, alert_at):
@@ -194,7 +228,7 @@ class TestReplay:
                    and c.penalty in GRID_PENALTIES[::3]]
         assert {c.method for c in configs} == set(METHODS) - {"FLUSS"}
         assert len(configs) == 828 // 3
-        expected = replay(cycle, configs, 24, alert_at, detector=_oracle_once)
+        expected = oracle_replay(cycle, configs, 24, alert_at, _oracle_once)
         assert replay(cycle, configs, 24, alert_at) == expected
         # configs stop in several batches, and some never fire
         assert len({alert.step_end_index for alert in expected if alert}) >= 4
@@ -228,23 +262,23 @@ class TestReplay:
 
     def test_batch_cells_stay_within_the_budget(self, monkeypatch):
         # a step-1 replay of a long cycle: the batches grow to the cell
-        # budget, never past it, and always hold their first window
+        # budget, never past it, and always hold their first window; the
+        # windows shorter than 2 * min_size need no program
         cycle = make_cycle(np.random.default_rng(4).gamma(2.0, size=(300, 2)))
         batches = []
-        real = detectors_mod.pelt
+        class Noting(detectors_mod._PeltProgram):
+            def __init__(self, penalties, min_size, caches, ns):
+                batches.append(list(ns))
+                assert ns == [c.n for c in caches]  # each window's own tables
+                cells = sum((n + 1) * (n + 1 + len(penalties)) for n in ns)
+                assert len(ns) == 1 or cells <= detectors_mod._BATCH_CELLS
+                super().__init__(penalties, min_size, caches, ns)
 
-        def noting(signal, cost, penalties, min_size):
-            if isinstance(signal, list):
-                batches.append([c.n for c in signal])
-                cells = sum((n + 1) * (n + 1 + len(penalties)) for n in batches[-1])
-                assert len(signal) == 1 or cells <= detectors_mod._BATCH_CELLS
-            return real(signal, cost, penalties, min_size)
-
-        monkeypatch.setattr(detectors_mod, "pelt", noting)
+        monkeypatch.setattr(detectors_mod, "_PeltProgram", Noting)
         never = DetectorConfig("PELT", cost=SegmentCost("rbf", gamma=1.0), penalty=1e12,
                                min_size=2)
         assert replay(cycle, [never], 1) == [None]
-        assert [n for batch in batches for n in batch] == list(range(1, 301))
+        assert [n for batch in batches for n in batch] == list(range(4, 301))
         assert max(map(len, batches)) > 8  # doubling, then cut by the budget
         assert batches[-1][-1] == 300 and len(batches[-1]) < 150
 
@@ -258,7 +292,7 @@ class TestReplay:
         (cycle,) = generate_corpus(5, 1, spec)
         configs = [c for c in DEFAULT_GRID if c.method == "PELT" and cycle_level(c)
                    and c.penalty in GRID_PENALTIES[2::3]]
-        expected = replay(cycle, configs, 24, detector=_oracle_once)
+        expected = oracle_replay(cycle, configs, 24, detector=_oracle_once)
         assert None in expected and len({a.step_end_index for a in expected if a}) >= 2
         ends = [w.end_index for w in prefix_windows(cycle, 24)]
         reads, solves = [], []
@@ -268,21 +302,23 @@ class TestReplay:
                 reads.append((self.n, np.broadcast_to(stops, np.shape(starts)).tolist()))
                 return super().values(starts, stops)
 
-        real = detectors_mod.pelt
-
-        def noting(signal, cost, penalties, min_size):
-            solves.append((cost.label, min_size, [c.n for c in signal]))
-            return real(signal, cost, penalties, min_size)
+        class Noting(detectors_mod._PeltProgram):
+            def __init__(self, penalties, min_size, caches, ns):
+                solves.append((caches[0].spec.label, min_size, list(ns)))
+                # the first window's prefix, then the cycle's tables themselves
+                assert {c.whole or c for c in caches} == {caches[-1]} and caches[-1].n == cycle.n
+                super().__init__(penalties, min_size, caches, ns)
 
         monkeypatch.setattr(detectors_mod, "CostCache", Noted)
-        monkeypatch.setattr(detectors_mod, "pelt", noting)
+        monkeypatch.setattr(detectors_mod, "_PeltProgram", Noting)
         assert replay(cycle, configs, 24) == expected
         keys = {(c.cost.label, c.min_size) for c in configs}
         assert sorted(solves) == sorted((*key, ends) for key in keys)
-        assert {n for n, _ in reads} == set(ends)
+        assert {n for n, _ in reads} == {ends[0], cycle.n}
         before = dict(zip(ends, [0, *ends]))  # each window's end -> the one before it
-        for n, stops in reads:
-            assert before[n] < min(stops) and max(stops) <= n
+        for _, stops in reads:  # a read's segments end inside one window's columns
+            end = ends[np.searchsorted(ends, min(stops))]
+            assert before[end] < min(stops) and max(stops) <= end
 
     def test_cycle_level_solve_stops_at_the_first_alert(self, monkeypatch):
         # one config that fires early, as `maintseg evaluate` replays it:
@@ -298,19 +334,18 @@ class TestReplay:
                 stops.append(int(np.max(ends)))
                 return super().values(starts, ends)
 
-        real = detectors_mod.pelt
-
-        def noting(*args, **kwargs):
-            solves.append(args)
-            return real(*args, **kwargs)
+        class Noting(detectors_mod._PeltProgram):
+            def __init__(self, *args):
+                solves.append(args)
+                super().__init__(*args)
 
         for label in ("l1", "l2", "normal"):
             config = DetectorConfig("PELT", cost=SegmentCost(label), penalty=0.01, min_size=2)
-            (expected,) = replay(cycle, [config], 24, detector=_oracle_once)
+            (expected,) = oracle_replay(cycle, [config], 24, detector=_oracle_once)
             assert expected is not None and expected.step_end_index < cycle.n
             with monkeypatch.context() as patch:
                 patch.setattr(detectors_mod, "CostCache", Noted)
-                patch.setattr(detectors_mod, "pelt", noting)
+                patch.setattr(detectors_mod, "_PeltProgram", Noting)
                 stops[:], solves[:] = [], []
                 assert replay(cycle, [config], 24) == [expected]
             assert len(solves) == 1 and max(stops) == expected.step_end_index
@@ -342,8 +377,7 @@ class TestReplay:
             return repr(alert) if isinstance(alert, Exception) else alert
 
         for alert_at in ALERT_TIMINGS:
-            expected = list(map(outcome, replay(cycle, configs, 7, alert_at,
-                                                detector=per_window)))
+            expected = list(map(outcome, oracle_replay(cycle, configs, 7, alert_at)))
             assert list(map(outcome, replay(cycle, configs, 7, alert_at))) == expected
             # alerts on the first window and on the one before the failure,
             # whose batch was cut; every other config fails at 63
@@ -351,42 +385,40 @@ class TestReplay:
             assert {a for a in expected if not isinstance(a, Alert)} == \
                 {repr(RuntimeError(f"no {'tables' if where == 'build' else 'costs'} at 63"))}
 
-    def test_failed_config_stops_alone(self):
+    def test_failed_key_stops_alone(self, monkeypatch):
+        # PELT_L2 and NEVER_FIRES share a solve key, so one call per window
+        # answers both; the failing BINSEG key stops on its first window
         cycle = two_regime_cycle(n=35, change=26)
         broken = DetectorConfig("BINSEG", penalty=1.0)
         ends = []
 
-        def flaky(window, config):
+        def flaky(window, config, axis, sums):
             if config is broken:
                 raise RuntimeError("detector failed")
             ends.append(window.end_index)
-            return 26 if window.end_index == 28 else None
+            return np.full(axis.size, 26 if window.end_index == 28 else -1)
 
-        first, failure, third = replay(cycle, [PELT_L2, broken, NEVER_FIRES], 7,
-                                       detector=flaky)
+        monkeypatch.setattr(protocol_mod, "_change_points", flaky)
+        first, failure, third = replay(cycle, [PELT_L2, broken, NEVER_FIRES], 7)
         assert first == third == Alert(step_end_index=28, change_point_index=26, a=28)
         assert isinstance(failure, RuntimeError)
-        assert ends == [7, 7, 14, 14, 21, 21, 28, 28]
+        assert ends == [7, 14, 21, 28]
         with pytest.raises(RuntimeError, match="detector failed"):
-            run_streaming(cycle, broken, 7, detector=flaky)
+            run_streaming(cycle, broken, 7)
 
-    def test_window_memo_released_before_the_next_window(self):
+    def test_window_memo_released_before_the_next_window(self, monkeypatch):
         cycle = two_regime_cycle(n=35, change=26)
         seen = []
 
-        def remembering(window, config):
+        def remembering(window, config, axis, sums):
             seen.append(dict(window._memo))
-            window._memo[config.config_id] = window.end_index
-            return None
+            window._memo[config.method] = window.end_index
+            return np.full(axis.size, -1)
 
-        replay(cycle, [PELT_L2, NEVER_FIRES], 14, detector=remembering)
-        # each window starts with nothing but the note of the penalties that
-        # its running configs need (both configs run on every window here)
-        fresh = Window(cycle, 14)
-        share_solves(fresh, [PELT_L2, NEVER_FIRES])
-        note = fresh._memo
-        assert seen == [note, {**note, PELT_L2.config_id: 14}, note,
-                        {**note, PELT_L2.config_id: 28}, note, {**note, PELT_L2.config_id: 35}]
+        monkeypatch.setattr(protocol_mod, "_change_points", remembering)
+        replay(cycle, [PELT_L2, DetectorConfig("BINSEG", penalty=1e12)], 14)
+        # each window starts with an empty memo (both keys run on every window)
+        assert seen == [{}, {"PELT": 14}, {}, {"PELT": 28}, {}, {"PELT": 35}]
 
     def test_cycle_tables_released_when_replay_returns(self, monkeypatch):
         # the tables built over the whole cycle, and those a batch built
@@ -400,27 +432,31 @@ class TestReplay:
                 super().__init__(signal, spec)
                 built.append((len(self.signal), weakref.ref(self)))
 
-        def failing(window, config):
-            cp = detect(window, config)
+        real = protocol_mod._change_points
+
+        def failing(window, config, axis, sums):
+            cps = real(window, config, axis, sums)
             if config is PELT_L2 and window.end_index == 21:
                 raise RuntimeError("after the solve")
-            return cp
+            return cps
 
         monkeypatch.setattr(detectors_mod, "CostCache", Noted)
+        monkeypatch.setattr(protocol_mod, "_change_points", failing)
         rbf = DetectorConfig("PELT", cost=SegmentCost("rbf", gamma=1.0), penalty=1.0,
                              min_size=2)
         gc.disable()  # a reference cycle through the traceback must not matter
         try:
-            outcomes = replay(cycle, [PELT_L2, NEVER_FIRES,
+            never = DetectorConfig("PELT", penalty=1e12, min_size=3)  # another solve key
+            outcomes = replay(cycle, [PELT_L2, never,
                                       DetectorConfig("BINSEG", cost=SegmentCost("l1"),
-                                                     penalty=1e12)], 7, detector=failing)
+                                                     penalty=1e12)], 7)
             assert isinstance(outcomes[0], RuntimeError) and outcomes[1:] == [None, None]
             assert [n for n, _ in built] == [35, 35]  # one per cost, over the cycle
             assert [ref() for _, ref in built] == [None, None]
             built.clear()
             # a per-window family that fires early: its last batch, windows
             # 16..31 of a step-1 replay, built tables past the firing window
-            outcomes = replay(cycle, [PELT_L2, rbf], 1, detector=failing)
+            outcomes = replay(cycle, [PELT_L2, rbf], 1)
             assert isinstance(outcomes[0], RuntimeError)
             assert outcomes[1] == alert_at_window(28, 26)
             assert [n for n, _ in built] == [35, *range(1, 32)]
@@ -504,7 +540,7 @@ def test_default_grid_equals_per_window_oracle():
     for cycle in generate_corpus(11, 3, SynthSpec()):
         for alert_at in ALERT_TIMINGS:
             assert replay(cycle, DEFAULT_GRID, 7, alert_at) == \
-                replay(cycle, DEFAULT_GRID, 7, alert_at, detector=per_window)
+                oracle_replay(cycle, DEFAULT_GRID, 7, alert_at)
 
 
 @pytest.mark.skipif(not os.environ.get("MAINTSEG_RUN_SLOW"),
@@ -516,4 +552,4 @@ def test_hourly_default_grid_equals_per_window_oracle():
     (cycle,) = generate_corpus(13, 1, spec)
     for alert_at in ALERT_TIMINGS:
         assert replay(cycle, DEFAULT_GRID, 12, alert_at) == \
-            replay(cycle, DEFAULT_GRID, 12, alert_at, detector=per_window)
+            oracle_replay(cycle, DEFAULT_GRID, 12, alert_at)

@@ -14,8 +14,9 @@ import pytest
 import maintseg
 import maintseg.protocol as protocol_mod
 import maintseg.sweep as sweep_mod
-from maintseg.core import BusinessParams
-from maintseg.detectors import DetectorConfig, METHODS
+from maintseg.core import BusinessParams, prefix_windows
+import maintseg.detectors as detectors_mod
+from maintseg.detectors import DetectorConfig, METHODS, solve_key
 from maintseg.protocol import Verdict
 from maintseg.sweep import (
     GridSpec,
@@ -49,23 +50,23 @@ def small_corpus(n_cycles=4, seed=0, atm_id="synth0001"):
 QUOTED_IDS = ["ATM, Paris 1", 'Zürich "Nord"']
 
 
-def interrupted_sweep(monkeypatch, cycles, configs, path, pairs, **kwargs):
-    """A sweep killed (KeyboardInterrupt) as it starts pair number ``pairs``,
-    counted from 0 in (cycle, config) order: at the first detection of that
-    pair's cycle and config."""
-    real = protocol_mod.detect
+def interrupted_sweep(monkeypatch, cycles, configs, path, units, **kwargs):
+    """A sweep killed (KeyboardInterrupt) as it starts unit number ``units``,
+    counted from 0 in (cycle, solve key) order: at the replay's first call
+    for that cycle and solve key."""
+    real = protocol_mod._change_points
     started: set = set()
 
-    def killed(window, config):
-        pair = (window.cycle.key, config.config_id)
-        if pair not in started:
-            if len(started) == pairs:
+    def killed(window, config, *args):
+        unit = (window.cycle.key, solve_key(config))
+        if unit not in started:
+            if len(started) == units:
                 raise KeyboardInterrupt
-            started.add(pair)
-        return real(window, config)
+            started.add(unit)
+        return real(window, config, *args)
 
     with monkeypatch.context() as m:
-        m.setattr(protocol_mod, "detect", killed)
+        m.setattr(protocol_mod, "_change_points", killed)
         with pytest.raises(KeyboardInterrupt):
             run_sweep(cycles, configs, PARAMS, results_path=path, **kwargs)
 
@@ -319,14 +320,14 @@ class TestRunSweep:
     def test_failures_recorded_and_run_continues(self, monkeypatch):
         cycles = small_corpus(2)
         bad = DetectorConfig("BINSEG", penalty=1.0)
-        real = protocol_mod.detect
+        real = protocol_mod._change_points
 
-        def sabotaged(window, config):
+        def sabotaged(window, config, *args):
             if config.method == "BINSEG":
                 raise RuntimeError("injected failure")
-            return real(window, config)
+            return real(window, config, *args)
 
-        monkeypatch.setattr(protocol_mod, "detect", sabotaged)
+        monkeypatch.setattr(protocol_mod, "_change_points", sabotaged)
         table = run_sweep(cycles, [NEVER, bad], PARAMS, workers=1)
         assert table.partial
         assert len(table.failures) == len(cycles)
@@ -336,13 +337,12 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failure_reason_names_the_function_that_raised(self, monkeypatch, workers):
-        import maintseg.detectors as detectors_mod
-
         def broken_binseg(*args):
             raise RuntimeError("injected failure")
 
-        # worker processes are forked from this one, so they see the patch too
-        monkeypatch.setattr(detectors_mod, "binseg", broken_binseg)
+        # worker processes are forked from this one, so they see the patch too;
+        # the replay's BINSEG solves run the private core, not binseg
+        monkeypatch.setattr(detectors_mod, "_binseg", broken_binseg)
         cycles = small_corpus(2)
         table = run_sweep(cycles, [NEVER, DetectorConfig("BINSEG", penalty=1.0)], PARAMS,
                           workers=workers)
@@ -350,23 +350,65 @@ class TestRunSweep:
         for failure in table.failures:
             assert failure.reason.startswith("RuntimeError('injected failure')\n")
             assert "in broken_binseg" in failure.reason
-            assert "in detect_with_score" in failure.reason
+            assert "in _solve" in failure.reason
+
+    def test_replay_solves_once_per_running_key_and_builds_no_segmentation(self, monkeypatch):
+        # the replay reads each penalty's last breakpoint only: no totals, no
+        # backtracked segmentation. Each window makes one call per solve key
+        # that still has a config running, and at most one solve for it (a
+        # PELT solve answers later windows ahead)
+        def refused(*args):
+            raise AssertionError("the replay builds no segmentation")
+
+        calls, solves = [], []
+        real_call, real_solve = protocol_mod._change_points, detectors_mod._solve
+
+        def noting_call(window, config, *args):
+            calls.append((window.cycle.key, window.end_index, solve_key(config)))
+            return real_call(window, config, *args)
+
+        def noting_solve(window, config, penalties):
+            solves.append((window.cycle.key, window.end_index, solve_key(config)))
+            return real_solve(window, config, penalties)
+
+        monkeypatch.setattr(detectors_mod, "_penalized_segmentations", refused)
+        monkeypatch.setattr(detectors_mod._PeltProgram, "segmentations", refused)
+        monkeypatch.setattr(protocol_mod, "_change_points", noting_call)
+        monkeypatch.setattr(detectors_mod, "_solve", noting_solve)
+        cycles = small_corpus(3)
+        configs = build_grid(default_grid())[::5]
+        table = run_sweep(cycles, configs, PARAMS)
+        assert not table.failures and len(table.records) == len(cycles) * len(configs)
+        assert len(set(calls)) == len(calls)
+        assert len(set(solves)) == len(solves) and set(solves) <= set(calls)
+        assert len([s for s in solves if s[2][0] == "PELT"]) < \
+            len([c for c in calls if c[2][0] == "PELT"])
+        # a key is called on every window up to the last at which one of its
+        # configs still runs, and on no later one
+        by_id = {c.config_id: c for c in configs}
+        stops: dict = {}
+        for r in table.records:
+            unit = ((r.atm_id, r.cycle_index), solve_key(by_id[r.config_id]))
+            stops[unit] = max(stops.get(unit, 0), r.alert.step_end_index if r.alert else r.n)
+        ends = {c.key: [w.end_index for w in prefix_windows(c, 7)] for c in cycles}
+        assert sorted(calls) == sorted((cycle, end, key) for (cycle, key), stop in stops.items()
+                                       for end in ends[cycle] if end <= stop)
 
     def test_dead_worker_fails_its_pairs_and_the_rerun_resumes(self, tmp_path, monkeypatch):
         cycles = small_corpus()
         configs = [NEVER, TUNED, DetectorConfig("BINSEG", penalty=1.0, min_size=2)]
         fresh_path = tmp_path / "fresh.csv"
         fresh = run_sweep(cycles, configs, PARAMS, results_path=fresh_path)
-        real = protocol_mod.detect
+        real = protocol_mod._change_points
 
-        def dies(window, config):
+        def dies(window, config, *args):
             if window.cycle.key == cycles[1].key and config.method == "BINSEG":
                 os._exit(1)
-            return real(window, config)
+            return real(window, config, *args)
 
         path = tmp_path / "results.csv"
         with monkeypatch.context() as m:
-            m.setattr(protocol_mod, "detect", dies)  # seen by the forked workers
+            m.setattr(protocol_mod, "_change_points", dies)  # seen by the forked workers
             table = run_sweep(cycles, configs, PARAMS, workers=2, results_path=path)
         assert table.partial
         dead = (cycles[1].atm_id, cycles[1].cycle_index, configs[2].config_id)
