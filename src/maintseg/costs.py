@@ -26,8 +26,9 @@ no state but these tables, so the detectors share one across every config
 evaluated on a window (see ``detectors._cost_tables``). The l1, l2 and normal
 tables of a segment [a, b) read only the samples before b, so a replay
 builds them once over the whole cycle and hands each window a
-:meth:`CostCache.prefix` of them, which PELT solves as one set of rows
-(see ``detectors._PeltProgram``); the rbf Gram is built per window (BLAS rounds
+:meth:`CostCache.prefix` of them, and PELT solves the windows as one set of
+rows that reads the cycle's tables up to each window's end (see
+``detectors._PeltProgram``); the rbf Gram is built per window (BLAS rounds
 ``x @ x.T`` differently at different n).
 """
 
@@ -147,9 +148,6 @@ class CostCache:
     samples over the same tables.
     """
 
-    # the cache that a prefix view was cut from; None for a cache of its own
-    whole: "CostCache | None" = None
-
     def __init__(self, signal: np.ndarray, spec: SegmentCost | None = None):
         self.signal = x = as_signal(signal)
         self.spec = spec or SegmentCost()
@@ -190,15 +188,14 @@ class CostCache:
         """The cache of ``signal[:end]``: a copy with ``n = end`` that shares
         this cache's tables, bitwise ``CostCache(signal[:end], spec)`` in
         every answer. l1 costs filled through either are filled for both.
-        Its ``whole`` is the cache it was cut from (that cache's ``whole``
-        for a prefix of a prefix). Only the :data:`PREFIX_KINDS` have one.
+        Only the :data:`PREFIX_KINDS` have one.
         """
         if self.spec.kind not in PREFIX_KINDS:
             raise ValueError(f"{self.spec.label} tables depend on the whole signal")
         if not 1 <= end <= self.n:
             raise ValueError(f"prefix end {end} outside [1, {self.n}]")
         view = object.__new__(type(self))  # not the constructor: the tables are kept
-        view.__dict__.update(vars(self), n=end, signal=self.signal[:end], whole=self.whole or self)
+        view.__dict__.update(vars(self), n=end, signal=self.signal[:end])
         return view
 
     def values(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:

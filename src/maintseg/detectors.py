@@ -20,23 +20,9 @@ from . import costs
 from .core import DEGENERATE_STD, Window, znormalize
 from .costs import CostCache, SegmentCost, as_signal, cost_from_label
 
-__all__ = [
-    "METHODS",
-    "CHANNEL_RULES",
-    "DetectorConfig",
-    "Segmentation",
-    "pelt",
-    "binseg",
-    "bottomup",
-    "kcpd",
-    "matrix_profile",
-    "fluss_cac",
-    "detect",
-    "detect_with_score",
-    "workspace_key",
-    "solve_key",
-    "cycle_level",
-]
+__all__ = ["METHODS", "CHANNEL_RULES", "DetectorConfig", "Segmentation", "pelt", "binseg",
+           "bottomup", "kcpd", "matrix_profile", "fluss_cac", "detect", "detect_with_score",
+           "workspace_key", "solve_key", "cycle_level"]
 
 METHODS = ("PELT", "BINSEG", "BOTTOMUP", "KCPD", "FLUSS")
 CHANNEL_RULES = ("any", "sum")
@@ -226,11 +212,9 @@ class _PeltProgram:
     a cache read up to its n in ``ns`` (a replay's windows: their own
     caches, or one cycle's tables up to each window's end), one row per
     (group, penalty): the rows of group g are g * P .. g * P + P - 1 for P
-    penalties. The entries of one cache, or of its
-    :meth:`~maintseg.costs.CostCache.prefix` views, are one group, whose
-    column t is read through its shortest entry that holds t, and whose
-    rows give each entry its result at its own n; any other cache is a
-    group of its own.
+    penalties. The entries of one cache are one group, whose column t is
+    read up to its shortest entry that holds t, and whose rows give each
+    entry its result at its own n.
 
     The state is F, prev and G, a copy of F in which each row's pruned
     starts read +inf, so that a column is a few passes over whole rows of
@@ -250,7 +234,7 @@ class _PeltProgram:
         self.caches, self.ns, self.solved = caches, ns, len(caches)  # solved: see advance
         groups: dict = {}
         for w, cache in enumerate(caches):
-            groups.setdefault(cache.whole or cache, []).append(w)
+            groups.setdefault(id(cache), []).append(w)
         self.groups = sorted(groups.values(), key=lambda ws: ws[-1])
         self.ends = [[ns[w] for w in ws] for ws in self.groups]
         self.row = {w: g * penalties.size for g, ws in enumerate(self.groups) for w in ws}
@@ -586,14 +570,8 @@ def fluss_cac(mp_index: np.ndarray, m: int, n_sub: int) -> np.ndarray:
 def _fluss_best(curves: list[np.ndarray]) -> tuple[int, float]:
     """The lowest point of the curves, (position, value): the first curve's
     first minimum on ties."""
-    best_val = np.inf
-    best_pos = 0
-    for curve in curves:
-        pos = int(np.argmin(curve))
-        if curve[pos] < best_val:
-            best_val = float(curve[pos])
-            best_pos = pos
-    return best_pos, best_val
+    best = min((float(curve.min()), c) for c, curve in enumerate(curves))[1]
+    return int(np.argmin(curves[best])), float(curves[best].min())
 
 
 def _window_samples(window, znorm: bool, memo: dict) -> np.ndarray:
@@ -638,8 +616,10 @@ def detect_with_score(window, config: DetectorConfig) -> tuple[int | None, float
     """Like :func:`detect` but also returns a per-window diagnostic score.
 
     For FLUSS the score is the (combined) CAC minimum; for segmentation
-    methods it is the number of breakpoints found, from the public solver
-    under the config's own penalty (KCPD is :func:`pelt` over its rbf cost).
+    methods it is the number of breakpoints found under the config's own
+    penalty (KCPD is :func:`pelt` over its rbf cost). On a replay's window
+    a PELT or KCPD config solves the later windows in the same program
+    (see :func:`_pelt_solve`), and each window backtracks its own rows.
 
     FLUSS alerts at the CAC minimum when it lies below the threshold; under
     channel rule "any" the lowest channel wins, under "sum" the channels'
@@ -653,8 +633,18 @@ def detect_with_score(window, config: DetectorConfig) -> tuple[int | None, float
             return None, 1.0
         pos, val = minima[config.channel_rule]
         return (pos if val < config.threshold else None), val
+    cache, penalty = _cost_tables(window, config, memo), config.penalty
     solver = {"PELT": pelt, "KCPD": pelt, "BINSEG": binseg, "BOTTOMUP": bottomup}[config.method]
-    seg = solver(_cost_tables(window, config, memo), config.cost, config.penalty, config.min_size)
+    in_replay = getattr(window, "_cycle_memo", None) is not None
+    if solver is not pelt or not in_replay or window.end_index < 2 * config.min_size:
+        seg = solver(cache, config.cost, penalty, config.min_size)
+    else:
+        key = ("program", *solve_key(config), penalty)
+        if key not in memo:  # else a solve at an earlier window has put it there
+            for later, program, w in _pelt_solve(window, config, np.array([penalty])):
+                later._memo[key] = program, w
+        program, w = memo[key]
+        (seg,) = program.segmentations(np.array([penalty]), w)
     if seg.breakpoints:
         return seg.breakpoints[-1], float(len(seg.breakpoints))
     return None, 0.0
@@ -695,8 +685,8 @@ def _solve(window: Window, config: DetectorConfig, penalties: np.ndarray) -> Non
     """Solve ``config``'s key on a replay window under the distinct
     ascending ``penalties`` with the public solvers' code, but no totals or
     :class:`Segmentation`, and put (penalties, last breakpoints) in its
-    memo. PELT also solves the later windows of :func:`_batch`, up to the
-    first by which every penalty has had a breakpoint, into their memos."""
+    memo. PELT also solves later windows into their memos (see
+    :func:`_pelt_solve`)."""
     key, min_size = solve_key(config), config.min_size
     cache = _cost_tables(window, config, window._memo)
     if config.method in ("BINSEG", "BOTTOMUP"):
@@ -705,11 +695,7 @@ def _solve(window: Window, config: DetectorConfig, penalties: np.ndarray) -> Non
     elif window.end_index < 2 * min_size:  # one segment under any penalty
         window._memo[key] = penalties, np.zeros(penalties.size, dtype=int)
     else:
-        batch = [(window, cache), *_batch(window, config, penalties.size)]
-        caches, ns = [c for _, c in batch], [w.end_index for w, _ in batch]
-        while not (program := _PeltProgram(penalties, min_size, caches, ns)).advance():
-            caches, ns = caches[:program.solved], ns[:program.solved]  # before the failed read
-        for w, (later, _) in enumerate(batch[:program.solved]):
+        for later, program, w in _pelt_solve(window, config, penalties):
             later._memo[key] = penalties, program.last_breakpoints(w)
 
 
@@ -720,29 +706,36 @@ def _solve(window: Window, config: DetectorConfig, penalties: np.ndarray) -> Non
 _BATCH_CELLS = 1 << 22
 
 
-def _batch(window: Window, config: DetectorConfig,
-           rows: int) -> list[tuple[Window, CostCache]]:
-    """The later windows that one PELT solve at a replay's i-th window,
-    ``window``, covers, each with the cache its costs are read through: for
-    a cycle-level config every later window, through the cycle's tables;
-    otherwise those up to the 2i-th within _BATCH_CELLS, through their own
-    tables, built into their memos. A window whose tables fail to build ends
-    the batch; its error is raised when the replay reaches it."""
+def _pelt_solve(window: Window, config: DetectorConfig,
+                penalties: np.ndarray) -> list[tuple[Window, _PeltProgram, int]]:
+    """One PELT program under the distinct ascending ``penalties`` over a
+    replay's i-th window, ``window``, and later ones, up to the first by
+    which every penalty has had a breakpoint: each window solved, with the
+    program and its entry there. For a cycle-level config, every later
+    window, all read through the cycle's tables; otherwise those up to the
+    2i-th within _BATCH_CELLS, through their own tables, built into their
+    memos. A later window whose tables fail to build or whose costs fail to
+    read ends the batch before it, to raise when the replay reaches it."""
     windows, end = window._cycle_memo["windows"], window.end_index
     first = bisect.bisect_right(windows, end, key=lambda w: w.end_index)  # past window's index
+    batch = [(window, _cost_tables(window, config, window._memo))]
     if cycle_level(config):
         whole = window._cycle_memo[workspace_key(config)]
-        return [(later, whole) for later in windows[first:]]
-    cells, batch = (end + 1) * (end + 1 + rows), []
-    for later in windows[first:2 * first - 1]:
-        cells += (later.end_index + 1) * (later.end_index + 1 + rows)
-        if cells > _BATCH_CELLS:
-            break
-        try:
-            batch.append((later, _cost_tables(later, config, later._memo)))
-        except Exception:
-            break
-    return batch
+        batch = [(later, whole) for later in (window, *windows[first:])]
+    else:
+        cells = (end + 1) * (end + 1 + penalties.size)
+        for later in windows[first:2 * first - 1]:
+            cells += (later.end_index + 1) * (later.end_index + 1 + penalties.size)
+            if cells > _BATCH_CELLS:
+                break
+            try:
+                batch.append((later, _cost_tables(later, config, later._memo)))
+            except Exception:
+                break
+    caches, ns = [c for _, c in batch], [w.end_index for w, _ in batch]
+    while not (program := _PeltProgram(penalties, config.min_size, caches, ns)).advance():
+        caches, ns = caches[:program.solved], ns[:program.solved]  # before the failed read
+    return [(later, program, w) for w, (later, _) in enumerate(batch[:program.solved])]
 
 
 def cycle_level(config: DetectorConfig) -> bool:

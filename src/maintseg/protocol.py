@@ -4,12 +4,14 @@ the first alert, and classify the outcome against the business intervals.
 Only the first alert counts; in the field a raised alert triggers
 maintenance, which makes any later alert for the same cycle worthless.
 
-:func:`replay` is the one replay loop. It walks a cycle's windows once for
-a whole list of configs, grouped by solve key (``detectors.solve_key``):
-at each window every key with configs still running makes one call, which
-reads the last breakpoint under each of their penalties (or FLUSS's two
-channel rules' arc-curve minima) and compares the whole penalty or
-threshold axis at once. Configs that fire drop out of the arrays.
+:func:`replay` walks a cycle's windows once for a whole list of configs,
+grouped by solve key (``detectors.solve_key``): at each window every key
+with configs still running makes one call, which reads the last breakpoint
+under each of their penalties (or FLUSS's two channel rules' arc-curve
+minima) and compares the whole penalty or threshold axis at once. Configs
+that fire drop out of the arrays. :func:`run_streaming_trace` walks the
+windows for one config with ``detectors.detect_with_score``, whose
+per-window score needs each window's whole segmentation.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ def replay(cycle: LifeCycle, configs: Sequence[DetectorConfig], step: int = 7,
 
     The windows share a cycle memo, which holds the tables that depend on
     the cycle alone (``detectors.cycle_level``). A PELT or KCPD solve at
-    one window also solves later ones (see ``detectors._batch``) and puts
+    one window also solves later ones (see ``detectors._pelt_solve``) and puts
     their tables and last breakpoints in their memos. Each window's memo is
     cleared once the window is done, and the cycle memo, with what it holds
     for the windows not reached, when the replay returns or raises.
@@ -131,7 +133,8 @@ def run_streaming_trace(cycle: LifeCycle, config: DetectorConfig, step: int = 7,
                         ) -> tuple[Optional[Alert], list[WindowTrace]]:
     """:func:`run_streaming` with one trace row per evaluated window (so
     len(trace) = windows evaluated), each detected by
-    :func:`~maintseg.detectors.detect_with_score` over the cycle's tables."""
+    :func:`~maintseg.detectors.detect_with_score`, which solves a PELT or
+    KCPD config over the replay's batches of windows."""
     if alert_at not in ALERT_TIMINGS:
         raise ValueError(f"alert_at must be one of {ALERT_TIMINGS}")
     trace: list[WindowTrace] = []

@@ -306,7 +306,6 @@ class TestPrefix:
             starts, stops = _column_and_row(n, w, rng)
             view = whole.prefix(w)
             assert view.n == w and view.signal.shape == (w, 3)
-            assert whole.whole is None and view.whole is view.prefix(w).whole is whole
             assert list(view.values(starts, stops)) == \
                 list(CostCache(x[:w], spec).values(starts, stops))
             # a prefix of a prefix, and the whole cache's answers after them

@@ -522,9 +522,9 @@ class TestPenaltyPath:
         # batch solves its windows (those of at least 2 * min_size samples):
         # each window's own tables (z-normalized per window, or with a
         # median bandwidth of its own), equal lengths and a final partial
-        # window. Where the cost has prefixes, also the prefixes of one
-        # cache, as a replay solves a cycle-level family (whose l1 table the
-        # whole cache's queries may have filled first), and those prefixes
+        # window. Where the cost has prefixes, also one cache read up to
+        # each end, as a replay solves a cycle-level family (whose l1 table
+        # the whole cache's queries may have filled first), and that cache
         # mixed with windows' own tables
         spec = cost_from_label(label)
         x = _shifting_signal(rng, n=47)
@@ -537,12 +537,12 @@ class TestPenaltyPath:
                 fresh, filled = CostCache(signal, spec), CostCache(signal, spec)
                 pelt(filled, spec, PENALTY_PATH[::4], min_size)
                 filled.values(np.arange(47), 47)
-                inputs += [[fresh.prefix(e) for e in ends], [filled.prefix(e) for e in ends],
-                           [CostCache(signal[:e], spec) if k % 3 else fresh.prefix(e)
+                inputs += [[fresh] * len(ends), [filled] * len(ends),
+                           [CostCache(signal[:e], spec) if k % 3 else fresh
                             for k, e in enumerate(ends)]]
             for caches in inputs:
                 program = detectors_mod._PeltProgram(np.unique(PENALTY_PATH), min_size, caches,
-                                                     [c.n for c in caches])
+                                                     ends)
                 assert program.advance() and program.solved == len(caches)
                 # later windows read subsets of the program's penalties
                 for w, window in enumerate(windows):
@@ -557,10 +557,10 @@ class TestPenaltyPath:
     @pytest.mark.parametrize("min_size", [1, 2, 3, 7])
     @pytest.mark.parametrize("label", ["l1", "l2", "normal"])
     def test_prefixes_of_one_cache_equal_one_solve_per_prefix(self, label, min_size, rng):
-        # growing prefixes of one cache, as a replay solves a cycle-level
-        # family: one set of rows, each prefix read only for the segments
-        # that end past the prefix before it, and each prefix under fewer
-        # penalties than the rows hold
+        # one cache read up to growing ends, as a replay solves a
+        # cycle-level family: one set of rows, each entry read only for the
+        # segments that end past the entry before it, and each entry under
+        # fewer penalties than the rows hold
         spec = cost_from_label(label)
         x = _shifting_signal(rng, n=80)
         ends = [2 * min_size, 17, 30, 30, 45, 66, 79, 80]
@@ -571,24 +571,17 @@ class TestPenaltyPath:
 
         class Noted(CostCache):
             def values(self, starts, stops):
-                reads.append((self.n, np.broadcast_to(stops, np.shape(starts)).tolist()))
+                reads.append(np.broadcast_to(stops, np.shape(starts)).tolist())
                 return super().values(starts, stops)
 
         for signal in (x, np.round(x, 1)):
             whole, reads[:] = Noted(signal, spec), []
-            prefixes = [whole.prefix(e) for e in ends]
-            program = detectors_mod._PeltProgram(distinct, min_size, prefixes, ends)
+            program = detectors_mod._PeltProgram(distinct, min_size, [whole] * len(ends), ends)
             assert program.advance() and program.solved == len(ends)
             long = sorted(set(ends))
-            before = dict(zip(long, [0, *long]))  # each prefix's end -> the one before it
-            for n, stops in reads:
-                assert before[n] < min(stops) and max(stops) <= n
-            # the same rows read through the whole cache up to each end, as a
-            # replay's cycle-level solve reads them: bitwise the same program
-            through = detectors_mod._PeltProgram(distinct, min_size, [whole] * len(ends), ends)
-            through.advance()
-            assert through.prev.tobytes() == program.prev.tobytes()
-            assert through.F.tobytes() == program.F.tobytes()
+            spans = list(zip([0, *long], long))  # the columns of each entry past the one before
+            for stops in reads:
+                assert any(lo < min(stops) and max(stops) <= hi for lo, hi in spans)
             for w, (e, subset) in enumerate(zip(ends, subsets)):
                 for penalties in (PENALTY_PATH, subset):
                     assert _exactly(program.segmentations(np.array(penalties), w)) == \
@@ -598,19 +591,24 @@ class TestPenaltyPath:
         # a window whose costs fail to read stops the program before it,
         # with ``solved`` at its index, and the windows before it solve alone
         # as the replay's retry does; when it is the first, its error
-        # propagates. The same holds for prefixes of one cache
+        # propagates. The same holds for one cache read up to each end
         x = _shifting_signal(rng, n=40)
 
-        class Failing(CostCache):
+        class Failing(CostCache):  # a window of its own whose costs fail to read
             def values(self, starts, ends):
                 if self.n == 19:
-                    raise RuntimeError(f"window {self.n}")
+                    raise RuntimeError("window 19")
+                return super().values(starts, ends)
+
+        class FailingPast12(CostCache):  # the signal's tables, failing past the window of 12
+            def values(self, starts, ends):
+                if np.max(ends) > 12:
+                    raise RuntimeError("window 19")
                 return super().values(starts, ends)
 
         ends = [4, 10, 12, 19, 30, 40]
         distinct = np.unique(PENALTY_PATH)
-        whole = Failing(x, L2)
-        for caches in ([Failing(x[:e], L2) for e in ends], [whole.prefix(e) for e in ends]):
+        for caches in ([Failing(x[:e], L2) for e in ends], [FailingPast12(x, L2)] * len(ends)):
             program = detectors_mod._PeltProgram(distinct, 2, caches, ends)
             assert not program.advance() and program.solved == 3
             retry = detectors_mod._PeltProgram(distinct, 2, caches[:3], ends[:3])
@@ -625,11 +623,13 @@ class TestPenaltyPath:
     def test_window_rows_stop_after_every_penalty_broke(self, label, min_size, rng):
         # the program stops after the first entry by which every penalty
         # has found a breakpoint in some entry; with a penalty that never
-        # breaks, it solves every entry. Prefixes of one cache read no cost
-        # past that entry's end, and windows' own tables at most the rest
-        # of its block of columns
+        # breaks, it solves every entry. One cache read up to each end reads
+        # no cost past that entry's end, and windows' own tables at most the
+        # rest of its block of columns
         spec = cost_from_label(label)
+        # flat up to 10, so that no penalty breaks in the first two entries
         x = rng.normal(size=(80, 2))
+        x[:10] = 0.0
         x[50:] += 4.0
         ends = [2 * min_size, 10, 20, 30, 40, 50, 55, 60, 70, 80]
         stops: list = []
@@ -641,14 +641,13 @@ class TestPenaltyPath:
 
         inputs = [(lambda: [Noted(x[:e], spec) for e in ends], detectors_mod._PELT_BLOCK - 1)]
         if spec.kind in PREFIX_KINDS:
-            inputs.append((lambda: [whole.prefix(e) for whole in [Noted(x, spec)] for e in ends],
-                           0))
+            inputs.append((lambda: [Noted(x, spec)] * len(ends), 0))
         for penalties in ([0.01, 5.0], [0.01, 5.0, 1e9]):
             full = [pelt(x[:e], spec, penalties, min_size) for e in ends]
             broke = np.logical_or.accumulate([[bool(s.breakpoints) for s in segs]
                                               for segs in full])
             last = next((k for k, row in enumerate(broke) if row.all()), len(ends) - 1)
-            assert (last < len(ends) - 1) == (len(penalties) == 2)
+            assert (0 < last < len(ends) - 1) == (len(penalties) == 2)
             for make, ahead in inputs:
                 stops[:] = []
                 program = detectors_mod._PeltProgram(np.array(penalties), min_size, make(), ends)
@@ -691,9 +690,9 @@ class TestPeltProgram:
     def test_dense_step_is_bitwise_the_gathered_walk(self, label, min_size, rng):
         # F, prev, each segmentation and every cost read equal the gathered
         # column walk's (conftest.GatheredPeltProgram) on continuous,
-        # 1/8-quantized and partly flat signals; over one cache, the
-        # prefixes of one cache, per-window caches of different n (a
-        # replay's batch) and the two mixed; under penalties from 0 to above
+        # 1/8-quantized and partly flat signals; over one cache, one cache
+        # read up to each end, per-window caches of different n (a replay's
+        # batch) and the two mixed; under penalties from 0 to above
         # the whole signal's cost. A cache whose reads fail partway down the
         # list stops both programs at the same cache and column
         spec = cost_from_label(label)
@@ -718,12 +717,10 @@ class TestPeltProgram:
                   "quiet": lambda make, signal: [make(0.1 * signal[:min_size + 15]),
                                                  make(signal)]}
         if spec.kind in PREFIX_KINDS:
-            shapes["prefixes"] = lambda make, signal: [
-                whole.prefix(e) for whole in [make(signal)] for e in ends]
             # one cache read up to each end, as a replay's cycle-level batch
             shapes["through"] = lambda make, signal: [make(signal)] * len(ends)
             shapes["mixed"] = lambda make, signal: [
-                own(make, signal, k, e) if k % 3 else whole.prefix(e)
+                own(make, signal, k, e) if k % 3 else whole
                 for whole in [make(signal)] for k, e in enumerate(ends)]
         stopped = 0  # the runs that a failed read stopped
         for signal in (x, np.round(x * 8) / 8, flat):
@@ -736,7 +733,7 @@ class TestPeltProgram:
                     for kind in (detectors_mod._PeltProgram, GatheredPeltProgram):
                         reads: list = []
                         caches = shape(_noted(reads, fails_at), signal)
-                        ns = ends if name == "through" else [c.n for c in caches]
+                        ns = ends if name in ("through", "mixed") else [c.n for c in caches]
                         program = kind(penalties, min_size, caches, ns)
                         runs.append((program.advance(), program.solved, reads, program))
                     (ok, solved, reads, dense), (old_ok, old_solved, old_reads, old) = runs

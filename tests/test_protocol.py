@@ -96,7 +96,8 @@ class TestRunStreaming:
     @pytest.mark.parametrize("alert_at", ALERT_TIMINGS)
     def test_trace_alerts_equal_the_replay(self, alert_at):
         # the trace detects each window with detect_with_score, one config
-        # at a time; its alerts are the replay's, its scores the oracle's
+        # at a time (PELT and KCPD in the replay's batches of windows); its
+        # alerts are the replay's, its scores one solve per window's
         spec = SynthSpec(n_days_min=90, n_days_max=90, change_offset_days=22)
         (cycle,) = generate_corpus(90, 1, spec)
         cycle = make_cycle(np.column_stack([cycle.samples, two_regime_series(90, 60) + 2.0]))
@@ -284,9 +285,9 @@ class TestReplay:
 
     def test_cycle_level_family_is_one_solve_per_cycle(self, monkeypatch):
         # a cycle-level PELT family is solved once per cycle, at its first
-        # window, over prefixes of the cycle's tables; each prefix is read
-        # only for the segments that end past the window before it, as a
-        # dynamic program advanced window by window reads them
+        # window, over the cycle's tables; each window's entry is read only
+        # for the segments that end past the window before it, as a dynamic
+        # program advanced window by window reads them
         spec = SynthSpec(n_days_min=240, n_days_max=240, period_hours=1.0,
                          change_offset_days=60)
         (cycle,) = generate_corpus(5, 1, spec)
@@ -305,8 +306,8 @@ class TestReplay:
         class Noting(detectors_mod._PeltProgram):
             def __init__(self, penalties, min_size, caches, ns):
                 solves.append((caches[0].spec.label, min_size, list(ns)))
-                # the first window's prefix, then the cycle's tables themselves
-                assert {c.whole or c for c in caches} == {caches[-1]} and caches[-1].n == cycle.n
+                # every window reads the cycle's tables themselves
+                assert all(c is caches[-1] for c in caches) and caches[-1].n == cycle.n
                 super().__init__(penalties, min_size, caches, ns)
 
         monkeypatch.setattr(detectors_mod, "CostCache", Noted)
@@ -314,7 +315,7 @@ class TestReplay:
         assert replay(cycle, configs, 24) == expected
         keys = {(c.cost.label, c.min_size) for c in configs}
         assert sorted(solves) == sorted((*key, ends) for key in keys)
-        assert {n for n, _ in reads} == {ends[0], cycle.n}
+        assert {n for n, _ in reads} == {cycle.n}
         before = dict(zip(ends, [0, *ends]))  # each window's end -> the one before it
         for _, stops in reads:  # a read's segments end inside one window's columns
             end = ends[np.searchsorted(ends, min(stops))]
@@ -349,6 +350,39 @@ class TestReplay:
                 stops[:], solves[:] = [], []
                 assert replay(cycle, [config], 24) == [expected]
             assert len(solves) == 1 and max(stops) == expected.step_end_index
+            with monkeypatch.context() as patch:  # the same one solve in a trace
+                patch.setattr(detectors_mod, "CostCache", Noted)
+                patch.setattr(detectors_mod, "_PeltProgram", Noting)
+                stops[:], solves[:] = [], []
+                assert run_streaming_trace(cycle, config, 24)[0] == expected
+            assert len(solves) == 1 and max(stops) == expected.step_end_index
+
+    def test_trace_solves_in_the_replays_batches(self, monkeypatch):
+        # a trace's PELT or KCPD config makes the replay's programs: one per
+        # cycle when cycle-level, the doubling batches otherwise, firing or not
+        spec = SynthSpec(n_days_min=240, n_days_max=240, period_hours=1.0,
+                         change_offset_days=60)
+        (cycle,) = generate_corpus(5, 1, spec)
+        solves = []
+
+        class Noting(detectors_mod._PeltProgram):
+            def __init__(self, *args):
+                solves.append(list(args[3]))
+                super().__init__(*args)
+
+        monkeypatch.setattr(detectors_mod, "_PeltProgram", Noting)
+        for config in (NEVER_FIRES, PELT_L2,
+                       DetectorConfig("PELT", cost=SegmentCost("l1"), penalty=1e12, min_size=3),
+                       DetectorConfig("PELT", penalty=1e12, min_size=2, znorm=True),
+                       DetectorConfig("KCPD", penalty=1e12, min_size=2)):
+            solves[:] = []
+            (alert,) = replay(cycle, [config], 24)
+            replayed = solves[:]
+            solves[:] = []
+            traced, trace = run_streaming_trace(cycle, config, 24)
+            assert (traced, solves) == (alert, replayed)
+            assert len(solves) == 1 or not cycle_level(config)
+            assert len(trace) == len(prefix_windows(cycle, 24)) or alert
 
     @pytest.mark.parametrize("where", ["values", "build"])
     def test_failed_tables_fail_their_window_only(self, where, monkeypatch):
