@@ -150,7 +150,7 @@ class Window:
     ``_memo`` holds what was derived for the window: z-normalized samples,
     cost tables and FLUSS curve minima under their workspace key, and per
     solve key the last breakpoint under each penalty solved (for a traced
-    PELT or KCPD config, the program that solved the window), whether
+    PELT or KCPD config, the window's segmentation), whether
     derived on the window or ahead of it by a PELT solve at an earlier
     window of the same replay. Every config evaluated on the window reuses
     it, and the replay clears it once the window is done.

@@ -20,9 +20,23 @@ from . import costs
 from .core import DEGENERATE_STD, Window, znormalize
 from .costs import CostCache, SegmentCost, as_signal, cost_from_label
 
-__all__ = ["METHODS", "CHANNEL_RULES", "DetectorConfig", "Segmentation", "pelt", "binseg",
-           "bottomup", "kcpd", "matrix_profile", "fluss_cac", "detect", "detect_with_score",
-           "workspace_key", "solve_key", "cycle_level"]
+__all__ = [
+    "METHODS",
+    "CHANNEL_RULES",
+    "DetectorConfig",
+    "Segmentation",
+    "pelt",
+    "binseg",
+    "bottomup",
+    "kcpd",
+    "matrix_profile",
+    "fluss_cac",
+    "detect",
+    "detect_with_score",
+    "workspace_key",
+    "solve_key",
+    "cycle_level",
+]
 
 METHODS = ("PELT", "BINSEG", "BOTTOMUP", "KCPD", "FLUSS")
 CHANNEL_RULES = ("any", "sum")
@@ -570,8 +584,14 @@ def fluss_cac(mp_index: np.ndarray, m: int, n_sub: int) -> np.ndarray:
 def _fluss_best(curves: list[np.ndarray]) -> tuple[int, float]:
     """The lowest point of the curves, (position, value): the first curve's
     first minimum on ties."""
-    best = min((float(curve.min()), c) for c, curve in enumerate(curves))[1]
-    return int(np.argmin(curves[best])), float(curves[best].min())
+    best_val = np.inf
+    best_pos = 0
+    for curve in curves:
+        pos = int(np.argmin(curve))
+        if curve[pos] < best_val:
+            best_val = float(curve[pos])
+            best_pos = pos
+    return best_pos, best_val
 
 
 def _window_samples(window, znorm: bool, memo: dict) -> np.ndarray:
@@ -618,8 +638,9 @@ def detect_with_score(window, config: DetectorConfig) -> tuple[int | None, float
     For FLUSS the score is the (combined) CAC minimum; for segmentation
     methods it is the number of breakpoints found under the config's own
     penalty (KCPD is :func:`pelt` over its rbf cost). On a replay's window
-    a PELT or KCPD config solves the later windows in the same program
-    (see :func:`_pelt_solve`), and each window backtracks its own rows.
+    a PELT or KCPD config solves the later windows of the replay's batch in
+    the same program (see :func:`_pelt_solve`) and puts the segmentation
+    of each, backtracked from its own rows, in its memo.
 
     FLUSS alerts at the CAC minimum when it lies below the threshold; under
     channel rule "any" the lowest channel wins, under "sum" the channels'
@@ -639,12 +660,11 @@ def detect_with_score(window, config: DetectorConfig) -> tuple[int | None, float
     if solver is not pelt or not in_replay or window.end_index < 2 * config.min_size:
         seg = solver(cache, config.cost, penalty, config.min_size)
     else:
-        key = ("program", *solve_key(config), penalty)
+        key = ("trace", *solve_key(config), penalty)
         if key not in memo:  # else a solve at an earlier window has put it there
             for later, program, w in _pelt_solve(window, config, np.array([penalty])):
-                later._memo[key] = program, w
-        program, w = memo[key]
-        (seg,) = program.segmentations(np.array([penalty]), w)
+                later._memo[key] = program.segmentations(np.array([penalty]), w)[0]
+        seg = memo[key]
     if seg.breakpoints:
         return seg.breakpoints[-1], float(len(seg.breakpoints))
     return None, 0.0
