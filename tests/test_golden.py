@@ -18,7 +18,12 @@ denominator. For each timing there are
 * ``golden_summary.<timing>.json``: the pp 7, 14 and 21 summary, as
   ``maintseg sweep`` writes it to ``summary.json``;
 * ``golden_report.<timing>/``: what ``maintseg report`` writes from those
-  records (``curve_*.csv``, ``best_per_cycle.csv``, ``stability.json``).
+  records (``curve_*.csv``, ``best_per_cycle.csv``, ``stability.json``);
+* ``golden_traces.<timing>.csv``: the ``traces.csv`` that ``maintseg
+  evaluate`` writes over the same cycles at step 7 for each config of
+  ``TRACE_CONFIGS``, the rows of each after a ``config_id`` column. The
+  traces stop at each cycle's first alert, which does not depend on the
+  timing; the evaluate run is gated under both timings all the same.
 
 A change that is meant to keep every result (a faster solver, a shared
 cache, a smaller API) must leave them as they are. A change that is meant
@@ -30,6 +35,8 @@ to move results, such as making PELT exact at min_size > 1 (ROADMAP item
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -39,6 +46,7 @@ import pytest
 
 from maintseg.cli import main
 from maintseg.core import BusinessParams
+from maintseg.ingest import save_cycle
 from maintseg.protocol import ALERT_TIMINGS
 from maintseg.sweep import build_grid, default_grid, run_sweep, save_results, sweep_summary
 from maintseg.synth import SynthSpec, generate_corpus
@@ -46,10 +54,26 @@ from maintseg.synth import SynthSpec, generate_corpus
 DATA = Path(__file__).resolve().parent / "data"
 PARAMS = BusinessParams(rd=1.0, pp=14.0, s=0.2)
 PP_LIST = [7.0, 14.0, 21.0]  # maintseg sweep's default --pp-list
+# One config per method, then cycle-level PELT over l1, PELT with znorm on
+# and FLUSS under the "sum" channel rule.
+TRACE_CONFIGS = (
+    "PELT/l2/43.28761281083057/2/-/0/-",
+    "BINSEG/l2/15.199110829529332/2/-/1/-",
+    "BOTTOMUP/l2/43.28761281083057/7/-/0/-",
+    "KCPD/rbf:1.0/15.199110829529332/2/-/0/-",
+    "FLUSS/-/0.48/-/5/0/any",
+    "PELT/l1/15.199110829529332/2/-/0/-",
+    "PELT/l2/43.28761281083057/2/-/1/-",
+    "FLUSS/-/0.51/-/7/1/sum",
+)
 
 
 def results_name(alert_at: str) -> str:
     return f"golden_results.{alert_at}.csv"
+
+
+def traces_name(alert_at: str) -> str:
+    return f"golden_traces.{alert_at}.csv"
 
 
 def golden_corpus() -> list:
@@ -83,7 +107,27 @@ def golden_outputs(alert_at: str, workdir: Path) -> dict[str, bytes]:
         f"golden_summary.{alert_at}.json": json.dumps(summary, indent=2).encode(),
         **{f"golden_report.{alert_at}/{p.name}": p.read_bytes()
            for p in sorted(report.iterdir()) if p.name != "manifest.json"},
+        traces_name(alert_at): golden_traces(cycles, alert_at, workdir),
     }
+
+
+def golden_traces(cycles: list, alert_at: str, workdir: Path) -> bytes:
+    """``maintseg evaluate``'s traces of each of TRACE_CONFIGS over the
+    cycles, saved as cycle files, in one CSV with a leading config_id."""
+    cycle_dir = workdir / "cycles"
+    cycle_dir.mkdir()
+    for cycle in cycles:
+        save_cycle(cycle, cycle_dir)
+    lines = []
+    for i, config_id in enumerate(TRACE_CONFIGS):
+        out = workdir / f"evaluate_{i}"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["evaluate", str(cycle_dir), "--config", config_id, "--step", "7",
+                         "--alert-at", alert_at, "--out", str(out)]) == 0
+        header, *rows = (out / "traces.csv").read_bytes().splitlines(keepends=True)
+        lines += [b"config_id," + header] * (i == 0)
+        lines += [config_id.encode() + b"," + row for row in rows]
+    return b"".join(lines)
 
 
 @pytest.fixture(scope="module", params=ALERT_TIMINGS)
@@ -107,11 +151,21 @@ def test_summary_and_report_equal_the_golden_files(outputs):
     report_dir = DATA / f"golden_report.{alert_at}"
     want_names = {f"golden_summary.{alert_at}.json",
                   *(f"{report_dir.name}/{p.name}" for p in report_dir.iterdir())}
-    got_names = set(got_files) - {results_name(alert_at)}
+    got_names = set(got_files) - {results_name(alert_at), traces_name(alert_at)}
     assert got_names == want_names
     differing = sorted(name for name in want_names
                        if (DATA / name).read_bytes() != got_files[name])
     assert not differing, f"differ from their golden files: {differing}"
+
+
+def test_traces_equal_the_golden_file(outputs):
+    alert_at, got_files = outputs
+    got = got_files[traces_name(alert_at)].decode("utf-8").splitlines()
+    want = (DATA / traces_name(alert_at)).read_text(encoding="utf-8").splitlines()
+    differing = [f"line {i}: want {w!r}, got {g!r}"
+                 for i, (w, g) in enumerate(zip(want, got), 1) if w != g]
+    assert not differing, f"{len(differing)} rows differ; first:\n" + "\n".join(differing[:5])
+    assert got_files[traces_name(alert_at)] == (DATA / traces_name(alert_at)).read_bytes()
 
 
 if __name__ == "__main__":
