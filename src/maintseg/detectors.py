@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -154,13 +153,12 @@ def workspace_key(config: DetectorConfig) -> tuple:
     return ("segments", config.cost.label, config.znorm)
 
 
-def _penalties(penalty, min_size: int) -> np.ndarray:
-    """The penalized segmenters' checks of their penalties and min_size."""
-    penalties = np.atleast_1d(np.asarray(penalty, dtype=float))
-    if penalties.ndim != 1 or penalties.size == 0:
-        raise ValueError("penalty must be a float or a non-empty sequence of floats")
-    if not ((penalties >= 0) & (penalties < np.inf)).all():  # NaN too
-        raise ValueError("penalty must be finite and >= 0")
+def _penalties(penalty: float, min_size: int) -> np.ndarray:
+    """The penalized segmenters' checks of their penalty and min_size: the
+    penalty as the one-entry array that the cores take."""
+    penalties = np.array([penalty], dtype=float)
+    if penalties.shape != (1,) or not 0 <= penalties[0] < np.inf:  # NaN too
+        raise ValueError(f"penalty must be one finite float >= 0, got {penalty!r}")
     if min_size < 1:
         raise ValueError("min_size must be >= 1")
     return penalties
@@ -175,44 +173,23 @@ def _as_cache(signal, cost: SegmentCost | None) -> CostCache:
     return CostCache(signal, cost)
 
 
-def _as_given(penalty, segs: list[Segmentation]) -> Segmentation | list[Segmentation]:
-    """One segmentation for a float penalty, the list for a sequence."""
-    return segs if np.ndim(penalty) else segs[0]
-
-
 def pelt(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
-         penalty: float | Sequence[float] = 1.0,
-         min_size: int = 1) -> Segmentation | list[Segmentation]:
+         penalty: float = 1.0, min_size: int = 1) -> Segmentation:
     """Exact minimizer of sum-of-segment-costs + penalty * (#breakpoints).
 
     Pruned dynamic program: a candidate start s is dropped once its partial
     cost exceeds the incumbent optimum plus the penalty, which never
     discards an optimal candidate for segment costs that do not increase
-    under splitting.
-
-    ``penalty`` is one float, giving one :class:`Segmentation`, or a
-    sequence of them, giving one per entry in the given order. The
-    penalties' dynamic programs run in lockstep, one row each with its own
-    candidate set, over shared cost reads; each row is bitwise the
-    one-penalty solve (see :class:`_PeltProgram`). Like the other
-    segmenters, ``signal`` may be a prebuilt
-    :class:`~maintseg.costs.CostCache` of the cost instead of the signal.
+    under splitting (see :class:`_PeltProgram`). Like the other segmenters,
+    ``signal`` may be a prebuilt :class:`~maintseg.costs.CostCache` of the
+    cost instead of the signal.
     """
     penalties, cache = _penalties(penalty, min_size), _as_cache(signal, cost)
     if cache.n < 2 * min_size:  # one segment under any penalty
-        return _as_given(penalty, [Segmentation((), float(cache.values([0], [cache.n])[0]))]
-                         * penalties.size)
-    program = _PeltProgram(_distinct(penalties), min_size, [cache], [cache.n])
+        return Segmentation((), float(cache.values([0], [cache.n])[0]))
+    program = _PeltProgram(penalties, min_size, [cache], [cache.n])
     program.advance()
-    return _as_given(penalty, program.segmentations(penalties, 0))
-
-
-def _distinct(penalties: np.ndarray) -> np.ndarray:
-    """The distinct penalties ascending: np.unique's sort and neighbour mask,
-    bitwise its array, without its first-call import of numpy.ma (a forked
-    sweep worker would pay it on its first PELT task)."""
-    ascending = np.sort(penalties)
-    return ascending[np.concatenate(([True], ascending[1:] != ascending[:-1]))]
+    return program.segmentations(penalties, 0)[0]
 
 
 # Columns of one cost read: the costs of a block of columns are read in
@@ -228,7 +205,8 @@ class _PeltProgram:
     (group, penalty): the rows of group g are g * P .. g * P + P - 1 for P
     penalties. The entries of one cache are one group, whose column t is
     read up to its shortest entry that holds t, and whose rows give each
-    entry its result at its own n.
+    entry its result at its own n. The penalties' programs run in lockstep,
+    one row each with its own candidate set, over shared cost reads.
 
     The state is F, prev and G, a copy of F in which each row's pruned
     starts read +inf, so that a column is a few passes over whole rows of
@@ -350,21 +328,20 @@ class _PeltProgram:
 
 
 def binseg(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
-           penalty: float | Sequence[float] = 1.0,
-           min_size: int = 1) -> Segmentation | list[Segmentation]:
+           penalty: float = 1.0, min_size: int = 1) -> Segmentation:
     """Greedy recursive splitting; a split is kept only if its gain exceeds the penalty.
 
-    A segment's best split does not depend on the penalty, so the split
-    tree is grown once, at the smallest penalty of a sequence. A split
-    survives a penalty iff its gain and the gains of all the splits above
-    it exceed that penalty. A node [a, b) reads its whole segment, every
-    [cut, b) and every [a, cut) in one ``values`` call.
+    A node [a, b) reads its whole segment, every [cut, b) and every
+    [a, cut) in one ``values`` call.
     """
-    return _penalized_segmentations(_binseg, signal, cost, penalty, min_size)
+    return _penalized_segmentation(_binseg, signal, cost, penalty, min_size)
 
 
 def _binseg(cache: CostCache, penalties: np.ndarray, min_size: int) -> list[tuple[int, ...]]:
-    """:func:`binseg`'s breakpoints under each penalty, without their totals."""
+    """:func:`binseg`'s breakpoints under each penalty, without their
+    totals. A segment's best split does not depend on the penalty, so the
+    split tree is grown once, at the smallest penalty; a split survives a
+    penalty iff its gain and the gains of all the splits above it exceed it."""
     n = cache.n
     lowest = penalties.min()
     splits: list[tuple[int, float]] = []  # (cut, least gain from the root down to it)
@@ -390,24 +367,23 @@ def _binseg(cache: CostCache, penalties: np.ndarray, min_size: int) -> list[tupl
 
 
 def bottomup(signal: np.ndarray | CostCache, cost: SegmentCost | None = None,
-             penalty: float | Sequence[float] = 1.0,
-             min_size: int = 1) -> Segmentation | list[Segmentation]:
+             penalty: float = 1.0, min_size: int = 1) -> Segmentation:
     """Start from a dense breakpoint grid and merge the cheapest adjacent pair.
 
     Merging stops once every remaining merge would increase the cost
     strictly more than the penalty, so a penalty of zero keeps any grid
-    whose merges all cost something. The merge order does not depend on
-    the penalty, so a sequence of penalties is read off one merge run,
-    visited in ascending order: each takes the breakpoints left when the
-    cheapest merge first costs more than it. The state is one list of the
+    whose merges all cost something. The state is one list of the
     segments' ends, 0, the grid points left and n; a merge reads the three
     segments of each neighbour's new merge delta in one ``values`` call.
     """
-    return _penalized_segmentations(_bottomup, signal, cost, penalty, min_size)
+    return _penalized_segmentation(_bottomup, signal, cost, penalty, min_size)
 
 
 def _bottomup(cache: CostCache, penalties: np.ndarray, min_size: int) -> list[tuple[int, ...]]:
-    """:func:`bottomup`'s breakpoints under each penalty, without their totals."""
+    """:func:`bottomup`'s breakpoints under each penalty, without their
+    totals. The merge order does not depend on the penalty, so the
+    penalties are read off one merge run, visited in ascending order: each
+    takes the breakpoints left when the cheapest merge first costs more than it."""
     n = cache.n
     bounds = [0, *range(min_size, n - min_size + 1, min_size), n]
 
@@ -437,28 +413,25 @@ def _bottomup(cache: CostCache, penalties: np.ndarray, min_size: int) -> list[tu
     return found
 
 
-def kcpd(signal: np.ndarray | CostCache, penalty: float | Sequence[float] = 1.0,
-         min_size: int = 1, kernel: SegmentCost | None = None) -> Segmentation | list:
+def kcpd(signal: np.ndarray | CostCache, penalty: float = 1.0,
+         min_size: int = 1, kernel: SegmentCost | None = None) -> Segmentation:
     """Kernel change-point detection: the exact dynamic program over the rbf
-    cost, with :func:`pelt`'s signal and penalty forms."""
+    cost, with :func:`pelt`'s signal forms."""
     kernel = kernel or SegmentCost("rbf")
     if kernel.kind != "rbf":
         raise ValueError("kcpd is defined for the rbf kernel cost only")
     return pelt(signal, kernel, penalty, min_size)
 
 
-def _penalized_segmentations(core, signal, cost: SegmentCost | None, penalty,
-                             min_size: int) -> Segmentation | list[Segmentation]:
-    """A greedy segmenter's public answer: ``core``'s breakpoints under each
-    penalty, each with its penalized total. Penalties often share a
-    breakpoint set, so each distinct set's segment costs are summed once."""
+def _penalized_segmentation(core, signal, cost: SegmentCost | None, penalty: float,
+                            min_size: int) -> Segmentation:
+    """A greedy segmenter's public answer: ``core``'s breakpoints under the
+    penalty, with their penalized total."""
     penalties, cache = _penalties(penalty, min_size), _as_cache(signal, cost)
-    found, sums = core(cache, penalties, min_size), {}
-    for breakpoints in dict.fromkeys(found):
-        bounds = np.array([0, *breakpoints, cache.n])
-        sums[breakpoints] = sum(cache.values(bounds[:-1], bounds[1:]).tolist())
-    return _as_given(penalty, [Segmentation(b, float(sums[b] + beta * len(b)))
-                               for b, beta in zip(found, penalties)])
+    (breakpoints,) = core(cache, penalties, min_size)
+    bounds = np.array([0, *breakpoints, cache.n])
+    total = sum(cache.values(bounds[:-1], bounds[1:]).tolist())
+    return Segmentation(breakpoints, float(total + penalties[0] * len(breakpoints)))
 
 
 def matrix_profile(series: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -678,6 +651,14 @@ def solve_key(config: DetectorConfig) -> tuple:
         return workspace_key(config)
     method = "PELT" if config.method == "KCPD" else config.method
     return (method, config.cost.label, config.znorm, config.min_size)
+
+
+def _distinct(penalties: np.ndarray) -> np.ndarray:
+    """The distinct penalties ascending: np.unique's sort and neighbour mask,
+    bitwise its array, without its first-call import of numpy.ma (a forked
+    sweep worker would pay it on its first replay)."""
+    ascending = np.sort(penalties)
+    return ascending[np.concatenate(([True], ascending[1:] != ascending[:-1]))]
 
 
 def _change_points(window: Window, config: DetectorConfig, axis: np.ndarray,

@@ -176,21 +176,16 @@ class TestPelt:
         np.random.default_rng(5).choice([0.0, -0.0, 0.01, 0.5, 7.0, 1e12], size=300)],
         ids=["unsorted-duplicates", "all-equal", "zero-then-negative-zero",
              "negative-zero-first", "one", "subnormal-and-huge", "300-signed-zeros"])
-    def test_distinct_penalties_are_np_unique(self, monkeypatch, penalties):
-        # the rows of the program are np.unique's array, signed zero included
-        seen = []
-
-        class Spy(detectors_mod._PeltProgram):
-            def __init__(self, distinct, *args):
-                seen.append(distinct)
-                super().__init__(distinct, *args)
-
-        monkeypatch.setattr(detectors_mod, "_PeltProgram", Spy)
-        segs = pelt(STEP_FIXTURE, L2, list(penalties), 2)
-        want = np.unique(np.asarray(penalties, dtype=float))
-        assert len(seen) == 1 and seen[0].dtype == want.dtype
-        assert seen[0].tobytes() == want.tobytes()
-        assert segs == [pelt(STEP_FIXTURE, L2, float(p), 2) for p in penalties]
+    def test_distinct_penalties_are_np_unique(self, penalties):
+        # the rows of a replay's program are np.unique's array, signed zero
+        # included, and each penalty's row is its one-penalty solve
+        given = np.asarray(penalties, dtype=float)
+        distinct, want = detectors_mod._distinct(given), np.unique(given)
+        assert distinct.dtype == want.dtype and distinct.tobytes() == want.tobytes()
+        program = detectors_mod._PeltProgram(distinct, 2, [CostCache(STEP_FIXTURE, L2)], [10])
+        assert program.advance()
+        assert program.segmentations(given, 0) == [pelt(STEP_FIXTURE, L2, float(p), 2)
+                                                    for p in penalties]
 
 
 class TestBinseg:
@@ -486,6 +481,23 @@ def _exactly(segs):
     return [(s.breakpoints, repr(s.total_cost)) for s in segs]
 
 
+def _solos(signal, spec, penalties, min_size) -> dict:
+    """The public one-penalty solve of ``signal`` under each penalty, as
+    (breakpoints, repr(total_cost)), one cache serving them all."""
+    cache = CostCache(signal, spec)
+    return {p: _exactly([pelt(cache, spec, p, min_size)])[0] for p in penalties}
+
+
+def _program_rows(cache, penalties, min_size):
+    """One :class:`_PeltProgram` over ``cache`` under the distinct
+    ``penalties``, as a replay runs it: each penalty's row, as
+    (breakpoints, repr(total_cost)), in the given order."""
+    given = np.array(penalties, dtype=float)
+    program = detectors_mod._PeltProgram(np.unique(given), min_size, [cache], [cache.n])
+    assert program.advance()
+    return _exactly(program.segmentations(given, 0))
+
+
 def _shifting_signal(rng, n=48):
     x = np.abs(rng.normal(1.0, 0.3, size=(n, 2)))
     for start, level in ((10, 1.5), (22, 0.4), (31, 4.0), (40, 2.0)):
@@ -498,20 +510,30 @@ class TestPenaltyPath:
     @pytest.mark.parametrize("label", ["l1", "l2", "normal", "rbf", "rbf:0.1", "rbf:10.0"])
     @pytest.mark.parametrize("solver", [pelt, binseg, bottomup], ids=["pelt", "binseg", "bottomup"])
     def test_sequence_equals_one_solve_per_penalty(self, solver, label, min_size, rng):
+        # the cores that a replay solves over a penalty array: the greedy
+        # ones' breakpoints and PELT's program rows (breakpoints and totals)
+        # are bitwise the public one-penalty solve of each entry. A replay
+        # solves no PELT program for n < 2 * min_size
         spec = cost_from_label(label)
         x = _shifting_signal(rng)
+        core = {binseg: detectors_mod._binseg, bottomup: detectors_mod._bottomup}.get(solver)
         for signal in (x, np.round(x, 1), x[:2 * min_size - 1]):  # ties; n < 2 * min_size
-            path = solver(signal, spec, PENALTY_PATH, min_size)
-            assert _exactly(path) == _exactly(solver(signal, spec, p, min_size)
-                                              for p in PENALTY_PATH)
+            solos = [solver(signal, spec, p, min_size) for p in PENALTY_PATH]
+            cache = CostCache(signal, spec)
+            if core is not None:
+                assert core(cache, np.array(PENALTY_PATH), min_size) == \
+                    [s.breakpoints for s in solos]
+            elif cache.n >= 2 * min_size:
+                assert _program_rows(cache, PENALTY_PATH, min_size) == _exactly(solos)
         # the path is not one answer repeated
-        assert len({s.breakpoints for s in solver(x, spec, PENALTY_PATH, min_size)}) >= 2
+        assert len({solver(x, spec, p, min_size).breakpoints for p in PENALTY_PATH}) >= 2
 
     @pytest.mark.parametrize("min_size", [1, 2, 3, 7])
     def test_kcpd_sequence_equals_one_solve_per_penalty(self, min_size, rng):
         x = _shifting_signal(rng)
         for kernel in (None, SegmentCost("rbf", gamma=0.1)):
-            assert _exactly(kcpd(x, PENALTY_PATH, min_size, kernel)) == \
+            assert _program_rows(CostCache(x, kernel or SegmentCost("rbf")), PENALTY_PATH,
+                                 min_size) == \
                 _exactly(kcpd(x, p, min_size, kernel) for p in PENALTY_PATH)
 
     @pytest.mark.parametrize("min_size", [1, 2, 3, 7])
@@ -532,10 +554,12 @@ class TestPenaltyPath:
         ends.insert(ends.index(28), 28)
         for signal in (x, np.round(x, 1)):
             windows = [znormalize(signal[:e]) if znorm else signal[:e] for e in ends]
+            solos = [_solos(window, spec, PENALTY_PATH, min_size) for window in windows]
             inputs = [[CostCache(w, spec) for w in windows]]
             if not znorm and spec.kind in PREFIX_KINDS:
                 fresh, filled = CostCache(signal, spec), CostCache(signal, spec)
-                pelt(filled, spec, PENALTY_PATH[::4], min_size)
+                for p in PENALTY_PATH[::4]:
+                    pelt(filled, spec, p, min_size)
                 filled.values(np.arange(47), 47)
                 inputs += [[fresh] * len(ends), [filled] * len(ends),
                            [CostCache(signal[:e], spec) if k % 3 else fresh
@@ -545,10 +569,10 @@ class TestPenaltyPath:
                                                      ends)
                 assert program.advance() and program.solved == len(caches)
                 # later windows read subsets of the program's penalties
-                for w, window in enumerate(windows):
+                for w in range(len(windows)):
                     for subset in (PENALTY_PATH, PENALTY_PATH[w % 5::2]):
                         assert _exactly(program.segmentations(np.array(subset), w)) == \
-                            _exactly(pelt(CostCache(window, spec), spec, subset, min_size))
+                            [solos[w][p] for p in subset]
                     # the replay's read of the same rows: each last breakpoint
                     assert program.last_breakpoints(w).tolist() == \
                         [s.breakpoints[-1] if s.breakpoints else 0
@@ -575,6 +599,7 @@ class TestPenaltyPath:
                 return super().values(starts, stops)
 
         for signal in (x, np.round(x, 1)):
+            solos = [_solos(signal[:e], spec, distinct, min_size) for e in ends]
             whole, reads[:] = Noted(signal, spec), []
             program = detectors_mod._PeltProgram(distinct, min_size, [whole] * len(ends), ends)
             assert program.advance() and program.solved == len(ends)
@@ -582,10 +607,10 @@ class TestPenaltyPath:
             spans = list(zip([0, *long], long))  # the columns of each entry past the one before
             for stops in reads:
                 assert any(lo < min(stops) and max(stops) <= hi for lo, hi in spans)
-            for w, (e, subset) in enumerate(zip(ends, subsets)):
+            for w, subset in enumerate(subsets):
                 for penalties in (PENALTY_PATH, subset):
                     assert _exactly(program.segmentations(np.array(penalties), w)) == \
-                        _exactly(pelt(signal[:e], spec, penalties, min_size))
+                        [solos[w][p] for p in penalties]
 
     def test_window_rows_stop_before_a_window_that_fails(self, rng):
         # a window whose costs fail to read stops the program before it,
@@ -614,7 +639,7 @@ class TestPenaltyPath:
             retry = detectors_mod._PeltProgram(distinct, 2, caches[:3], ends[:3])
             assert retry.advance() and retry.solved == 3
             assert [_exactly(retry.segmentations(distinct, w)) for w in range(3)] == \
-                [_exactly(pelt(x[:e], L2, distinct, 2)) for e in ends[:3]]
+                [list(_solos(x[:e], L2, distinct, 2).values()) for e in ends[:3]]
             with pytest.raises(RuntimeError, match="window 19"):
                 detectors_mod._PeltProgram(distinct, 2, caches[3:], ends[3:]).advance()
 
@@ -643,7 +668,7 @@ class TestPenaltyPath:
         if spec.kind in PREFIX_KINDS:
             inputs.append((lambda: [Noted(x, spec)] * len(ends), 0))
         for penalties in ([0.01, 5.0], [0.01, 5.0, 1e9]):
-            full = [pelt(x[:e], spec, penalties, min_size) for e in ends]
+            full = [[pelt(x[:e], spec, p, min_size) for p in penalties] for e in ends]
             broke = np.logical_or.accumulate([[bool(s.breakpoints) for s in segs]
                                               for segs in full])
             last = next((k for k, row in enumerate(broke) if row.all()), len(ends) - 1)
@@ -656,15 +681,10 @@ class TestPenaltyPath:
                         for w in range(last + 1)] == [_exactly(segs) for segs in full[:last + 1]]
                 assert ends[last] <= max(stops) <= ends[last] + ahead
 
-    def test_one_entry_sequence_is_the_float_form(self, rng):
-        x = _shifting_signal(rng)
-        for solver in (pelt, binseg, bottomup):
-            assert solver(x, L2, [0.5], 2) == [solver(x, L2, 0.5, 2)]
-            assert solver(x, L2, np.array([0.5, 2.0]), 2) == solver(x, L2, (0.5, 2.0), 2)
-
-    @pytest.mark.parametrize("penalty", [[], [1.0, -0.5], -0.5, [[1.0]], float("nan"),
+    @pytest.mark.parametrize("penalty", [[0.5], [1.0, -0.5], -0.5, [[1.0]], float("nan"),
                                          float("inf"), [1.0, float("inf")]])
     def test_bad_penalties_rejected(self, penalty):
+        # one float only: a sequence of penalties is refused, valid or not
         for solver in (pelt, binseg, bottomup):
             with pytest.raises(ValueError):
                 solver(STEP_FIXTURE, L2, penalty, 1)

@@ -136,14 +136,21 @@ def outputs(request, tmp_path_factory) -> tuple[str, dict[str, bytes]]:
     return request.param, golden_outputs(request.param, tmp_path_factory.mktemp("golden"))
 
 
-def test_results_equal_the_golden_file(outputs):
-    alert_at, got_files = outputs
-    got = got_files[results_name(alert_at)].decode("utf-8").splitlines()
-    want = (DATA / results_name(alert_at)).read_text(encoding="utf-8").splitlines()
+def assert_same_lines(name: str, got_files: dict[str, bytes]) -> None:
+    """The output under ``name`` equals its golden file byte for byte; a
+    difference names the first lines that differ."""
+    got = got_files[name].decode("utf-8").splitlines()
+    want = (DATA / name).read_text(encoding="utf-8").splitlines()
     differing = [f"line {i}: want {w!r}, got {g!r}"
                  for i, (w, g) in enumerate(zip(want, got), 1) if w != g]
-    assert not differing, f"{len(differing)} records differ; first:\n" + "\n".join(differing[:5])
+    assert not differing, f"{len(differing)} lines differ; first:\n" + "\n".join(differing[:5])
     assert len(got) == len(want), f"{len(got)} lines, golden file has {len(want)}"
+    assert got_files[name] == (DATA / name).read_bytes()
+
+
+def test_results_equal_the_golden_file(outputs):
+    alert_at, got_files = outputs
+    assert_same_lines(results_name(alert_at), got_files)
 
 
 def test_summary_and_report_equal_the_golden_files(outputs):
@@ -160,12 +167,7 @@ def test_summary_and_report_equal_the_golden_files(outputs):
 
 def test_traces_equal_the_golden_file(outputs):
     alert_at, got_files = outputs
-    got = got_files[traces_name(alert_at)].decode("utf-8").splitlines()
-    want = (DATA / traces_name(alert_at)).read_text(encoding="utf-8").splitlines()
-    differing = [f"line {i}: want {w!r}, got {g!r}"
-                 for i, (w, g) in enumerate(zip(want, got), 1) if w != g]
-    assert not differing, f"{len(differing)} rows differ; first:\n" + "\n".join(differing[:5])
-    assert got_files[traces_name(alert_at)] == (DATA / traces_name(alert_at)).read_bytes()
+    assert_same_lines(traces_name(alert_at), got_files)
 
 
 if __name__ == "__main__":

@@ -371,7 +371,7 @@ class TestRunSweep:
             solves.append((window.cycle.key, window.end_index, solve_key(config)))
             return real_solve(window, config, penalties)
 
-        monkeypatch.setattr(detectors_mod, "_penalized_segmentations", refused)
+        monkeypatch.setattr(detectors_mod, "_penalized_segmentation", refused)
         monkeypatch.setattr(detectors_mod._PeltProgram, "segmentations", refused)
         monkeypatch.setattr(protocol_mod, "_change_points", noting_call)
         monkeypatch.setattr(detectors_mod, "_solve", noting_solve)
